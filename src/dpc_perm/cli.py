@@ -30,7 +30,7 @@ from . import __version__
 from .channel import ChannelSpec, generate_channel
 from .exceptions import ConfigError, DpcPermError, OrderSpaceTooLarge
 from .linalg import count_decompositions, lq_decompose
-from .modem import make_constellation, qam_modulate
+from .modem import QAM_ORDERS, make_constellation, qam_modulate
 from .ordering import (
     MAX_ENUM_USERS,
     complexity_model,
@@ -41,6 +41,7 @@ from .ordering import (
 from .sim import (
     SweepConfig,
     config_hash,
+    config_int,
     resolve_workers,
     run_ber_sweep,
     sweep_csv_name,
@@ -165,6 +166,17 @@ def _order_search_config(raw: dict, seed_override) -> dict:
     cfg = {**defaults, **raw}
     if seed_override is not None:
         cfg["seed"] = seed_override
+    for field_name, minimum in (
+        ("n_users", 1),
+        ("seed", 0),
+        ("constellation_order", 1),
+        ("symbol_seed", 0),
+    ):
+        cfg[field_name] = config_int(cfg[field_name], field_name, minimum)
+    if cfg["constellation_order"] not in QAM_ORDERS:
+        raise ConfigError(
+            f"invalid value for field 'constellation_order': expected one of {QAM_ORDERS}"
+        )
     if cfg["n_users"] > MAX_ENUM_USERS:
         raise ConfigError(
             f"n_users={cfg['n_users']} exceeds the n <= {MAX_ENUM_USERS} "

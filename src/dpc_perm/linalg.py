@@ -90,7 +90,12 @@ def count_decompositions() -> Iterator[DecompositionCounter]:
     try:
         yield counter
     finally:
-        stack.remove(counter)
+        # By identity: counters are dataclasses that compare equal by
+        # value, and an outer recorder with equal counts must stay.
+        for i in range(len(stack) - 1, -1, -1):
+            if stack[i] is counter:
+                del stack[i]
+                break
 
 
 def _tick(kind: str) -> None:

@@ -10,15 +10,26 @@ precoded signal by permuting a diagonal gain matrix inside
     x_pi = v @ diag(1/sigma) @ u^H @ (g^H diag(k) g) @ s
 
 so its factorization count stays at one while the naive count grows as
-n factorial. Both produce identical per-order signals and identical
-winners; the counters expose the work difference.
+n factorial. After that one factorization nothing is done per order in
+Python: the lexicographic table of all n! orders is built once per n,
+the permuted gains of every order are scattered into one array, and all
+signals come from one matrix product, evaluated in chunks of orders so
+that memory stays bounded; the objectives are reductions along axes.
+``min-power`` needs no signals at all.
+
+Both engines score orders with the same reductions and pick the winner
+with the same array rule (:func:`_select`): among the orders whose value
+is within 1e-12 relative of the minimum, the lexicographically smallest
+wins. They therefore produce identical winners, and per-order signals
+equal to rounding; the counters expose the work difference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +39,6 @@ from .linalg import (
     as_channel_matrix,
     as_order,
     count_decompositions,
-    diagonal_permute,
     lq_decompose,
     svd_decompose,
 )
@@ -57,25 +67,114 @@ OBJECTIVES = ("average-power", "papr", "min-power")
 # the lexicographically smallest order wins.
 _TIE_RTOL = 1e-12
 
+# Signals are built for as many orders at a time as fit in this many
+# complex entries (128 KiB), and for at least one order. Larger chunks
+# save no time at n <= 8 and add their size to peak memory.
+_CHUNK_ENTRIES = 1 << 13
+
 
 def objective_ap(x: np.ndarray) -> float:
     """Average power of a precoded vector: mean of |x[i]|**2."""
-    x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal must be finite")
-    return float(np.mean(np.abs(x) ** 2))
+    return float(_signal_values("average-power", _as_signal_block(x))[0])
 
 
 def objective_papr(x: np.ndarray) -> float:
     """Peak-to-average power ratio: max |x[i]|**2 over mean |x[i]|**2."""
-    x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
+    return float(_signal_values("papr", _as_signal_block(x))[0])
+
+
+def _as_signal_block(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    return x.reshape(1, 1, x.size)
+
+
+def _signal_values(kind: str, signals: np.ndarray) -> np.ndarray:
+    """Objective of each order's signals, shape ``(orders, rows, n)``.
+
+    Row 0 is the fixed signal; in expectation mode the objective is
+    averaged over the appended random rows only.
+    """
+    if not np.all(np.isfinite(signals)):
         raise ValueError("signal must be finite")
-    power = np.abs(x) ** 2
-    mean = float(np.mean(power))
-    if mean == 0.0:
+    rows = signals[:, 1:] if signals.shape[1] > 1 else signals
+    power = rows.real**2 + rows.imag**2
+    mean = power.mean(axis=2)
+    if kind == "average-power":
+        return mean.mean(axis=1)
+    if np.any(mean == 0.0):
         raise DegenerateGain("PAPR is undefined for the all-zero signal")
-    return float(np.max(power)) / mean
+    return (power.max(axis=2) / mean).mean(axis=1)
+
+
+def _min_power_values(k_perm: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    return np.sum(k_perm**2 / lam, axis=1)
+
+
+def _select(values: np.ndarray) -> int:
+    """Index of the winning order in the lexicographic order table.
+
+    The tie rule, in one place for every search: among the orders whose
+    value is within ``_TIE_RTOL`` relative of the minimum, the first
+    (lexicographically smallest) wins. It depends on the values only,
+    never on the order in which they were computed.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("objective values must be finite")
+    best = values.min()
+    return int(np.argmax(values - best <= _TIE_RTOL * abs(best)))
+
+
+@lru_cache(maxsize=None)
+def _lex_orders(n: int) -> np.ndarray:
+    """All n! orders of 0..n-1, one per row, in lexicographic order.
+
+    Block ``f`` holds the orders starting with ``f``: the (n-1)! orders
+    of the remaining values, taken from the table for n-1 by mapping
+    ``v -> v + (v >= f)``, which keeps their lexicographic order. Built
+    once per n (n <= MAX_ENUM_USERS keeps the cache small) and read-only,
+    since every caller shares it.
+    """
+    if n == 1:
+        orders = np.zeros((1, 1), dtype=np.intp)
+    else:
+        rest = _lex_orders(n - 1)
+        orders = np.empty((n * rest.shape[0], n), dtype=np.intp)
+        for f, block in enumerate(np.split(orders, n)):
+            block[:, 0] = f
+            block[:, 1:] = rest + (rest >= f)
+    orders.setflags(write=False)
+    return orders
+
+
+def _permuted_gains(k: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Row j is the diagonal permutation of ``k`` by ``orders[j]``,
+    ``k_perm[j, orders[j, i]] = k[i]`` (see ``linalg.diagonal_permute``)."""
+    k_perm = np.empty(orders.shape)
+    np.put_along_axis(k_perm, orders, k[np.newaxis, :], axis=1)
+    return k_perm
+
+
+def _order_values(
+    kinds: tuple[str, ...], b: np.ndarray, k_perm: np.ndarray, sym: np.ndarray
+) -> list[np.ndarray]:
+    """Values of each objective in ``kinds`` for every order's signals.
+
+    Order j's signals are the rows of ``(k_perm[j] * sym) @ b.T``; orders
+    are taken in chunks (:func:`_chunks`), each chunk one matrix product.
+    """
+    m, n = k_perm.shape
+    parts = []
+    for chunk in _chunks(m, sym.size):
+        kp = k_perm[chunk]
+        x = ((kp[:, np.newaxis, :] * sym).reshape(-1, n) @ b.T).reshape(kp.shape[0], -1, n)
+        parts.append([_signal_values(kind, x) for kind in kinds])
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _chunks(orders: int, entries_per_order: int) -> Iterator[slice]:
+    """Slices of ``range(orders)`` whose signals fit in ``_CHUNK_ENTRIES``."""
+    step = max(1, _CHUNK_ENTRIES // entries_per_order)
+    return (slice(start, start + step) for start in range(0, orders, step))
 
 
 @dataclass
@@ -97,23 +196,9 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _objective_value(kind: str, signals: np.ndarray, k_perm: np.ndarray, lam: np.ndarray) -> float:
-    # Row 0 is the fixed signal; in expectation mode the objective is
-    # averaged over the appended random rows only.
-    rows = signals[1:] if signals.shape[0] > 1 else signals
-    if kind == "average-power":
-        return float(np.mean(np.abs(rows) ** 2))
-    if kind == "papr":
-        return float(np.mean([objective_papr(row) for row in rows]))
-    if kind == "min-power":
-        return float(np.sum(k_perm**2 / lam))
-    raise ValueError(f"unknown objective {kind!r}, expected one of {OBJECTIVES}")
-
-
-def _is_better(value: float, best: float) -> bool:
-    if value >= best:
-        return False
-    return (best - value) > _TIE_RTOL * max(abs(best), abs(value))
+def _check_objective(objective: str) -> None:
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 
 def _symbol_matrix(
@@ -151,47 +236,45 @@ def naive_order_search(
     permuted channel is freshly LQ-factorized, and a gain-controlled
     successive encode produces that order's precoded vector; the encode
     targets the original slot gains, which in unpermuted user space is
-    exactly the diagonal permutation ``g^H diag(k) g``. Ties between
-    objective values (relative tolerance 1e-12) resolve to the
-    lexicographically smallest order.
+    exactly the diagonal permutation ``g^H diag(k) g``. Orders are
+    scored with the same reductions and chosen with the same tie rule as
+    :func:`diagonal_order_search`.
 
     ``decompositions_performed`` equals n! by construction, which is the
     cost this search exists to demonstrate. For the ``min-power``
     objective the order-invariant eigenvalues are taken once from the
-    singular values up front; that bookkeeping is not a per-order
-    factorization and is not counted as one.
+    singular values; that bookkeeping is not a per-order factorization
+    and is not counted as one.
     """
     h = as_channel_matrix(h)
     n = h.shape[0]
     _check_enumerable(n)
+    _check_objective(objective)
     k = as_gains(gains, n, allow_zero=True)
     sym = _symbol_matrix(s, symbol_draws, draw_rng)
-    lam = _eigenvalues_for_min_power(h, objective)
-
-    best_value = math.inf
-    best_order: np.ndarray | None = None
-    evaluated = 0
+    orders = _lex_orders(n)
+    first_signals = np.empty(orders.shape, dtype=np.complex128)
+    values = np.empty(orders.shape[0])
     with count_decompositions() as counter:
-        for order in permutations(range(n)):
-            p = np.asarray(order, dtype=np.intp)
-            h_p = h[p, :]
-            factors = lq_decompose(h_p)
-            signals = np.vstack(
-                [_successive_encode(factors, k, row[p]) for row in sym]
-            )
-            k_perm = diagonal_permute(k, p)
-            value = _objective_value(objective, signals, k_perm, lam)
-            evaluated += 1
-            if best_order is None or _is_better(value, best_value):
-                best_value = value
-                best_order = p
-                best_signal = signals[0]
+        for chunk in _chunks(orders.shape[0], sym.size):
+            block = orders[chunk]
+            signals = np.empty((block.shape[0], *sym.shape), dtype=np.complex128)
+            for j, p in enumerate(block):
+                factors = lq_decompose(h[p, :])
+                signals[j] = [_successive_encode(factors, k, row[p]) for row in sym]
+            first_signals[chunk] = signals[:, 0]
+            if objective != "min-power":
+                values[chunk] = _signal_values(objective, signals)
+    if objective == "min-power":
+        lam = np.linalg.svd(h, compute_uv=False) ** 2
+        values = _min_power_values(_permuted_gains(k, orders), lam)
+    best = _select(values)
     return OrderSearchResult(
-        best_order=best_order,
-        best_value=best_value,
-        best_signal=best_signal,
+        best_order=orders[best].copy(),
+        best_value=float(values[best]),
+        best_signal=first_signals[best].copy(),
         decompositions_performed=counter.total,
-        permutations_evaluated=evaluated,
+        permutations_evaluated=orders.shape[0],
         objective=objective,
     )
 
@@ -206,10 +289,12 @@ def _successive_encode(factors, k: np.ndarray, s_p: np.ndarray) -> np.ndarray:
     return factors.q.conj().T @ xt
 
 
-def _eigenvalues_for_min_power(h: np.ndarray, objective: str) -> np.ndarray:
-    if objective != "min-power":
-        return np.ones(h.shape[0])
-    return np.linalg.svd(h, compute_uv=False) ** 2
+def _channel_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(v @ diag(1/sigma) @ u^H, sigma)`` from one SVD of ``h``."""
+    f = svd_decompose(h)
+    if f.sigma[-1] <= EPS_SING * f.sigma[0]:
+        raise NumericallySingular("channel too close to singular for the SVD route")
+    return f.v @ (f.u.conj().T / f.sigma[:, np.newaxis]), f.sigma
 
 
 def diagonal_order_search(
@@ -222,43 +307,39 @@ def diagonal_order_search(
 ) -> OrderSearchResult:
     """Order search by diagonal permutation: one factorization total.
 
-    The channel is SVD-factorized once; each order's precoded vector is
-    ``b @ (k_pi * s)`` where ``b = v @ diag(1/sigma) @ u^H`` is fixed and
-    ``k_pi`` is the diagonally permuted gain vector. Selection and
-    tie-breaking match :func:`naive_order_search` exactly, as do the
-    per-order signals (to rounding).
+    The channel is SVD-factorized once into ``b = v @ diag(1/sigma) @ u^H``.
+    Every order's precoded vectors are ``(k_pi * s) @ b.T`` with ``k_pi``
+    the diagonally permuted gain vector; they are evaluated for all n!
+    orders at once, as one matrix product per chunk of orders, and the
+    objective is reduced along axes. ``min-power`` is
+    ``sum(k_pi**2 / sigma**2)`` and builds no signals.
+
+    Among the orders within 1e-12 relative of the best value the
+    lexicographically smallest wins, the same rule as in
+    :func:`naive_order_search`, so winners match exactly and per-order
+    signals to rounding.
     """
     h = as_channel_matrix(h)
     n = h.shape[0]
     _check_enumerable(n)
+    _check_objective(objective)
     k = as_gains(gains, n, allow_zero=True)
     sym = _symbol_matrix(s, symbol_draws, draw_rng)
-
-    best_value = math.inf
-    best_order: np.ndarray | None = None
-    evaluated = 0
     with count_decompositions() as counter:
-        f = svd_decompose(h)
-        if f.sigma[-1] <= EPS_SING * f.sigma[0]:
-            raise NumericallySingular("channel too close to singular for the SVD route")
-        b = f.v @ (f.u.conj().T / f.sigma[:, np.newaxis])
-        lam = f.sigma**2 if objective == "min-power" else np.ones(n)
-        for order in permutations(range(n)):
-            p = np.asarray(order, dtype=np.intp)
-            k_perm = diagonal_permute(k, p)
-            signals = (k_perm * sym) @ b.T
-            value = _objective_value(objective, signals, k_perm, lam)
-            evaluated += 1
-            if best_order is None or _is_better(value, best_value):
-                best_value = value
-                best_order = p
-                best_signal = signals[0]
+        b, sigma = _channel_inverse(h)
+    orders = _lex_orders(n)
+    k_perm = _permuted_gains(k, orders)
+    if objective == "min-power":
+        values = _min_power_values(k_perm, sigma**2)
+    else:
+        (values,) = _order_values((objective,), b, k_perm, sym)
+    best = _select(values)
     return OrderSearchResult(
-        best_order=best_order,
-        best_value=best_value,
-        best_signal=best_signal,
+        best_order=orders[best].copy(),
+        best_value=float(values[best]),
+        best_signal=b @ (k_perm[best] * sym[0]),
         decompositions_performed=counter.total,
-        permutations_evaluated=evaluated,
+        permutations_evaluated=orders.shape[0],
         objective=objective,
     )
 
@@ -267,23 +348,21 @@ def order_table(h: np.ndarray, s: np.ndarray, gains: np.ndarray) -> list[dict]:
     """Per-order AP and PAPR rows for all n! orders (diagonal route).
 
     Returns a list of ``{"order": tuple, "ap": float, "papr": float}``
-    in lexicographic order of the orders.
+    in lexicographic order of the orders, from the same batched
+    evaluation as :func:`diagonal_order_search`.
     """
     h = as_channel_matrix(h)
     n = h.shape[0]
     _check_enumerable(n)
     k = as_gains(gains, n, allow_zero=True)
-    s = np.asarray(s, dtype=np.complex128)
-    f = svd_decompose(h)
-    if f.sigma[-1] <= EPS_SING * f.sigma[0]:
-        raise NumericallySingular("channel too close to singular for the SVD route")
-    b = f.v @ (f.u.conj().T / f.sigma[:, np.newaxis])
-    rows = []
-    for order in permutations(range(n)):
-        p = np.asarray(order, dtype=np.intp)
-        x = b @ (diagonal_permute(k, p) * s)
-        rows.append({"order": tuple(order), "ap": objective_ap(x), "papr": objective_papr(x)})
-    return rows
+    b, _ = _channel_inverse(h)
+    orders = _lex_orders(n)
+    sym = np.asarray(s, dtype=np.complex128)[np.newaxis, :]
+    ap, papr = _order_values(("average-power", "papr"), b, _permuted_gains(k, orders), sym)
+    return [
+        {"order": tuple(order), "ap": a, "papr": r}
+        for order, a, r in zip(orders.tolist(), ap.tolist(), papr.tolist())
+    ]
 
 
 def min_power_order_closed_form(gains: np.ndarray, sigma: np.ndarray) -> np.ndarray:

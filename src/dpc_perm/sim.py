@@ -70,6 +70,7 @@ __all__ = [
     "run_ber_sweep",
     "resolve_workers",
     "config_hash",
+    "config_int",
     "write_ber_csv",
     "write_manifest",
     "sweep_csv_name",
@@ -153,18 +154,19 @@ class SweepConfig:
         if not isinstance(raw["snr_grid_db"], (list, tuple)):
             raise ConfigError("snr_grid_db must be a list")
         data["snr_grid_db"] = tuple(_parse_snr(v) for v in raw["snr_grid_db"])
-        for field_name, kind in (
-            ("n_users", int),
-            ("trials_per_point", int),
-            ("constellation_order", int),
-            ("seed", int),
-            ("power_budget", float),
+        for field_name, minimum in (
+            ("n_users", 1),
+            ("trials_per_point", 1),
+            ("constellation_order", 1),
+            ("seed", 0),
         ):
-            if field_name in data and data[field_name] is not None:
-                try:
-                    data[field_name] = kind(data[field_name])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"invalid value for field {field_name!r}") from exc
+            if field_name in data:
+                data[field_name] = config_int(data[field_name], field_name, minimum)
+        if data.get("power_budget") is not None:
+            try:
+                data["power_budget"] = float(data["power_budget"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("invalid value for field 'power_budget'") from exc
         try:
             cfg = cls(**data)
         except (TypeError, ValueError) as exc:
@@ -175,6 +177,22 @@ class SweepConfig:
         d = asdict(self)
         d["snr_grid_db"] = ["inf" if math.isinf(v) else v for v in self.snr_grid_db]
         return d
+
+
+def config_int(value, field_name: str, minimum: int) -> int:
+    """Value of an integer config field, at least ``minimum``.
+
+    JSON integers arrive as ``int``, or as ``float`` when written like
+    ``4.0``. Booleans (an ``int`` subclass), fractional or non-finite
+    floats, strings and other types raise :class:`ConfigError` instead of
+    being truncated or coerced.
+    """
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"invalid value for field {field_name!r}: {value!r} is not an integer")
+    if value < minimum:
+        raise ConfigError(f"invalid value for field {field_name!r}: {value!r} is below {minimum}")
+    return int(value)
 
 
 def _parse_snr(v) -> float:

@@ -117,6 +117,28 @@ def test_order_search_too_many_users_exits_2(tmp_path):
     assert "OrderSpaceTooLarge" in res.stderr
 
 
+@pytest.mark.parametrize("n_users", [2.7, True, 0])
+def test_order_search_bad_n_users_exits_2(tmp_path, n_users):
+    cfg = tmp_path / "os.json"
+    cfg.write_text(json.dumps({"n_users": n_users, "seed": 3}))
+    res = run_cli("order-search", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "n_users" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("n_users", [2.7, True, 0])
+def test_ber_sweep_bad_n_users_exits_2(tmp_path, n_users):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"n_users": n_users, "snr_grid_db": [0], "trials_per_point": 10, "seed": 1})
+    )
+    res = run_cli("ber-sweep", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "n_users" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_complexity_table(tmp_path):
     out = tmp_path / "o"
     res = run_cli("complexity", "--n-max", "5", "--out", str(out))

@@ -1,5 +1,6 @@
 """Tests for the LQ/SVD factorizations and permutation identities."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -22,6 +23,7 @@ from dpc_perm.linalg import (
     permuted_svd,
     svd_decompose,
 )
+from dpc_perm.ordering import diagonal_order_search, naive_order_search
 
 
 def random_channel(seed, n):
@@ -302,3 +304,32 @@ def test_counters_tick_only_inside_decompositions():
         _ = h @ h
         _ = np.linalg.norm(h)
     assert c.total == 0
+
+
+def test_nested_recorders_with_equal_counts_each_count():
+    # Recorders compare equal by value; leaving an inner recorder whose
+    # counts equal the outer one's must not take the outer one off.
+    h = random_channel(2, 3)
+    with count_decompositions() as outer:
+        with count_decompositions() as inner:
+            svd_decompose(h)
+        lq_decompose(h)
+        with count_decompositions() as second:
+            lq_decompose(h)
+    assert (outer.lq, outer.svd) == (2, 1)
+    assert (inner.lq, inner.svd) == (0, 1)
+    assert (second.lq, second.svd) == (1, 0)
+    lq_decompose(h)
+    assert outer.total == 3
+
+
+def test_outer_recorder_spans_several_searches():
+    n = 4
+    h = random_channel(3, n)
+    s = np.exp(0.25j * np.pi * np.arange(n))
+    k = lq_decompose(h).diag
+    with count_decompositions() as outer:
+        diagonal_order_search(h, s, k, "average-power")
+        diagonal_order_search(h, s, k, "papr")
+        naive_order_search(h, s, k)
+    assert (outer.lq, outer.svd) == (math.factorial(n), 2)

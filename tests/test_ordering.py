@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from dpc_perm import ordering
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import DegenerateGain, OrderSpaceTooLarge
 from dpc_perm.linalg import count_decompositions, diagonal_permute, lq_decompose, svd_decompose
@@ -133,6 +134,97 @@ def test_exact_tie_breaks_lexicographically():
     for search in (naive_order_search, diagonal_order_search):
         res = search(h, s, k, "average-power")
         assert res.best_order.tolist() == [0, 1, 2]
+
+
+def test_cached_orders_are_lexicographic_read_only_and_permute_like_the_loop():
+    for n in range(1, 9):
+        orders = ordering._lex_orders(n)
+        assert orders.tolist() == [list(p) for p in permutations(range(n))]
+        assert not orders.flags.writeable
+    k = np.array([0.3, 1.7, 0.0, 2.2])
+    orders = ordering._lex_orders(4)
+    for p, k_p in zip(orders, ordering._permuted_gains(k, orders)):
+        np.testing.assert_array_equal(k_p, diagonal_permute(k, p))
+
+
+def first_within_tie(values):
+    """The tie rule, restated: first index within 1e-12 relative of the minimum."""
+    values = np.asarray(values)
+    best = values.min()
+    return int(np.flatnonzero(values - best <= 1e-12 * abs(best))[0])
+
+
+@pytest.mark.parametrize("objective", ["average-power", "papr", "min-power"])
+def test_near_tie_breaks_lexicographically(objective):
+    # Gains 1e-14 apart put every order within rounding of every other,
+    # far inside the 1e-12 tie band: the identity order must win whatever
+    # the rounding of the individual values.
+    n = 4
+    h = random_channel(33, n)
+    s = qpsk(np.random.default_rng(1), n)
+    k = 1.0 + 1e-14 * np.array([3.0, -2.0, 1.0, -4.0])
+    for search in (naive_order_search, diagonal_order_search):
+        res = search(h, s, k, objective)
+        assert res.best_order.tolist() == [0, 1, 2, 3]
+
+
+def test_tie_rule_depends_on_values_only():
+    # A sequential "replace when better by more than the tolerance" scan
+    # keeps index 0 at index 1 and then jumps to index 2; the array rule
+    # measures every value against the minimum and picks index 1.
+    values = np.array([1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12])
+    assert ordering._select(values) == first_within_tie(values) == 1
+
+
+@pytest.mark.parametrize("objective", ["average-power", "papr"])
+def test_chunked_evaluation_matches_unchunked_and_naive(monkeypatch, objective):
+    n, draws = 5, 300
+    h = random_channel(61, n)
+    s = qpsk(np.random.default_rng(6), n)
+    k = lq_decompose(h).diag
+
+    def run(search):
+        return search(h, s, k, objective, symbol_draws=draws, draw_rng=np.random.default_rng(8))
+
+    monkeypatch.setattr(ordering, "_CHUNK_ENTRIES", 120 * (draws + 1) * n)
+    whole = run(diagonal_order_search)
+    # 7 orders a chunk: 120 orders leave a ragged last chunk of one.
+    monkeypatch.setattr(ordering, "_CHUNK_ENTRIES", 7 * (draws + 1) * n)
+    assert [len(range(120)[c]) for c in ordering._chunks(120, (draws + 1) * n)][-2:] == [7, 1]
+    chunked = run(diagonal_order_search)
+    naive = run(naive_order_search)
+    for res in (chunked, naive):
+        assert res.best_order.tolist() == whole.best_order.tolist()
+        assert res.best_value == pytest.approx(whole.best_value, rel=1e-12)
+        np.testing.assert_allclose(res.best_signal, whole.best_signal, rtol=1e-10)
+
+
+def test_all_zero_gains_papr_is_degenerate():
+    h = random_channel(62, 3)
+    s = qpsk(np.random.default_rng(2), 3)
+    k = np.zeros(3)
+    for search in (naive_order_search, diagonal_order_search):
+        with pytest.raises(DegenerateGain):
+            search(h, s, k, "papr")
+        assert search(h, s, k, "average-power").best_value == 0.0
+    with pytest.raises(DegenerateGain):
+        order_table(h, s, k)
+
+
+def test_order_table_argmin_equals_diagonal_winners_n8():
+    n = 8
+    h = random_channel(2048, n)
+    c = make_constellation(16)
+    bits = np.random.default_rng(3).integers(0, 2, size=n * c.bits_per_symbol, dtype=np.uint8)
+    s = qam_modulate(bits, c)
+    k = lq_decompose(h).diag
+    rows = order_table(h, s, k)
+    assert len(rows) == math.factorial(n)
+    for objective, column in (("average-power", "ap"), ("papr", "papr")):
+        res = diagonal_order_search(h, s, k, objective)
+        best = first_within_tie([r[column] for r in rows])
+        assert rows[best]["order"] == tuple(res.best_order.tolist())
+        assert rows[best][column] == pytest.approx(res.best_value, rel=1e-12)
 
 
 @pytest.mark.parametrize("objective", ["average-power", "papr", "min-power"])

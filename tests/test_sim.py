@@ -77,6 +77,9 @@ def test_from_dict_roundtrip_with_inf():
             "trials_per_point",
         ),
         ({"n_users": 2, "snr_grid_db": 0, "trials_per_point": 1}, "snr_grid_db"),
+        ({"n_users": 2.7, "snr_grid_db": [0], "trials_per_point": 1}, "n_users"),
+        ({"n_users": True, "snr_grid_db": [0], "trials_per_point": 1}, "n_users"),
+        ({"n_users": 2, "snr_grid_db": [0], "trials_per_point": 1, "seed": 1.5}, "seed"),
     ],
 )
 def test_config_validation_names_the_field(raw, fragment):
