@@ -177,6 +177,13 @@ def _order_search_config(raw: dict, seed_override) -> dict:
         raise ConfigError(
             f"invalid value for field 'constellation_order': expected one of {QAM_ORDERS}"
         )
+    if cfg["gain_mode"] != "diag-L":
+        # The order search evaluates DPC with the diag(L) gains of the
+        # channel; a water-filled gain vector is not implemented here.
+        raise ConfigError(
+            f"invalid value for field 'gain_mode': {cfg['gain_mode']!r} "
+            "(order-search supports only 'diag-L')"
+        )
     if cfg["n_users"] > MAX_ENUM_USERS:
         raise ConfigError(
             f"n_users={cfg['n_users']} exceeds the n <= {MAX_ENUM_USERS} "

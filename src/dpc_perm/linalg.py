@@ -30,6 +30,7 @@ __all__ = [
     "LqFactors",
     "SvdFactors",
     "as_channel_matrix",
+    "as_channel_stack",
     "lq_decompose",
     "svd_decompose",
     "as_order",
@@ -111,11 +112,26 @@ def _tick(kind: str) -> None:
 def as_channel_matrix(h: np.ndarray) -> np.ndarray:
     """Validate and return ``h`` as a square finite complex128 array."""
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
+    if h.ndim != 2:
         raise ValueError(f"channel must be a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    return as_channel_stack(h)[0]
+
+
+def as_channel_stack(h: np.ndarray) -> np.ndarray:
+    """Validate ``h`` as one square channel ``(n, n)`` or a stack ``(m, n, n)``.
+
+    Returns the finite complex128 stack; a single channel comes back as
+    the ``m = 1`` stack.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    stack = h[np.newaxis] if h.ndim == 2 else h
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(
+            f"channel must be a square matrix or a stack (m, n, n) of them, got shape {h.shape}"
+        )
+    if not np.all(np.isfinite(stack)):
         raise ValueError("channel entries must be finite")
-    return h
+    return stack
 
 
 def as_order(order: Sequence[int], n: int | None = None) -> np.ndarray:

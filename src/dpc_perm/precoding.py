@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from .linalg import EPS_SING, as_channel_matrix, lq_decompose, svd_decompose
+from .linalg import EPS_SING, as_channel_matrix, as_channel_stack, lq_decompose, svd_decompose
 
 __all__ = [
     "as_gains",
@@ -194,13 +194,14 @@ def normalize_gains(k: np.ndarray, target: float) -> np.ndarray:
 
 
 def scale_to_power(w: np.ndarray, power: float | None) -> np.ndarray:
-    """Scale a precoding matrix so that ``tr(w w^H) == power`` (no-op if None)."""
+    """Scale a precoding matrix, or each matrix of a stack ``(m, n, n)``, so
+    that ``tr(w w^H) == power`` (no-op if None)."""
     if power is None:
         return w
     if not power > 0:
         raise ValueError(f"power must be positive, got {power}")
-    total = float(np.sum(np.abs(w) ** 2))
-    if total == 0.0:
+    total = np.sum(np.abs(w) ** 2, axis=(-2, -1), keepdims=True)
+    if np.any(total == 0.0):
         raise DegenerateGain("cannot power-scale an all-zero precoder")
     return w * np.sqrt(power / total)
 
@@ -289,49 +290,72 @@ def bd_precode(
 
     Each group's columns are confined to the null space of every other
     group's channel rows, so inter-group interference is exactly zero;
-    within a group the effective channel is inverted. With
-    single-antenna users every group is a singleton and BD reduces to
-    zero forcing, which is the only configuration the BER sweeps use.
+    within a group the effective channel is inverted. For a square
+    channel of full rank, the null space of the other ``n - |g|`` rows
+    has dimension exactly ``|g|`` and is spanned by the columns ``g`` of
+    ``h^{-1}``, so BD over any partition is the channel inverse (Spencer,
+    Swindlehurst & Haardt, IEEE TSP 2004). It is computed as one batched
+    inverse over the whole stack. With single-antenna users every group
+    is a singleton, the configuration the BER sweeps use.
+
+    What sets BD apart from zero forcing are its feasibility checks. The
+    projected in-group channel of group ``g`` has singular values
+    ``1 / sv(w[:, g])``; the group is infeasible when the smallest of them
+    is at most ``EPS_SING * max(largest, 1)``. For a singleton ``{j}``
+    that is a column norm ``||w[:, j]|| >= 1 / EPS_SING``.
+
+    Parameters
+    ----------
+    h : np.ndarray
+        Square channel ``(n, n)``, or a stack of them ``(m, n, n)``.
+    groups : sequence of sequences of int
+        A partition of the users ``0..n-1``, shared by every channel.
+    power : float, optional
+        If given, each channel's precoder is scaled to ``tr(w w^H) = power``.
+
+    Returns
+    -------
+    np.ndarray
+        The precoder, with the shape of ``h``.
 
     Raises
     ------
+    ValueError
+        If ``groups`` is not a partition of ``0..n-1``.
     InfeasibleBlocking
-        If some group's complementary channel leaves no usable null
-        space, or the projected in-group channel cannot be inverted.
+        If some channel of the stack is singular, or some group's
+        projected channel is numerically singular.
     """
-    h = as_channel_matrix(h)
-    n = h.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    parts: list[np.ndarray] = []
-    for group in groups:
-        g = np.asarray(list(group), dtype=np.intp)
-        if g.size == 0 or np.any(g < 0) or np.any(g >= n) or np.any(seen[g]):
-            raise ValueError(f"groups must partition 0..{n - 1}, got {groups!r}")
-        seen[g] = True
-        parts.append(g)
-    if not np.all(seen):
+    hs = as_channel_stack(h)
+    n = hs.shape[1]
+    parts = [np.asarray(list(group), dtype=np.intp) for group in groups]
+    users = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+    if (
+        any(g.size == 0 for g in parts)
+        or np.any((users < 0) | (users >= n))
+        or np.unique(users).size < users.size
+    ):
+        raise ValueError(f"groups must partition 0..{n - 1}, got {groups!r}")
+    if users.size < n:
         raise ValueError(f"groups must cover every user, got {groups!r}")
 
-    w = np.zeros((n, n), dtype=np.complex128)
+    try:
+        w = np.linalg.inv(hs)
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleBlocking("channel is singular: no null space left for blocking") from exc
+    # A column norm of at least 1 / EPS_SING makes its singleton infeasible,
+    # and every larger group holding that column as well.
+    ok = np.linalg.norm(w, axis=1) < 1.0 / EPS_SING
     for g in parts:
-        comp = np.setdiff1d(np.arange(n), g)
-        if comp.size == 0:
-            basis = np.eye(n, dtype=np.complex128)
-        else:
-            _, sv, vh = np.linalg.svd(h[comp, :])
-            rank = int(np.sum(sv > EPS_SING * max(sv[0], 1.0)))
-            basis = vh[rank:, :].conj().T
-        if basis.shape[1] < g.size:
-            raise InfeasibleBlocking(
-                f"group {g.tolist()} has null space of dimension {basis.shape[1]} < {g.size}"
-            )
-        basis = basis[:, : g.size]
-        eff = h[g, :] @ basis
-        sv_eff = np.linalg.svd(eff, compute_uv=False)
-        if sv_eff[-1] <= EPS_SING * max(sv_eff[0], 1.0):
-            raise InfeasibleBlocking(f"projected channel for group {g.tolist()} is singular")
-        w[:, g] = basis @ np.linalg.inv(eff)
-    return scale_to_power(w, power)
+        if g.size > 1:
+            sv = np.linalg.svd(w[:, :, g], compute_uv=False)
+            ok[:, g] &= 1.0 / sv[:, :1] > EPS_SING * np.maximum(1.0 / sv[:, -1:], 1.0)
+    if not np.all(ok):
+        bad = int(np.nonzero(~ok)[1][0])
+        group = next(g for g in parts if bad in g)
+        raise InfeasibleBlocking(f"projected channel for group {group.tolist()} is singular")
+    w = scale_to_power(w, power)
+    return w if np.ndim(h) == 3 else w[0]
 
 
 def _as_symbols(s: np.ndarray, n: int) -> np.ndarray:

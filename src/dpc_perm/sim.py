@@ -71,6 +71,7 @@ __all__ = [
     "resolve_workers",
     "config_hash",
     "config_int",
+    "config_float",
     "write_ber_csv",
     "write_manifest",
     "sweep_csv_name",
@@ -127,7 +128,7 @@ class SweepConfig:
             (self.channel_mode in CHANNEL_MODES, "channel_mode"),
             (self.precoder in PRECODERS, "precoder"),
             (self.gain_mode in GAIN_MODES, "gain_mode"),
-            (self.power_budget > 0, "power_budget"),
+            (math.isfinite(self.power_budget) and self.power_budget > 0, "power_budget"),
             (self.seed >= 0, "seed"),
             (len(self.snr_grid_db) >= 1, "snr_grid_db"),
             (all(not math.isnan(v) for v in self.snr_grid_db), "snr_grid_db"),
@@ -163,10 +164,7 @@ class SweepConfig:
             if field_name in data:
                 data[field_name] = config_int(data[field_name], field_name, minimum)
         if data.get("power_budget") is not None:
-            try:
-                data["power_budget"] = float(data["power_budget"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("invalid value for field 'power_budget'") from exc
+            data["power_budget"] = config_float(data["power_budget"], "power_budget")
         try:
             cfg = cls(**data)
         except (TypeError, ValueError) as exc:
@@ -193,6 +191,24 @@ def config_int(value, field_name: str, minimum: int) -> int:
     if value < minimum:
         raise ConfigError(f"invalid value for field {field_name!r}: {value!r} is below {minimum}")
     return int(value)
+
+
+def config_float(value, field_name: str) -> float:
+    """Value of a real-valued config field.
+
+    JSON numbers arrive as ``int`` or ``float``. Booleans (an ``int``
+    subclass), strings, other types and non-finite values raise
+    :class:`ConfigError` instead of being coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"invalid value for field {field_name!r}: {value!r} is not a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"invalid value for field {field_name!r}: {value!r} is not finite")
+    return number
 
 
 def _parse_snr(v) -> float:
@@ -386,17 +402,18 @@ def _linear_transmit(
         return x, k
 
     if precoder == "zf":
-        w = np.linalg.inv(hs)
+        w = _channel_inverse(hs)
     elif precoder == "mmse":
         if nv > 0.0:
             gram = hs @ hs.conj().transpose(0, 2, 1) + (n * nv) * np.eye(n)
             w = hs.conj().transpose(0, 2, 1) @ np.linalg.inv(gram)
         else:
-            w = np.linalg.inv(hs)
+            w = _channel_inverse(hs)
     elif precoder == "bd":
-        # Single-antenna users: every user is its own block.
-        groups = [[j] for j in range(n)]
-        w = np.stack([bd_precode(hs[t], groups) for t in range(m)])
+        # Single-antenna users: every user is its own block. BD of a square
+        # channel is its inverse, so this is the ZF matrix, made by one
+        # batched call that adds BD's per-group feasibility checks.
+        w = bd_precode(hs, [[j] for j in range(n)])
     else:
         raise ConfigError(f"unknown precoder {cfg.precoder!r}")
 
@@ -404,6 +421,13 @@ def _linear_transmit(
     x = alpha[:, np.newaxis] * np.einsum("mij,mj->mi", w, s)
     hw_diag = np.real(np.einsum("mij,mji->mi", hs, w))
     return x, alpha[:, np.newaxis] * hw_diag
+
+
+def _channel_inverse(hs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(hs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericallySingular("a trial channel is singular for channel inversion") from exc
 
 
 def _power_scale(w: np.ndarray, p_total: float) -> np.ndarray:

@@ -127,6 +127,42 @@ def test_order_search_bad_n_users_exits_2(tmp_path, n_users):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("gain_mode", ["bogus", "waterfill"])
+def test_order_search_unsupported_gain_mode_exits_2(tmp_path, gain_mode):
+    cfg = tmp_path / "os.json"
+    cfg.write_text(json.dumps({"n_users": 4, "seed": 3, "gain_mode": gain_mode}))
+    res = run_cli("order-search", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "gain_mode" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_order_search_diag_l_gain_mode_is_the_default(tmp_path):
+    reports = []
+    for i, extra in enumerate(({}, {"gain_mode": "diag-L"})):
+        cfg = tmp_path / f"os{i}.json"
+        cfg.write_text(json.dumps({"n_users": 4, "seed": 3, **extra}))
+        out = tmp_path / f"o{i}"
+        res = run_cli("order-search", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        reports.append((out / "order_search.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("budget", [True, "5"])
+def test_ber_sweep_bad_power_budget_exits_2(tmp_path, budget):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {"n_users": 2, "snr_grid_db": [0], "trials_per_point": 10, "power_budget": budget}
+        )
+    )
+    res = run_cli("ber-sweep", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "power_budget" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("n_users", [2.7, True, 0])
 def test_ber_sweep_bad_n_users_exits_2(tmp_path, n_users):
     path = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import pytest
 
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from dpc_perm.linalg import lq_decompose
+from dpc_perm.linalg import EPS_SING, lq_decompose
 from dpc_perm.precoding import (
     bd_precode,
     dpc_conventional,
@@ -332,7 +332,104 @@ def test_bd_partition_validation():
 
 def test_bd_infeasible_blocking():
     # Identical rows: the null space of user 1's row contains user 0's
-    # row direction, so the projected channel for group {0} is zero.
+    # row direction, so the projected channel for group {0} is zero (and
+    # the channel has no inverse).
     h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(InfeasibleBlocking):
         bd_precode(h, [[0], [1]])
+
+
+def test_bd_nearly_singular_projection_is_infeasible():
+    # Invertible, but the projected channel of each user is about 1e-14
+    # against rows of norm 1.4: the feasibility check, not the inverse,
+    # rejects it, as the null-space construction does.
+    h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
+    assert np.all(np.isfinite(np.linalg.inv(h)))
+    with pytest.raises(InfeasibleBlocking, match="group"):
+        bd_precode(h, [[0], [1]])
+    with pytest.raises(InfeasibleBlocking):
+        bd_null_space_oracle(h, [[0], [1]])
+
+
+def test_bd_group_check_uses_the_whole_group():
+    # Badly scaled but well-separated users: each singleton's projected
+    # channel is a nonzero scalar, while the group {0, 1} has a projected
+    # channel with condition number 1e13.
+    h = np.diag([1e6, 1e-7]).astype(complex)
+    np.testing.assert_allclose(bd_precode(h, [[0], [1]]), np.diag([1e-6, 1e7]))
+    np.testing.assert_allclose(bd_null_space_oracle(h, [[0], [1]]), np.diag([1e-6, 1e7]))
+    hs = np.stack([random_channel(60, 2), h])
+    with pytest.raises(InfeasibleBlocking, match=r"group \[0, 1\]"):
+        bd_precode(hs, [[0, 1]])
+    with pytest.raises(InfeasibleBlocking):
+        bd_null_space_oracle(h, [[0, 1]])
+
+
+def bd_null_space_oracle(h, groups):
+    """Block diagonalization built group by group from null spaces.
+
+    Each group's columns are an orthonormal basis of the null space of
+    the other groups' rows times the inverse of the projected in-group
+    channel. The library computes the same matrix as one channel inverse.
+    """
+    n = h.shape[0]
+    w = np.zeros((n, n), dtype=np.complex128)
+    for group in groups:
+        g = np.asarray(group)
+        comp = np.setdiff1d(np.arange(n), g)
+        if comp.size == 0:
+            basis = np.eye(n, dtype=np.complex128)
+        else:
+            _, sv, vh = np.linalg.svd(h[comp, :])
+            rank = int(np.sum(sv > EPS_SING * max(sv[0], 1.0)))
+            basis = vh[rank:, :].conj().T
+        if basis.shape[1] < g.size:
+            raise InfeasibleBlocking(f"group {g.tolist()} has no null space left")
+        basis = basis[:, : g.size]
+        eff = h[g, :] @ basis
+        sv_eff = np.linalg.svd(eff, compute_uv=False)
+        if sv_eff[-1] <= EPS_SING * max(sv_eff[0], 1.0):
+            raise InfeasibleBlocking(f"projected channel for group {g.tolist()} is singular")
+        w[:, g] = basis @ np.linalg.inv(eff)
+    return w
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [[0], [1], [2], [3], [4]],
+        [[0, 1], [2, 3], [4]],
+        [[3, 1], [0, 4, 2]],
+        [[0, 1, 2, 3, 4]],
+    ],
+)
+@pytest.mark.parametrize("power", [None, 2.5])
+def test_bd_stack_matches_slices_and_null_space_oracle(groups, power):
+    hs = np.stack([random_channel(40 + t, 5) for t in range(6)])
+    ws = bd_precode(hs, groups, power=power)
+    assert ws.shape == hs.shape
+    for h, w in zip(hs, ws):
+        np.testing.assert_array_equal(w, bd_precode(h, groups, power=power))
+        ref = bd_null_space_oracle(h, groups)
+        if power is not None:
+            ref *= np.sqrt(power / np.sum(np.abs(ref) ** 2))
+        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-9)
+        if power is not None:
+            assert np.sum(np.abs(w) ** 2) == pytest.approx(power)
+
+
+def test_bd_stack_with_one_singular_slice_raises():
+    hs = np.stack([random_channel(50 + t, 4) for t in range(5)])
+    hs[3, 1] = hs[3, 0]  # identical rows: channel 3 of the stack is singular
+    with pytest.raises(InfeasibleBlocking):
+        bd_precode(hs, [[0], [1], [2], [3]])
+    with pytest.raises(InfeasibleBlocking):
+        bd_precode(hs, [[0, 1], [2, 3]])
+    bd_precode(np.delete(hs, 3, axis=0), [[0], [1], [2], [3]])
+
+
+def test_bd_rejects_bad_stack_shapes():
+    with pytest.raises(ValueError):
+        bd_precode(np.ones((2, 3, 4)), [[0], [1], [2]])
+    with pytest.raises(ValueError):
+        bd_precode(np.ones((2, 2, 3, 3)), [[0], [1], [2]])

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dpc_perm.exceptions import ConfigError
+from dpc_perm import sim
+from dpc_perm.exceptions import ConfigError, InfeasibleBlocking, NumericallySingular
 from dpc_perm.modem import make_constellation
 from dpc_perm.precoding import waterfill
 from dpc_perm.sim import (
@@ -85,6 +86,23 @@ def test_from_dict_roundtrip_with_inf():
 def test_config_validation_names_the_field(raw, fragment):
     with pytest.raises(ConfigError, match=fragment):
         SweepConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "budget", [True, False, "5", "inf", [5], math.nan, math.inf, -math.inf, 10**400, 0, -1.0]
+)
+def test_power_budget_must_be_a_positive_finite_number(budget):
+    raw = {"n_users": 2, "snr_grid_db": [0], "trials_per_point": 1, "power_budget": budget}
+    with pytest.raises(ConfigError, match="power_budget"):
+        SweepConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("budget,expected", [(5, 5.0), (2.5, 2.5), (None, 2.0)])
+def test_power_budget_accepts_json_numbers(budget, expected):
+    raw = {"n_users": 2, "snr_grid_db": [0], "trials_per_point": 1, "power_budget": budget}
+    cfg = SweepConfig.from_dict(raw)
+    assert cfg.power_budget == expected
+    assert isinstance(cfg.power_budget, float)
 
 
 def test_resolve_workers_env_fallback(monkeypatch):
@@ -171,6 +189,39 @@ def test_baseline_transmit_power_tracks_budget(precoder):
     records = run_ber_sweep(cfg)
     pooled = np.mean([r.measured_tx_power for r in records])
     assert abs(pooled - cfg.power_budget) <= 0.01 * cfg.power_budget
+
+
+@pytest.mark.parametrize("channel_mode", ["per-trial-channel", "fixed-channel"])
+def test_bd_sweep_matches_zf_sweep(channel_mode):
+    # With single-antenna users BD is the channel inverse, so a BD sweep
+    # transmits exactly the ZF vectors on the same trial streams.
+    base = dict(
+        n_users=6,
+        snr_grid_db=(0.0, 8.0, 16.0, math.inf),
+        trials_per_point=600,  # two chunks per point
+        channel_mode=channel_mode,
+        seed=17,
+    )
+    bd = run_ber_sweep(SweepConfig(precoder="bd", **base))
+    zf = run_ber_sweep(SweepConfig(precoder="zf", **base))
+    assert [(r.bit_errors, r.bits_sent) for r in bd] == [(r.bit_errors, r.bits_sent) for r in zf]
+    assert [r.measured_tx_power for r in bd] == [r.measured_tx_power for r in zf]
+    assert bd[-1].bit_errors == 0
+
+
+@pytest.mark.parametrize(
+    "precoder,snr_db,error",
+    [
+        ("zf", 10.0, NumericallySingular),
+        ("mmse", math.inf, NumericallySingular),
+        ("bd", 10.0, InfeasibleBlocking),
+    ],
+)
+def test_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder, snr_db, error):
+    monkeypatch.setattr(sim, "sample_channel", lambda rng, n: np.ones((n, n), dtype=complex))
+    cfg = small_cfg(precoder=precoder, snr_grid_db=(snr_db,), trials_per_point=8)
+    with pytest.raises(error, match=rf"sweep aborted \({precoder}, seed 5\)"):
+        run_ber_sweep(cfg)
 
 
 def test_ber_monotone_within_ci():
