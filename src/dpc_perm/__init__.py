@@ -28,7 +28,6 @@ from .linalg import (
     SvdFactors,
     count_decompositions,
     diagonal_permute,
-    inverse_via_lq,
     lq_decompose,
     lq_not_permutation_linear_witness,
     permutation_matrix,
@@ -93,7 +92,6 @@ __all__ = [
     "permuted_svd",
     "diagonal_permute",
     "lq_not_permutation_linear_witness",
-    "inverse_via_lq",
     "count_decompositions",
     "Constellation",
     "make_constellation",

@@ -18,7 +18,6 @@ files (no timestamps anywhere).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -207,9 +206,7 @@ def _cmd_order_search(args) -> int:
         "tool": "dpc-perm",
         "version": __version__,
         "config": cfg,
-        "config_hash": hashlib.sha256(
-            json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()[:16],
+        "config_hash": config_hash(cfg),
         "orders": [
             {"order": list(row["order"]), "ap": row["ap"], "papr": row["papr"]} for row in table
         ],
@@ -255,12 +252,9 @@ def _cmd_complexity(args) -> int:
     if args.n_max < 1 or args.n_max > 12:
         raise ConfigError("n-max must be between 1 and 12")
     measured_limit = 7
-    cfg_hash = hashlib.sha256(
-        json.dumps({"n_max": args.n_max, "seed": args.seed}, sort_keys=True).encode()
-    ).hexdigest()[:16]
     lines = [
         f"# dpc-perm {__version__}",
-        f"# config_hash={cfg_hash}",
+        f"# config_hash={config_hash({'n_max': args.n_max, 'seed': args.seed})}",
         f"# seed={args.seed}",
         "n,naive_model,proposed_model,ratio_db,measured_naive_decomps,measured_proposed_decomps",
     ]

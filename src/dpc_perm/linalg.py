@@ -1,10 +1,15 @@
 """Complex dense linear algebra for broadcast-channel precoding.
 
-LQ and SVD factorizations with fixed uniqueness conventions, permutation
-operators in one-line notation, and the permutation identities that make
-the diagonal-permutation order search work: row-permuting a channel only
+LQ and SVD factorizations with fixed uniqueness conventions, the checked
+channel inverses built on them, permutation operators in one-line
+notation, and the permutation identities that make the
+diagonal-permutation order search work: row-permuting a channel only
 row-permutes the left singular vectors, while the triangular factor of an
 LQ decomposition does not survive a row permutation.
+
+The factorizations and inverses take one channel ``(n, n)`` or a stack
+``(m, n, n)``; a single channel is the ``m = 1`` case of the same batched
+code, so a stacked call equals the per-channel calls exactly.
 
 Orders are 0-based one-line notation throughout: ``order[i] = j`` means
 row ``i`` of the permuted object is row ``j`` of the original, so
@@ -33,6 +38,8 @@ __all__ = [
     "as_channel_stack",
     "lq_decompose",
     "svd_decompose",
+    "svd_inverse",
+    "channel_inverse",
     "as_order",
     "identity_order",
     "invert_order",
@@ -41,7 +48,6 @@ __all__ = [
     "permuted_svd",
     "diagonal_permute",
     "lq_not_permutation_linear_witness",
-    "inverse_via_lq",
 ]
 
 # Relative Frobenius tolerance for factorization identities, and the
@@ -82,7 +88,8 @@ def count_decompositions() -> Iterator[DecompositionCounter]:
     """Record every LQ/SVD factorization performed in this thread.
 
     The counter is incremented only by :func:`lq_decompose` and
-    :func:`svd_decompose`, so search instrumentation cannot claim work
+    :func:`svd_decompose`, once per factored channel (a stack of ``m``
+    channels counts ``m``), so search instrumentation cannot claim work
     that never went through a factorization routine.
     """
     counter = DecompositionCounter()
@@ -99,9 +106,9 @@ def count_decompositions() -> Iterator[DecompositionCounter]:
                 break
 
 
-def _tick(kind: str) -> None:
+def _tick(kind: str, count: int) -> None:
     for counter in _recorder_stack():
-        setattr(counter, kind, getattr(counter, kind) + 1)
+        setattr(counter, kind, getattr(counter, kind) + count)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +118,8 @@ def _tick(kind: str) -> None:
 
 def as_channel_matrix(h: np.ndarray) -> np.ndarray:
     """Validate and return ``h`` as a square finite complex128 array."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError(f"channel must be a square matrix, got shape {h.shape}")
+    if np.ndim(h) != 2:
+        raise ValueError(f"channel must be a square matrix, got shape {np.shape(h)}")
     return as_channel_stack(h)[0]
 
 
@@ -125,7 +131,7 @@ def as_channel_stack(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=np.complex128)
     stack = h[np.newaxis] if h.ndim == 2 else h
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or min(stack.shape) < 1:
         raise ValueError(
             f"channel must be a square matrix or a stack (m, n, n) of them, got shape {h.shape}"
         )
@@ -185,7 +191,8 @@ class LqFactors:
 
     The diagonal of ``l`` is real and non-negative (phases are absorbed
     into ``q``), which pins the otherwise free phase of each row and makes
-    ``diag(l)`` usable directly as a per-user gain vector.
+    ``diag(l)`` usable directly as a per-user gain vector. For a stack
+    of channels ``l`` and ``q`` are stacks ``(m, n, n)`` too.
     """
 
     l: np.ndarray
@@ -193,8 +200,8 @@ class LqFactors:
 
     @property
     def diag(self) -> np.ndarray:
-        """Real diagonal of ``l`` (the per-user channel gains)."""
-        return np.real(np.diag(self.l)).copy()
+        """Real diagonal of ``l`` (the per-user channel gains), ``(..., n)``."""
+        return np.real(np.diagonal(self.l, axis1=-2, axis2=-1)).copy()
 
 
 @dataclass(frozen=True)
@@ -206,22 +213,13 @@ class SvdFactors:
     v: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.conj().T
+        return (self.u * self.sigma[..., np.newaxis, :]) @ self.v.conj().swapaxes(-2, -1)
 
 
 def lq_decompose(h: np.ndarray) -> LqFactors:
-    """Factor a square channel as ``h = l @ q``.
-
-    Parameters
-    ----------
-    h : np.ndarray
-        Square complex channel matrix with finite entries.
-
-    Returns
-    -------
-    LqFactors
-        Lower-triangular ``l`` with real non-negative diagonal and
-        unitary ``q``.
+    """Factor a square channel ``(n, n)``, or each channel of a stack
+    ``(m, n, n)``, as ``h = l @ q``: lower-triangular ``l`` with real
+    non-negative diagonal and unitary ``q``, both with the shape of ``h``.
 
     Raises
     ------
@@ -230,26 +228,28 @@ def lq_decompose(h: np.ndarray) -> LqFactors:
         ``EPS_SING * ||h||_F``, which would poison the feedback division
         in dirty paper coding downstream.
     """
-    h = as_channel_matrix(h)
+    hs = as_channel_stack(h)
     # LQ of h is the conjugate transpose of a QR of h^H.
-    q_r, r = np.linalg.qr(h.conj().T)
-    _tick("lq")
-    l = r.conj().T
-    d = np.diagonal(l)
-    phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    l = l * phase.conj()[np.newaxis, :]
-    np.fill_diagonal(l, np.abs(d))
-    q = phase[:, np.newaxis] * q_r.conj().T
-    scale = np.linalg.norm(h)
-    if not np.all(np.diagonal(l).real > EPS_SING * scale):
+    q_r, r = np.linalg.qr(hs.conj().transpose(0, 2, 1))
+    _tick("lq", hs.shape[0])
+    d = np.diagonal(r, axis1=1, axis2=2).conj()
+    mag = np.abs(d)
+    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    l = r.conj().transpose(0, 2, 1) * phase.conj()[:, np.newaxis, :]
+    idx = np.arange(hs.shape[1])
+    l[:, idx, idx] = mag
+    q = phase[:, :, np.newaxis] * q_r.conj().transpose(0, 2, 1)
+    scale = np.linalg.norm(hs, axis=(1, 2))
+    if not np.all(mag > EPS_SING * scale[:, np.newaxis]):
         raise NumericallySingular(
             f"LQ diagonal below {EPS_SING:g} * ||H||_F, channel is numerically singular"
         )
-    return LqFactors(l=l, q=q)
+    return LqFactors(l=l, q=q) if np.ndim(h) == 3 else LqFactors(l=l[0], q=q[0])
 
 
 def svd_decompose(h: np.ndarray) -> SvdFactors:
-    """Singular value decomposition of a square channel.
+    """Singular value decomposition of a square channel or of each channel
+    of a stack ``(m, n, n)`` (one factorization per channel).
 
     Returns
     -------
@@ -257,32 +257,58 @@ def svd_decompose(h: np.ndarray) -> SvdFactors:
         Unitary ``u`` and ``v`` and the singular values sorted in
         descending order, so ``h = u @ diag(sigma) @ v^H``.
     """
-    h = as_channel_matrix(h)
-    u, sigma, vh = np.linalg.svd(h)
-    _tick("svd")
-    return SvdFactors(u=u, sigma=sigma, v=vh.conj().T)
+    hs = as_channel_stack(h)
+    u, sigma, vh = np.linalg.svd(hs)
+    _tick("svd", hs.shape[0])
+    f = SvdFactors(u=u, sigma=sigma, v=vh.conj().transpose(0, 2, 1))
+    return f if np.ndim(h) == 3 else SvdFactors(u=u[0], sigma=sigma[0], v=f.v[0])
 
 
-def inverse_via_lq(h: np.ndarray) -> np.ndarray:
-    """Invert a channel by forward substitution on its LQ factors.
+def svd_inverse(h: np.ndarray, gains: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(v @ diag(1/sigma) @ u^H @ diag(gains), sigma)`` from one SVD per channel.
 
-    Solves ``h @ x = I`` as ``x = q^H @ (l^{-1})``, independent of any SVD
-    path. Serves as the reference inverse when cross-checking precoders
-    built from ``v @ diag(1/sigma) @ u^H``.
+    ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``; ``gains`` (unit
+    gains if None) has shape ``(n,)`` or ``h.shape[:-1]``. The product is
+    formed as ``v @ ((u^H * gains) / sigma)``, so a zero gain gives an
+    exactly-zero column.
+
+    Raises
+    ------
+    NumericallySingular
+        If some channel's smallest singular value is at most ``EPS_SING``
+        times its largest.
     """
-    factors = lq_decompose(h)
-    n = factors.l.shape[0]
-    y = _solve_lower(factors.l, np.eye(n, dtype=np.complex128))
-    return factors.q.conj().T @ y
+    f = svd_decompose(as_channel_stack(h))
+    if not np.all(f.sigma[:, -1] > EPS_SING * f.sigma[:, 0]):
+        raise NumericallySingular(f"singular value ratio sigma_min/sigma_max below {EPS_SING:g}")
+    k = np.ones(f.sigma.shape) if gains is None else gains
+    a = f.u.conj().transpose(0, 2, 1) * np.asarray(k)[..., np.newaxis, :]
+    a /= f.sigma[:, :, np.newaxis]
+    w = f.v @ a
+    return (w, f.sigma) if np.ndim(h) == 3 else (w[0], f.sigma[0])
 
 
-def _solve_lower(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution for a lower-triangular system ``l @ x = rhs``."""
-    n = l.shape[0]
-    x = np.zeros_like(rhs, dtype=np.complex128)
-    for i in range(n):
-        x[i] = (rhs[i] - l[i, :i] @ x[:i]) / l[i, i]
-    return x
+def channel_inverse(h: np.ndarray) -> np.ndarray:
+    """Inverse of a channel, or of each channel of a stack ``(m, n, n)``.
+
+    One batched ``np.linalg.inv``. A channel is singular, and raises
+    :class:`NumericallySingular`, when the inverse fails or the Frobenius
+    condition bound ``||H||_F * ||H^-1||_F`` reaches ``1 / EPS_SING``. The
+    bound lies between the condition number ``sigma_max / sigma_min`` and
+    ``n`` times it, so it rejects every channel the SVD check of
+    :func:`svd_inverse` rejects, for the cost of two norms.
+    """
+    hs = as_channel_stack(h)
+    try:
+        w = np.linalg.inv(hs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericallySingular("channel is singular: no inverse") from exc
+    bound = np.linalg.norm(hs, axis=(1, 2)) * np.linalg.norm(w, axis=(1, 2))
+    if not np.all(bound < 1.0 / EPS_SING):
+        raise NumericallySingular(
+            f"channel condition bound ||H||_F ||H^-1||_F reaches 1/{EPS_SING:g}"
+        )
+    return w if np.ndim(h) == 3 else w[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .exceptions import DegenerateGain, NumericallySingular, OrderSpaceTooLarge
-from .linalg import (
-    EPS_SING,
-    as_channel_matrix,
-    as_order,
-    count_decompositions,
-    lq_decompose,
-    svd_decompose,
-)
-from .precoding import as_gains
+from .exceptions import DegenerateGain, OrderSpaceTooLarge
+from .linalg import as_channel_matrix, as_order, count_decompositions, lq_decompose, svd_inverse
+from .precoding import as_gains, successive_encoder
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -233,7 +226,8 @@ def naive_order_search(
     """Reference order search that repeats a full DPC per order.
 
     For each order pi the channel rows and the data are permuted, the
-    permuted channel is freshly LQ-factorized, and a gain-controlled
+    permuted channel is freshly LQ-factorized (the channels of a chunk of
+    orders as one stack, one factorization each), and a gain-controlled
     successive encode produces that order's precoded vector; the encode
     targets the original slot gains, which in unpermuted user space is
     exactly the diagonal permutation ``g^H diag(k) g``. Orders are
@@ -258,10 +252,9 @@ def naive_order_search(
     with count_decompositions() as counter:
         for chunk in _chunks(orders.shape[0], sym.size):
             block = orders[chunk]
-            signals = np.empty((block.shape[0], *sym.shape), dtype=np.complex128)
-            for j, p in enumerate(block):
-                factors = lq_decompose(h[p, :])
-                signals[j] = [_successive_encode(factors, k, row[p]) for row in sym]
+            # One LQ per order: the rows of h permuted by each order, stacked.
+            w = successive_encoder(lq_decompose(h[block]), k)
+            signals = np.einsum("mij,rmj->mri", w, sym[:, block])
             first_signals[chunk] = signals[:, 0]
             if objective != "min-power":
                 values[chunk] = _signal_values(objective, signals)
@@ -277,24 +270,6 @@ def naive_order_search(
         permutations_evaluated=orders.shape[0],
         objective=objective,
     )
-
-
-def _successive_encode(factors, k: np.ndarray, s_p: np.ndarray) -> np.ndarray:
-    """Gain-controlled successive encode against already-computed LQ factors."""
-    l = factors.l
-    n = l.shape[0]
-    xt = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        xt[i] = (k[i] * s_p[i] - l[i, :i] @ xt[:i]) / l[i, i]
-    return factors.q.conj().T @ xt
-
-
-def _channel_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(v @ diag(1/sigma) @ u^H, sigma)`` from one SVD of ``h``."""
-    f = svd_decompose(h)
-    if f.sigma[-1] <= EPS_SING * f.sigma[0]:
-        raise NumericallySingular("channel too close to singular for the SVD route")
-    return f.v @ (f.u.conj().T / f.sigma[:, np.newaxis]), f.sigma
 
 
 def diagonal_order_search(
@@ -326,7 +301,7 @@ def diagonal_order_search(
     k = as_gains(gains, n, allow_zero=True)
     sym = _symbol_matrix(s, symbol_draws, draw_rng)
     with count_decompositions() as counter:
-        b, sigma = _channel_inverse(h)
+        b, sigma = svd_inverse(h)
     orders = _lex_orders(n)
     k_perm = _permuted_gains(k, orders)
     if objective == "min-power":
@@ -355,7 +330,7 @@ def order_table(h: np.ndarray, s: np.ndarray, gains: np.ndarray) -> list[dict]:
     n = h.shape[0]
     _check_enumerable(n)
     k = as_gains(gains, n, allow_zero=True)
-    b, _ = _channel_inverse(h)
+    b, _ = svd_inverse(h)
     orders = _lex_orders(n)
     sym = np.asarray(s, dtype=np.complex128)[np.newaxis, :]
     ap, papr = _order_values(("average-power", "papr"), b, _permuted_gains(k, orders), sym)

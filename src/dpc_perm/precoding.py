@@ -6,7 +6,12 @@ feedback, and the linear one built on a single SVD with a designed
 diagonal gain matrix. Around them: water-filling gain design, gain
 normalization, and the usual comparison baselines (ZF, MMSE, THP, BD).
 
-All precoders are pure functions of their inputs.
+All precoders are pure functions of their inputs. Each takes one channel
+``(n, n)`` or a stack of channels ``(m, n, n)``, with per-channel symbols
+and gains stacked alike; a single channel is the ``m = 1`` case of the
+same batched code, so a stacked call equals the per-channel calls
+exactly. The BER sweep (``sim``) calls these functions, one stack per
+chunk of trials.
 """
 
 from __future__ import annotations
@@ -15,12 +20,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from .linalg import EPS_SING, as_channel_matrix, as_channel_stack, lq_decompose, svd_decompose
+from .exceptions import DegenerateGain, InfeasibleBlocking
+from .linalg import (
+    EPS_SING,
+    LqFactors,
+    as_channel_stack,
+    channel_inverse,
+    lq_decompose,
+    svd_inverse,
+)
 
 __all__ = [
     "as_gains",
     "dpc_conventional",
+    "successive_encoder",
     "dpc_linear",
     "waterfill",
     "waterfill_powers",
@@ -28,10 +41,12 @@ __all__ = [
     "zf_precode",
     "mmse_precode",
     "thp_precode",
+    "thp_feedback",
     "thp_receive",
     "thp_modulo_base",
     "modulo_lattice",
     "bd_precode",
+    "power_scale",
     "scale_to_power",
 ]
 
@@ -65,21 +80,16 @@ def dpc_conventional(h: np.ndarray, s: np.ndarray, gains: np.ndarray | None = No
 
         x~[i] = (k[i] * s[i] - sum_{j<i} l[i, j] * x~[j]) / l[i, i]
 
-    and transmits ``x = q^H @ x~``. With the default gains
-    ``k = diag(l)`` this is the textbook recursion
+    and transmits ``x = q^H @ x~`` (see :func:`successive_encoder`). With
+    the default gains ``k = diag(l)`` this is the textbook recursion
     ``x~[i] = s[i] - sum_{j<i} (l[i,j]/l[i,i]) x~[j]``; on a noise-free
     channel the receive side then sees ``h @ x = diag(l) @ s`` exactly,
     one interference-free gain per user.
 
-    Parameters
-    ----------
-    h : np.ndarray
-        Square channel matrix.
-    s : np.ndarray
-        Data symbols, one per user.
-    gains : np.ndarray, optional
-        Target per-user gains. Defaults to ``diag(l)``. Zero entries are
-        allowed and mute the corresponding user.
+    ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``; the symbols
+    ``s``, one per user, and the result have shape ``h.shape[:-1]``. The
+    target gains (``(n,)`` or ``h.shape[:-1]``) default to ``diag(l)``;
+    zero entries are allowed and mute the corresponding user.
 
     Raises
     ------
@@ -87,25 +97,38 @@ def dpc_conventional(h: np.ndarray, s: np.ndarray, gains: np.ndarray | None = No
         Propagated from the LQ factorization when a feedback division
         would blow up.
     """
-    h = as_channel_matrix(h)
-    s = _as_symbols(s, h.shape[0])
-    factors = lq_decompose(h)
+    hs = as_channel_stack(h)
+    s = _as_symbols(s, h)
+    factors = lq_decompose(hs)
+    k = factors.diag if gains is None else _as_stack_gains(gains, hs)
+    x = np.einsum("mij,mj->mi", successive_encoder(factors, k), s)
+    return x if np.ndim(h) == 3 else x[0]
+
+
+def successive_encoder(factors: LqFactors, gains: np.ndarray) -> np.ndarray:
+    """The successive encode against given LQ factors, as a matrix.
+
+    The feedback recursion of :func:`dpc_conventional` is linear in the
+    symbols: ``x = w @ s`` with ``w = q^H @ l^{-1} @ diag(gains)``, where
+    ``l^{-1} diag(gains)`` is one batched triangular solve. ``factors``
+    holds stacks ``(m, n, n)``; ``gains`` has shape ``(n,)`` or ``(m, n)``.
+    """
     l = factors.l
-    k = factors.diag if gains is None else as_gains(gains, h.shape[0], allow_zero=True)
-    n = h.shape[0]
-    xt = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        xt[i] = (k[i] * s[i] - l[i, :i] @ xt[:i]) / l[i, i]
-    return factors.q.conj().T @ xt
+    idx = np.arange(l.shape[-1])
+    rhs = np.zeros(l.shape, dtype=np.complex128)
+    rhs[:, idx, idx] = gains
+    return factors.q.conj().transpose(0, 2, 1) @ np.linalg.solve(l, rhs)
 
 
 def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Linear dirty-paper precoding matrix ``w = v @ diag(1/sigma) @ u^H @ diag(gains)``.
 
-    Built from a single SVD; satisfies ``h @ w = diag(gains)`` so the
-    effective channel is diagonal and interference-free. Zero gains
-    produce exactly-zero columns (the muted user's symbol never enters
-    the product, so no 0 * inf hazard arises).
+    Built from a single SVD per channel (:func:`linalg.svd_inverse`);
+    satisfies ``h @ w = diag(gains)`` so the effective channel is
+    diagonal and interference-free. Zero gains produce exactly-zero
+    columns (the muted user's symbol never enters the product, so no
+    0 * inf hazard arises). ``h`` is a channel ``(n, n)`` or a stack
+    ``(m, n, n)``; ``gains`` has shape ``(n,)`` or ``h.shape[:-1]``.
 
     Raises
     ------
@@ -113,16 +136,9 @@ def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:
         If the smallest singular value is below ``EPS_SING`` times the
         largest.
     """
-    h = as_channel_matrix(h)
-    k = as_gains(gains, h.shape[0], allow_zero=True)
-    f = svd_decompose(h)
-    if f.sigma[-1] <= EPS_SING * f.sigma[0]:
-        raise NumericallySingular(
-            f"singular value ratio {f.sigma[-1]:.3e}/{f.sigma[0]:.3e} below {EPS_SING:g}"
-        )
-    a = f.u.conj().T * k[np.newaxis, :]
-    a /= f.sigma[:, np.newaxis]
-    return f.v @ a
+    hs = as_channel_stack(h)
+    w, _ = svd_inverse(hs, _as_stack_gains(gains, hs))
+    return w if np.ndim(h) == 3 else w[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,43 +209,53 @@ def normalize_gains(k: np.ndarray, target: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def power_scale(w: np.ndarray, power: float) -> np.ndarray:
+    """Factor ``sqrt(power / tr(w w^H))`` that scales a precoding matrix, or
+    each matrix of a stack ``(m, n, n)``, to ``tr(w w^H) == power``."""
+    if not power > 0:
+        raise ValueError(f"power must be positive, got {power}")
+    total = np.sum(np.abs(w) ** 2, axis=(-2, -1))
+    if np.any(total == 0.0):
+        raise DegenerateGain("cannot power-scale an all-zero precoder")
+    return np.sqrt(power / total)
+
+
 def scale_to_power(w: np.ndarray, power: float | None) -> np.ndarray:
     """Scale a precoding matrix, or each matrix of a stack ``(m, n, n)``, so
     that ``tr(w w^H) == power`` (no-op if None)."""
     if power is None:
         return w
-    if not power > 0:
-        raise ValueError(f"power must be positive, got {power}")
-    total = np.sum(np.abs(w) ** 2, axis=(-2, -1), keepdims=True)
-    if np.any(total == 0.0):
-        raise DegenerateGain("cannot power-scale an all-zero precoder")
-    return w * np.sqrt(power / total)
+    return w * power_scale(w, power)[..., np.newaxis, np.newaxis]
 
 
 def zf_precode(h: np.ndarray, power: float | None = None) -> np.ndarray:
-    """Zero-forcing precoder ``w = h^{-1}``, optionally scaled to ``tr(w w^H) = power``."""
-    h = as_channel_matrix(h)
-    f = svd_decompose(h)
-    if f.sigma[-1] <= EPS_SING * f.sigma[0]:
-        raise NumericallySingular("channel not invertible for zero forcing")
-    w = f.v @ (f.u.conj().T / f.sigma[:, np.newaxis])
-    return scale_to_power(w, power)
+    """Zero-forcing precoder ``w = h^{-1}``, optionally scaled to ``tr(w w^H) = power``.
+
+    ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``; the inverse and
+    its singularity rule are :func:`linalg.channel_inverse`.
+    """
+    return scale_to_power(channel_inverse(h), power)
 
 
 def mmse_precode(h: np.ndarray, noise_var: float, power: float | None = None) -> np.ndarray:
     """Regularized channel inversion ``w = h^H (h h^H + n * noise_var * I)^{-1}``.
 
     The regularizer sums the noise over the n users. As ``noise_var``
-    goes to zero the direction converges to the zero-forcing one; the
-    matrix stays finite even for singular channels.
+    goes to zero the direction converges to the zero-forcing one, and
+    ``noise_var = 0`` (infinite SNR) is the zero-forcing precoder itself,
+    with its singularity rule. For ``noise_var > 0`` the matrix stays
+    finite even for singular channels. ``h`` is a channel ``(n, n)`` or a
+    stack ``(m, n, n)``.
     """
-    h = as_channel_matrix(h)
-    if not noise_var > 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
-    n = h.shape[0]
-    gram = h @ h.conj().T + (n * noise_var) * np.eye(n)
-    w = h.conj().T @ np.linalg.inv(gram)
-    return scale_to_power(w, power)
+    if not noise_var >= 0:
+        raise ValueError(f"noise_var must be non-negative, got {noise_var}")
+    if noise_var == 0:
+        return zf_precode(h, power)
+    hs = as_channel_stack(h)
+    n = hs.shape[1]
+    hh = hs.conj().transpose(0, 2, 1)
+    w = scale_to_power(hh @ np.linalg.inv(hs @ hh + (n * noise_var) * np.eye(n)), power)
+    return w if np.ndim(h) == 3 else w[0]
 
 
 def modulo_lattice(z: np.ndarray, base: float) -> np.ndarray:
@@ -260,20 +286,34 @@ def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     """Tomlinson-Harashima precoding: the DPC feedback loop with a modulo.
 
     Each feedback output is lattice-reduced into ``[-base, base)`` per
-    real dimension before it feeds later users, bounding the transmit
-    power at the cost of a receiver-side modulo. On a noise-free channel
-    ``mod(h @ x / diag(l)) == s`` after the receiver divides by the
-    per-user gain and wraps.
+    real dimension before it feeds later users (:func:`thp_feedback`),
+    bounding the transmit power at the cost of a receiver-side modulo. On
+    a noise-free channel ``mod(h @ x / diag(l)) == s`` after the receiver
+    divides by the per-user gain and wraps. ``h`` is a channel ``(n, n)``
+    or a stack ``(m, n, n)``, and ``s`` has shape ``h.shape[:-1]``.
     """
-    h = as_channel_matrix(h)
-    s = _as_symbols(s, h.shape[0])
-    factors = lq_decompose(h)
-    l = factors.l
-    n = h.shape[0]
-    xt = np.zeros(n, dtype=np.complex128)
+    hs = as_channel_stack(h)
+    s = _as_symbols(s, h)
+    factors = lq_decompose(hs)
+    xt = thp_feedback(factors.l, s[:, np.newaxis, :], modulo_base)[:, 0, :]
+    x = np.einsum("mji,mj->mi", factors.q.conj(), xt)
+    return x if np.ndim(h) == 3 else x[0]
+
+
+def thp_feedback(l: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
+    """Successive modulo feedback ``x~`` of THP, before the ``q^H`` rotation.
+
+    ``l`` is a stack of LQ lower factors ``(m, n, n)`` and ``s`` holds any
+    number of symbol vectors per channel, ``(m, draws, n)``:
+
+        x~[i] = mod(s[i] - sum_{j<i} l[i, j] * x~[j] / l[i, i])
+    """
+    m, draws, n = s.shape
+    xt = np.zeros((m, draws, n), dtype=np.complex128)
     for i in range(n):
-        xt[i] = modulo_lattice(s[i] - (l[i, :i] @ xt[:i]) / l[i, i], modulo_base)
-    return factors.q.conj().T @ xt
+        acc = np.einsum("mj,mdj->md", l[:, i, :i], xt[:, :, :i])
+        xt[:, :, i] = modulo_lattice(s[:, :, i] - acc / l[:, i, i][:, np.newaxis], modulo_base)
+    return xt
 
 
 def thp_receive(y: np.ndarray, gains: np.ndarray, modulo_base: float) -> np.ndarray:
@@ -302,7 +342,10 @@ def bd_precode(
     projected in-group channel of group ``g`` has singular values
     ``1 / sv(w[:, g])``; the group is infeasible when the smallest of them
     is at most ``EPS_SING * max(largest, 1)``. For a singleton ``{j}``
-    that is a column norm ``||w[:, j]|| >= 1 / EPS_SING``.
+    that is a column norm ``||w[:, j]|| >= 1 / EPS_SING``. These checks
+    replace the whole-channel condition bound of :func:`zf_precode`:
+    a badly scaled channel whose groups are each well conditioned, such
+    as ``diag(1e6, 1e-7)`` in singletons, is feasible for BD.
 
     Parameters
     ----------
@@ -358,10 +401,20 @@ def bd_precode(
     return w if np.ndim(h) == 3 else w[0]
 
 
-def _as_symbols(s: np.ndarray, n: int) -> np.ndarray:
+def _as_symbols(s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Symbols for channel ``h``: shape ``h.shape[:-1]``, returned as ``(m, n)``."""
     s = np.asarray(s, dtype=np.complex128)
-    if s.shape != (n,):
-        raise ValueError(f"symbol vector must have shape ({n},), got {s.shape}")
+    shape = np.shape(h)[:-1]
+    if s.shape != shape:
+        raise ValueError(f"symbols must have shape {shape}, got {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("symbols must be finite")
-    return s
+    return s.reshape(-1, shape[-1])
+
+
+def _as_stack_gains(gains: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Non-negative gains for the stack ``hs``: shared ``(n,)`` or per channel ``(m, n)``."""
+    k = np.asarray(gains, dtype=float)
+    if k.shape not in (hs.shape[2:], hs.shape[:2]):
+        raise ValueError(f"gains must have shape {hs.shape[2:]} or {hs.shape[:2]}, got {k.shape}")
+    return as_gains(k.ravel(), allow_zero=True).reshape(k.shape)

@@ -6,6 +6,14 @@ any worker count and any chunking, and two sweeps that share a seed see
 identical channels, bits, and noise regardless of the precoder under
 test (which makes precoder comparisons paired).
 
+Trials are simulated in chunks, each one channel stack ``(m, n, n)``
+precoded by one call into :mod:`precoding` (``zf_precode``,
+``mmse_precode``, ``bd_precode``, ``dpc_linear``, and the successive
+encoder and THP feedback behind ``dpc_conventional`` and
+``thp_precode``), so the tested precoders are the ones that make the BER
+curves. This module picks the precoder, designs the gains and calibrates
+the transmit power.
+
 Conventions, since the source figures never define them:
 
 * SNR axis: noise variance per receive entry is
@@ -45,8 +53,8 @@ import numpy as np
 
 from . import __version__ as _version
 from .channel import sample_channel, stream
-from .exceptions import ConfigError, DpcPermError, NumericallySingular
-from .linalg import EPS_SING
+from .exceptions import ConfigError, DpcPermError
+from .linalg import lq_decompose
 from .modem import (
     Constellation,
     QAM_ORDERS,
@@ -57,7 +65,18 @@ from .modem import (
     qam_modulate,
     wilson_interval,
 )
-from .precoding import bd_precode, thp_modulo_base, waterfill
+from .precoding import (
+    bd_precode,
+    dpc_linear,
+    mmse_precode,
+    modulo_lattice,
+    power_scale,
+    successive_encoder,
+    thp_feedback,
+    thp_modulo_base,
+    waterfill,
+    zf_precode,
+)
 
 __all__ = [
     "PRECODERS",
@@ -274,35 +293,6 @@ def resolve_workers(workers: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _batched_lq(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked LQ with the real non-negative diagonal convention.
-
-    Returns ``(l, q, dl)`` with ``hs[t] = l[t] @ q[t]`` and
-    ``dl[t] = diag(l[t])`` real.
-    """
-    q_r, r = np.linalg.qr(hs.conj().transpose(0, 2, 1))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    mag = np.abs(d)
-    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    l = r.conj().transpose(0, 2, 1) * phase.conj()[:, np.newaxis, :]
-    idx = np.arange(hs.shape[1])
-    l[:, idx, idx] = mag
-    q = phase[:, :, np.newaxis] * q_r.conj().transpose(0, 2, 1)
-    scale = np.linalg.norm(hs, axis=(1, 2))
-    if np.any(mag <= EPS_SING * scale[:, np.newaxis]):
-        raise NumericallySingular("a trial channel is numerically singular for LQ-based DPC")
-    return l, q, mag
-
-
-def _gain_vectors(cfg: SweepConfig, hs: np.ndarray, dl: np.ndarray | None) -> np.ndarray:
-    if cfg.gain_mode == "diag-L":
-        if dl is None:
-            _, _, dl = _batched_lq(hs)
-        return dl
-    sv = np.linalg.svd(hs, compute_uv=False)
-    return np.vstack([waterfill(row, cfg.power_budget) for row in sv])
-
-
 def _simulate_chunk(
     cfg: SweepConfig, snr_idx: int, snr_db: float, t0: int, t1: int, fixed_h: np.ndarray | None
 ) -> dict:
@@ -321,7 +311,8 @@ def _simulate_chunk(
         hs = np.empty((m, n, n), dtype=np.complex128)
     else:
         hs = np.broadcast_to(fixed_h, (m, n, n))
-    pilots = np.empty((m, _THP_PILOTS, n), dtype=np.complex128) if is_thp else None
+    # THP draws: row 0 of each trial is its data vector, rows 1.. its pilots.
+    draws = np.empty((m, 1 + _THP_PILOTS, n), dtype=np.complex128) if is_thp else None
 
     for i, t in enumerate(range(t0, t1)):
         rng = stream(cfg.seed, _NS_TRIAL, snr_idx, t)
@@ -333,12 +324,13 @@ def _simulate_chunk(
         noise[i] = re + 1j * im
         if is_thp:
             labels = rng.integers(0, c.order, size=_THP_PILOTS * n)
-            pilots[i] = c.points[labels].reshape(_THP_PILOTS, n)
+            draws[i, 1:] = c.points[labels].reshape(_THP_PILOTS, n)
 
     s = qam_modulate(bits.ravel(), c).reshape(m, n)
 
     if is_thp:
-        x, g = _thp_transmit(cfg, hs, s, pilots, c)
+        draws[:, 0] = s
+        x, g = _thp_transmit(cfg, hs, draws, c)
     else:
         x, g = _linear_transmit(cfg, hs, s, nv)
 
@@ -350,7 +342,7 @@ def _simulate_chunk(
     y_hat = np.zeros_like(y)
     np.divide(y, g, out=y_hat, where=active)
     if is_thp:
-        y_hat = _thp_wrap(y_hat, c)
+        y_hat = modulo_lattice(y_hat, thp_modulo_base(c.points))
 
     rx_symbols = y_hat[active]
     margins = decision_margins(rx_symbols, c)
@@ -372,9 +364,6 @@ def _linear_transmit(
     cfg: SweepConfig, hs: np.ndarray, s: np.ndarray, nv: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precode one chunk with a linear method; returns (x, effective gains)."""
-    n = cfg.n_users
-    m = hs.shape[0]
-    idx = np.arange(n)
     precoder = cfg.precoder
 
     if precoder in _DPC_FAMILY:
@@ -383,94 +372,48 @@ def _linear_transmit(
         # effective gain and with it the meaning of the per-user SNR axis.
         # The budget enters through the gain design (water-filling) and
         # through the noise calibration shared with the baselines.
-        l = q = dl = None
-        if precoder == "dpc-conventional" or cfg.gain_mode == "diag-L":
-            l, q, dl = _batched_lq(hs)
-        k = _gain_vectors(cfg, hs, dl)
-        if precoder == "dpc-conventional":
-            rhs = np.zeros((m, n, n), dtype=np.complex128)
-            rhs[:, idx, idx] = k
-            w = q.conj().transpose(0, 2, 1) @ np.linalg.solve(l, rhs)
+        needs_lq = precoder == "dpc-conventional" or cfg.gain_mode == "diag-L"
+        factors = lq_decompose(hs) if needs_lq else None
+        if cfg.gain_mode == "diag-L":
+            k = factors.diag
         else:
-            u, sv, vh = np.linalg.svd(hs)
-            if np.any(sv[:, -1] <= EPS_SING * sv[:, 0]):
-                raise NumericallySingular("a trial channel is singular for the SVD route")
-            a = u.conj().transpose(0, 2, 1) * k[:, np.newaxis, :]
-            a /= sv[:, :, np.newaxis]
-            w = vh.conj().transpose(0, 2, 1) @ a
-        x = np.einsum("mij,mj->mi", w, s)
-        return x, k
+            sv = np.linalg.svd(hs, compute_uv=False)
+            k = np.vstack([waterfill(row, cfg.power_budget) for row in sv])
+        w = successive_encoder(factors, k) if precoder == "dpc-conventional" else dpc_linear(hs, k)
+        return np.einsum("mij,mj->mi", w, s), k
 
     if precoder == "zf":
-        w = _channel_inverse(hs)
+        w = zf_precode(hs)
     elif precoder == "mmse":
-        if nv > 0.0:
-            gram = hs @ hs.conj().transpose(0, 2, 1) + (n * nv) * np.eye(n)
-            w = hs.conj().transpose(0, 2, 1) @ np.linalg.inv(gram)
-        else:
-            w = _channel_inverse(hs)
+        w = mmse_precode(hs, nv)
     elif precoder == "bd":
         # Single-antenna users: every user is its own block. BD of a square
         # channel is its inverse, so this is the ZF matrix, made by one
         # batched call that adds BD's per-group feasibility checks.
-        w = bd_precode(hs, [[j] for j in range(n)])
+        w = bd_precode(hs, [[j] for j in range(cfg.n_users)])
     else:
         raise ConfigError(f"unknown precoder {cfg.precoder!r}")
 
-    alpha = _power_scale(w, cfg.power_budget)
+    alpha = power_scale(w, cfg.power_budget)
     x = alpha[:, np.newaxis] * np.einsum("mij,mj->mi", w, s)
     hw_diag = np.real(np.einsum("mij,mji->mi", hs, w))
     return x, alpha[:, np.newaxis] * hw_diag
 
 
-def _channel_inverse(hs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(hs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericallySingular("a trial channel is singular for channel inversion") from exc
-
-
-def _power_scale(w: np.ndarray, p_total: float) -> np.ndarray:
-    tr = np.sum(np.abs(w) ** 2, axis=(1, 2))
-    if np.any(tr <= 0):
-        raise NumericallySingular("precoder collapsed to zero power")
-    return np.sqrt(p_total / tr)
-
-
 def _thp_transmit(
-    cfg: SweepConfig, hs: np.ndarray, s: np.ndarray, pilots: np.ndarray, c: Constellation
+    cfg: SweepConfig, hs: np.ndarray, draws: np.ndarray, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
-    """THP for one chunk; transmit power calibrated from the pilot batch."""
-    l, q, dl = _batched_lq(hs)
-    base = thp_modulo_base(c.points)
-    xt = _thp_feedback(l, s[:, np.newaxis, :], base)[:, 0, :]
-    xt_pilot = _thp_feedback(l, pilots, base)
-    mean_power = np.mean(np.sum(np.abs(xt_pilot) ** 2, axis=2), axis=1)
+    """THP for one chunk; transmit power calibrated from the pilot batch.
+
+    The data vectors (``draws[:, 0]``) and the pilots share one LQ and
+    one feedback pass.
+    """
+    factors = lq_decompose(hs)
+    xt = thp_feedback(factors.l, draws, thp_modulo_base(c.points))
+    mean_power = np.mean(np.sum(np.abs(xt[:, 1:]) ** 2, axis=2), axis=1)
     alpha = np.sqrt(cfg.power_budget / mean_power)
-    x = alpha[:, np.newaxis] * np.einsum("mji,mj->mi", q.conj(), xt)
-    return x, alpha[:, np.newaxis] * dl
-
-
-def _thp_feedback(l: np.ndarray, s: np.ndarray, base: float) -> np.ndarray:
-    """Vectorized successive modulo feedback; s has shape (m, draws, n)."""
-    m, draws, n = s.shape
-    xt = np.zeros((m, draws, n), dtype=np.complex128)
-    span = 2.0 * base
-    for i in range(n):
-        acc = np.einsum("mj,mdj->md", l[:, i, :i], xt[:, :, :i])
-        raw = s[:, :, i] - acc / l[:, i, i][:, np.newaxis]
-        re = raw.real - span * np.floor((raw.real + base) / span)
-        im = raw.imag - span * np.floor((raw.imag + base) / span)
-        xt[:, :, i] = re + 1j * im
-    return xt
-
-
-def _thp_wrap(y_hat: np.ndarray, c: Constellation) -> np.ndarray:
-    base = thp_modulo_base(c.points)
-    span = 2.0 * base
-    re = y_hat.real - span * np.floor((y_hat.real + base) / span)
-    im = y_hat.imag - span * np.floor((y_hat.imag + base) / span)
-    return re + 1j * im
+    x = alpha[:, np.newaxis] * np.einsum("mji,mj->mi", factors.q.conj(), xt[:, 0])
+    return x, alpha[:, np.newaxis] * factors.diag
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +483,12 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
 # ---------------------------------------------------------------------------
 
 
-def config_hash(cfg: SweepConfig) -> str:
-    """Stable hash of the canonical JSON form of a config."""
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+def config_hash(cfg: SweepConfig | dict) -> str:
+    """Stable hash of a config: the first 16 hex digits of the sha256 of its
+    canonical JSON form (sorted keys, no whitespace). ``cfg`` is a
+    :class:`SweepConfig` or a plain JSON-serializable dict."""
+    data = cfg.to_dict() if isinstance(cfg, SweepConfig) else cfg
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

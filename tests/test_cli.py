@@ -192,6 +192,19 @@ def test_complexity_table(tmp_path):
     assert n5[4] == "120" and n5[5] == "1"
 
 
+def test_order_search_and_complexity_hash_their_configs_like_sweeps(tmp_path):
+    from dpc_perm.sim import config_hash
+
+    cfg = tmp_path / "search.json"
+    cfg.write_text(json.dumps({"n_users": 3, "seed": 2}))
+    assert run_cli("order-search", "--config", str(cfg), "--out", str(tmp_path)).returncode == 0
+    report = json.loads((tmp_path / "order_search.json").read_text())
+    assert report["config_hash"] == config_hash(report["config"])
+    assert run_cli("complexity", "--n-max", "2", "--out", str(tmp_path)).returncode == 0
+    header = (tmp_path / "complexity.csv").read_text().splitlines()[1]
+    assert header == f"# config_hash={config_hash({'n_max': 2, 'seed': 0})}"
+
+
 def test_complexity_out_of_range_exits_2(tmp_path):
     res = run_cli("complexity", "--n-max", "13", "--out", str(tmp_path / "o"))
     assert res.returncode == 2

@@ -15,7 +15,6 @@ from dpc_perm.linalg import (
     count_decompositions,
     diagonal_permute,
     identity_order,
-    inverse_via_lq,
     invert_order,
     lq_decompose,
     lq_not_permutation_linear_witness,
@@ -258,6 +257,26 @@ def test_witness_diagonal_swap():
     assert lq_not_permutation_linear_witness(np.diag([2.0, 3.0]), [1, 0]) is True
 
 
+def inverse_via_lq(h):
+    """Invert a channel by forward substitution on its LQ factors.
+
+    Solves ``h @ x = I`` as ``x = q^H @ (l^{-1})``, independent of any SVD
+    path: the reference inverse that precoders built from
+    ``v @ diag(1/sigma) @ u^H`` are cross-checked against.
+    """
+    factors = lq_decompose(h)
+    n = factors.l.shape[0]
+    return factors.q.conj().T @ solve_lower(factors.l, np.eye(n, dtype=np.complex128))
+
+
+def solve_lower(l, rhs):
+    """Forward substitution for a lower-triangular system ``l @ x = rhs``."""
+    x = np.zeros_like(rhs, dtype=np.complex128)
+    for i in range(l.shape[0]):
+        x[i] = (rhs[i] - l[i, :i] @ x[:i]) / l[i, i]
+    return x
+
+
 def test_inverse_via_lq_matches_svd_inverse():
     h = well_separated_channel(9, 5)
     f = svd_decompose(h)
@@ -304,6 +323,15 @@ def test_counters_tick_only_inside_decompositions():
         _ = h @ h
         _ = np.linalg.norm(h)
     assert c.total == 0
+
+
+def test_stacked_factorizations_count_one_per_channel():
+    hs = np.stack([random_channel(t, 4) for t in range(7)])
+    with count_decompositions() as counter:
+        lq_decompose(hs)
+        svd_decompose(hs[:3])
+        lq_decompose(hs[0])
+    assert (counter.lq, counter.svd) == (8, 3)
 
 
 def test_nested_recorders_with_equal_counts_each_count():

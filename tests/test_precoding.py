@@ -5,7 +5,8 @@ import pytest
 
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from dpc_perm.linalg import EPS_SING, lq_decompose
+from dpc_perm.linalg import EPS_SING, lq_decompose, svd_decompose
+from dpc_perm.modem import make_constellation
 from dpc_perm.precoding import (
     bd_precode,
     dpc_conventional,
@@ -433,3 +434,78 @@ def test_bd_rejects_bad_stack_shapes():
         bd_precode(np.ones((2, 3, 4)), [[0], [1], [2]])
     with pytest.raises(ValueError):
         bd_precode(np.ones((2, 2, 3, 3)), [[0], [1], [2]])
+
+
+# ---------------------------------------------------------------------------
+# Stack API
+# ---------------------------------------------------------------------------
+
+QPSK_BASE = thp_modulo_base(make_constellation(4).points)
+
+# Each case maps (channel, symbols, gains) to a tuple of arrays; the same
+# call on a stack must give the per-channel results exactly.
+STACK_CASES = [
+    pytest.param(lambda h, s, k: (lambda f: (f.l, f.q, f.diag))(lq_decompose(h)), id="lq"),
+    pytest.param(lambda h, s, k: (lambda f: (f.u, f.sigma, f.v))(svd_decompose(h)), id="svd"),
+    pytest.param(lambda h, s, k: (dpc_conventional(h, s),), id="dpc_conventional-diagL"),
+    pytest.param(lambda h, s, k: (dpc_conventional(h, s, k),), id="dpc_conventional-gains"),
+    pytest.param(lambda h, s, k: (dpc_linear(h, k),), id="dpc_linear"),
+    pytest.param(lambda h, s, k: (dpc_linear(h, np.arange(1.0, 6.0)),), id="dpc_linear-shared"),
+    pytest.param(lambda h, s, k: (zf_precode(h), zf_precode(h, power=2.5)), id="zf"),
+    pytest.param(
+        lambda h, s, k: (mmse_precode(h, 0.1), mmse_precode(h, 0.1, 2.5), mmse_precode(h, 0.0)),
+        id="mmse",
+    ),
+    pytest.param(lambda h, s, k: (thp_precode(h, s, QPSK_BASE),), id="thp"),
+]
+
+
+@pytest.mark.parametrize("precode", STACK_CASES)
+def test_stack_matches_slices_exactly(precode):
+    rng = np.random.default_rng(8)
+    hs = np.stack([random_channel(70 + t, 5) for t in range(6)])
+    ss = np.stack([qpsk(rng, 5) for _ in range(6)])
+    ks = rng.uniform(0.5, 2.0, size=(6, 5))
+    stacked = precode(hs, ss, ks)
+    for t in range(6):
+        for got, want in zip(stacked, precode(hs[t], ss[t], ks[t])):
+            assert got[t].shape == want.shape
+            np.testing.assert_array_equal(got[t], want)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (2, 2, 3, 3), (0, 3, 3)])
+@pytest.mark.parametrize("precode", STACK_CASES)
+def test_stack_api_rejects_bad_channel_shapes(precode, shape):
+    with pytest.raises(ValueError):
+        precode(np.ones(shape, dtype=complex), np.ones(3), np.ones(3))
+
+
+def test_stack_api_rejects_mismatched_symbols_and_gains():
+    hs = np.stack([random_channel(80 + t, 4) for t in range(3)])
+    with pytest.raises(ValueError):
+        dpc_conventional(hs, np.ones(4))  # one symbol vector per channel
+    with pytest.raises(ValueError):
+        thp_precode(hs, np.ones((2, 4)), QPSK_BASE)
+    with pytest.raises(ValueError):
+        dpc_linear(hs, np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        dpc_conventional(hs, np.ones((3, 4)), gains=np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        dpc_linear(hs, -np.ones((3, 4)))
+
+
+def test_zf_rejects_near_singular_channel_by_condition_bound():
+    # Rows 0 and 1 differ by 1e-14: numpy inverts the channel, but
+    # ||H||_F ||H^-1||_F is far beyond 1 / EPS_SING.
+    h = random_channel(90, 4)
+    h[1] = h[0]
+    h[1, 0] += 1e-14
+    assert np.all(np.isfinite(np.linalg.inv(h)))
+    with pytest.raises(NumericallySingular):
+        zf_precode(h)
+    with pytest.raises(NumericallySingular):
+        mmse_precode(h, 0.0)
+    assert np.all(np.isfinite(mmse_precode(h, 0.1)))
+    with pytest.raises(ValueError):
+        mmse_precode(h, -0.1)
+

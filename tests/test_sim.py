@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from dpc_perm import sim
-from dpc_perm.exceptions import ConfigError, InfeasibleBlocking, NumericallySingular
+from dpc_perm.channel import sample_channel
+from dpc_perm.exceptions import (
+    ConfigError,
+    DpcPermError,
+    InfeasibleBlocking,
+    NumericallySingular,
+)
 from dpc_perm.modem import make_constellation
 from dpc_perm.precoding import waterfill
 from dpc_perm.sim import (
@@ -221,6 +227,34 @@ def test_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder,
     monkeypatch.setattr(sim, "sample_channel", lambda rng, n: np.ones((n, n), dtype=complex))
     cfg = small_cfg(precoder=precoder, snr_grid_db=(snr_db,), trials_per_point=8)
     with pytest.raises(error, match=rf"sweep aborted \({precoder}, seed 5\)"):
+        run_ber_sweep(cfg)
+
+
+def near_singular_channel(rng, n):
+    """A random channel whose rows 0 and 1 differ by 1e-14 in one entry."""
+    h = sample_channel(rng, n)
+    h[1] = h[0]
+    h[1, 0] += 1e-14
+    return h
+
+
+@pytest.mark.parametrize(
+    "precoder,snr_db",
+    [
+        ("zf", 10.0),
+        ("mmse", math.inf),
+        ("bd", 10.0),
+        ("dpc-linear", 10.0),
+        ("dpc-conventional", 10.0),
+        ("thp", 10.0),
+    ],
+)
+def test_near_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder, snr_db):
+    monkeypatch.setattr(sim, "sample_channel", near_singular_channel)
+    h = near_singular_channel(np.random.default_rng(0), 4)
+    assert np.all(np.isfinite(np.linalg.inv(h)))  # invertible in floating point
+    cfg = small_cfg(precoder=precoder, snr_grid_db=(snr_db,), trials_per_point=8)
+    with pytest.raises(DpcPermError, match=rf"sweep aborted \({precoder}, seed 5\)"):
         run_ber_sweep(cfg)
 
 
