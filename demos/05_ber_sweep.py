@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Desk-scale Monte Carlo BER comparison, 10 users, QPSK.
 
-Both DPC implementations ride identical per-trial random streams, so
-their error counts match bit for bit. The baselines are normalized to
+Both DPC implementations see identical random draws (channels, bits
+and noise are a function of seed, SNR point and trial only), so their
+error counts match bit for bit. The baselines are normalized to
 the same transmit power budget. CSVs land in demos/out/ with
 provenance headers; rerunning reproduces them byte for byte.
 

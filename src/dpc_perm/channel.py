@@ -3,8 +3,15 @@
 Channels are square complex Gaussian matrices with unit variance per
 entry (1/2 per real component), drawn from counter-based Philox streams
 so that every realization is a pure function of its seed regardless of
-process or worker layout. The stream scheme is named ``philox-ss-v1``:
-a ``SeedSequence(seed, spawn_key=...)`` feeding a Philox generator.
+process or worker layout. A stream is a ``SeedSequence(seed,
+spawn_key=...)`` feeding a Philox generator (:func:`stream`).
+
+:func:`sample_channel` draws one channel, or a stack of ``m`` channels
+with the channel on the leading axis. The single draw is the one of
+scheme ``philox-ss-v1``, unchanged, so :func:`generate_channel`, saved
+channels and every order-search input stay as they were. The stacked
+draw is the channel kind of the BER sweep's scheme ``philox-ss-v2``
+(one stream per chunk of trials; see :mod:`dpc_perm.sim`).
 """
 
 from __future__ import annotations
@@ -51,20 +58,23 @@ class ChannelSpec:
 
 
 def stream(seed: int, *spawn_key: int) -> np.random.Generator:
-    """Philox generator for ``(seed, spawn_key)`` (scheme philox-ss-v1)."""
+    """Philox generator for ``(seed, spawn_key)``."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
-def sample_channel(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw an n x n channel with i.i.d. CN(0, 1) entries.
+def sample_channel(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
+    """Draw an n x n channel, or a stack ``(m, n, n)`` of them, with i.i.d.
+    CN(0, 1) entries.
 
-    Real parts are drawn first, then imaginary parts, each N(0, 1/2), so
-    every entry has unit total variance. The draw order is part of the
+    One array of standard normals is drawn, ``(2, n, n)`` or
+    ``(m, 2, n, n)``: per channel the real parts first, then the imaginary
+    parts, each scaled to N(0, 1/2), so every entry has unit total
+    variance. Channel i of a stack is therefore the i-th of ``m`` single
+    draws made in turn from ``rng``. The draw order is part of the
     reproducibility contract.
     """
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
-    return (re + 1j * im) / np.sqrt(2.0)
+    z = rng.standard_normal((2, n, n) if m is None else (m, 2, n, n))
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def generate_channel(spec: ChannelSpec) -> np.ndarray:

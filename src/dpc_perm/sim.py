@@ -1,12 +1,14 @@
 """Monte Carlo bit-error-rate sweeps over precoders and SNR grids.
 
-Every trial owns a counter-based random stream derived from
-``(seed, snr_index, trial_index)``, so error counts are identical for
-any worker count and any chunking, and two sweeps that share a seed see
-identical channels, bits, and noise regardless of the precoder under
-test (which makes precoder comparisons paired).
+Every trial's random draws are a pure function of
+``(seed, snr_index, trial_index)`` (counter-based Philox streams, one
+per chunk of trials and kind of draw; see the end of this docstring), so
+error counts are identical for any worker count, and two sweeps that
+share a seed see identical channels, bits, and noise regardless of the
+precoder under test (which makes precoder comparisons paired).
 
 Trials are simulated in chunks, each one channel stack ``(m, n, n)``
+(a fixed-channel sweep precodes its one channel once per chunk)
 precoded by one call into :mod:`precoding` (``zf_precode``,
 ``mmse_precode``, ``bd_precode``, ``dpc_linear``, and the successive
 encoder and THP feedback behind ``dpc_conventional`` and
@@ -34,8 +36,19 @@ Conventions, since the source figures never define them:
 * Water-filled sweeps may mute users (zero gain); muted users transmit
   nothing and their bits are excluded from the error accounting.
 
-Per-trial draw order from the trial stream: channel (per-trial mode
-only), data bits, noise, then THP pilot symbols. The order is part of
+Random draws (scheme ``philox-ss-v2``, named in every CSV header and
+manifest): trials are grouped in chunks of ``_CHUNK = 512``, and chunk
+``t // 512`` of SNR point ``snr_index`` draws from four Philox streams,
+one per kind, keyed ``(seed, snr_index, chunk, kind)``: 0 the channels
+(``sample_channel(rng, n, m)``, per-trial mode only), 1 the data bits
+(``(m, n * bits_per_symbol)`` uint8), 2 the noise (``(m, 2, n)``
+standard normals, real then imaginary parts) and 3 the THP pilot labels
+(``(m, _THP_PILOTS, n)`` uint8, THP only). Each kind is one array with the
+trial on the leading axis, so trial t's draws are row ``t % 512`` and
+depend only on ``(seed, snr_index, t)``: not on ``trials_per_point``,
+the worker count, the precoder or the channel mode. A fixed-channel
+sweep and a per-trial sweep see the same bits and noise, and THP's
+pilots shift nobody's draws. The chunk size and this layout are part of
 the reproducibility contract.
 """
 
@@ -95,6 +108,7 @@ __all__ = [
     "write_manifest",
     "sweep_csv_name",
     "GRAY_LABELING_NOTE",
+    "RNG_SCHEME",
 ]
 
 PRECODERS = ("dpc-conventional", "dpc-linear", "zf", "mmse", "thp", "bd")
@@ -106,16 +120,31 @@ GRAY_LABELING_NOTE = (
     "128-qam: cross with serpentine Gray columns"
 )
 
-# Stream namespaces (first spawn_key element).
-_NS_TRIAL = 0
-_NS_FIXED_CHANNEL = 1
+# Name of the random-draw contract; a change to it gets a new name.
+RNG_SCHEME = "philox-ss-v2"
 
-# Trials are processed in fixed-size chunks so that partial reductions are
-# identical no matter how many workers run them.
+# Stream namespaces (first spawn_key element). Namespace 0, the per-trial
+# streams of philox-ss-v1, is not reused, so no v2 stream repeats a v1 one.
+_NS_FIXED_CHANNEL = 1
+_NS_CHUNK = 2
+
+# Kinds of draw, one stream each per chunk (last spawn_key element).
+_KIND_CHANNEL, _KIND_BITS, _KIND_NOISE, _KIND_PILOTS = range(4)
+
+# Trials are processed in fixed-size chunks, each with its own streams, so
+# that draws and partial reductions are identical no matter how many
+# workers run them. Part of the random-draw contract.
 _CHUNK = 512
 
 # Pilot vectors per channel used to estimate THP transmit power.
 _THP_PILOTS = 128
+
+# Largest estimated working set of one chunk (see _chunk_bytes); a bigger
+# config is refused by SweepConfig.validate instead of failing to allocate.
+# The precoders' own temporaries bring the real peak to about 2-4 times the
+# estimate (n = 64, 512 trials: zf 104 MB, dpc-linear 239 MB, thp 336 MB
+# of growth against estimates of 67, 67 and 135 MB), so at most about 1 GB.
+_MAX_CHUNK_BYTES = 2**28
 
 _DPC_FAMILY = ("dpc-conventional", "dpc-linear")
 
@@ -157,6 +186,13 @@ class SweepConfig:
         for ok, field_name in checks:
             if not ok:
                 raise ConfigError(f"invalid value for field {field_name!r}")
+        need = _chunk_bytes(self)
+        if need > _MAX_CHUNK_BYTES:
+            raise ConfigError(
+                f"invalid value for field 'n_users': {self.n_users} users need about "
+                f"{need / 2**20:.0f} MiB per chunk of trials, above the "
+                f"{_MAX_CHUNK_BYTES / 2**20:.0f} MiB limit"
+            )
         return self
 
     @classmethod
@@ -258,6 +294,18 @@ class BerRecord:
     min_decision_margin: float
 
 
+def _chunk_bytes(cfg: SweepConfig) -> int:
+    """Estimated bytes of a sweep's largest chunk: the channel stack and the
+    draw temporaries, 16 B per complex entry each, plus THP's data and
+    pilot vectors."""
+    m = min(cfg.trials_per_point, _CHUNK)
+    n = cfg.n_users
+    need = 2 * m * n * n * 16
+    if cfg.precoder == "thp":
+        need += m * (1 + _THP_PILOTS) * n * 16
+    return need
+
+
 def noise_variance(cfg: SweepConfig, snr_db: float) -> float:
     """Per-entry complex noise variance for one SNR point (0 at inf SNR)."""
     if math.isinf(snr_db):
@@ -293,51 +341,65 @@ def resolve_workers(workers: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _chunk_draws(
+    cfg: SweepConfig, snr_idx: int, t0: int, t1: int, c: Constellation, fixed_h: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Random inputs of trials [t0, t1) of one SNR point, ``t0`` a multiple
+    of ``_CHUNK`` (scheme philox-ss-v2, see the module docstring).
+
+    Returns the channel stack ``(m, n, n)`` (the fixed channel as
+    ``(1, n, n)``), the data bits ``(m, n * bits_per_symbol)``, unit-variance
+    per-component complex noise ``(m, n)`` and, for THP, the pilot labels
+    ``(m, _THP_PILOTS, n)`` (else None).
+    """
+    n, m, chunk = cfg.n_users, t1 - t0, t0 // _CHUNK
+
+    def rng(kind: int) -> np.random.Generator:
+        return stream(cfg.seed, _NS_CHUNK, snr_idx, chunk, kind)
+
+    if fixed_h is None:
+        hs = sample_channel(rng(_KIND_CHANNEL), n, m)
+    else:
+        hs = fixed_h[np.newaxis]
+    bits = rng(_KIND_BITS).integers(0, 2, size=(m, n * c.bits_per_symbol), dtype=np.uint8)
+    z = rng(_KIND_NOISE).standard_normal((m, 2, n))
+    labels = None
+    if cfg.precoder == "thp":
+        labels = rng(_KIND_PILOTS).integers(0, c.order, size=(m, _THP_PILOTS, n), dtype=np.uint8)
+    return hs, bits, z[:, 0] + 1j * z[:, 1], labels
+
+
+def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for each trial: ``v`` is ``(m, n)``, ``a`` a stack ``(m, n, n)``
+    or one matrix ``(1, n, n)`` shared by every trial."""
+    return (a @ v[..., np.newaxis])[..., 0]
+
+
 def _simulate_chunk(
     cfg: SweepConfig, snr_idx: int, snr_db: float, t0: int, t1: int, fixed_h: np.ndarray | None
 ) -> dict:
     """Simulate trials [t0, t1) of one SNR point and return partial sums."""
-    n = cfg.n_users
     c = make_constellation(cfg.constellation_order)
-    b = c.bits_per_symbol
     m = t1 - t0
-    p_total = cfg.power_budget
     nv = noise_variance(cfg, snr_db)
-    is_thp = cfg.precoder == "thp"
+    hs, bits, noise, labels = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_h)
+    s = qam_modulate(bits.ravel(), c).reshape(m, cfg.n_users)
 
-    bits = np.empty((m, n * b), dtype=np.uint8)
-    noise = np.empty((m, n), dtype=np.complex128)
-    if fixed_h is None:
-        hs = np.empty((m, n, n), dtype=np.complex128)
-    else:
-        hs = np.broadcast_to(fixed_h, (m, n, n))
-    # THP draws: row 0 of each trial is its data vector, rows 1.. its pilots.
-    draws = np.empty((m, 1 + _THP_PILOTS, n), dtype=np.complex128) if is_thp else None
-
-    for i, t in enumerate(range(t0, t1)):
-        rng = stream(cfg.seed, _NS_TRIAL, snr_idx, t)
-        if fixed_h is None:
-            hs[i] = sample_channel(rng, n)
-        bits[i] = rng.integers(0, 2, size=n * b, dtype=np.uint8)
-        re = rng.standard_normal(n)
-        im = rng.standard_normal(n)
-        noise[i] = re + 1j * im
-        if is_thp:
-            labels = rng.integers(0, c.order, size=_THP_PILOTS * n)
-            draws[i, 1:] = c.points[labels].reshape(_THP_PILOTS, n)
-
-    s = qam_modulate(bits.ravel(), c).reshape(m, n)
-
+    is_thp = labels is not None
     if is_thp:
+        # Row 0 of each trial is its data vector, rows 1.. its pilots.
+        draws = np.empty((m, 1 + _THP_PILOTS, cfg.n_users), dtype=np.complex128)
         draws[:, 0] = s
+        draws[:, 1:] = c.points[labels]
         x, g = _thp_transmit(cfg, hs, draws, c)
     else:
         x, g = _linear_transmit(cfg, hs, s, nv)
 
-    y = np.einsum("mij,mj->mi", hs, x)
+    y = _apply(hs, x)
     if nv > 0.0:
         y = y + math.sqrt(nv / 2.0) * noise
 
+    g = np.broadcast_to(g, y.shape)
     active = g > 0
     y_hat = np.zeros_like(y)
     np.divide(y, g, out=y_hat, where=active)
@@ -347,7 +409,7 @@ def _simulate_chunk(
     rx_symbols = y_hat[active]
     margins = decision_margins(rx_symbols, c)
     rx_bits = qam_demodulate(rx_symbols, c)
-    tx_bits = bits.reshape(m, n, b)[active].ravel()
+    tx_bits = bits.reshape(m, cfg.n_users, c.bits_per_symbol)[active].ravel()
     errors = int(np.count_nonzero(tx_bits != rx_bits))
 
     return {
@@ -363,7 +425,11 @@ def _simulate_chunk(
 def _linear_transmit(
     cfg: SweepConfig, hs: np.ndarray, s: np.ndarray, nv: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Precode one chunk with a linear method; returns (x, effective gains)."""
+    """Precode one chunk with a linear method; returns (x, effective gains).
+
+    ``hs`` is the chunk's channel stack, or one shared channel ``(1, n, n)``
+    that is precoded once; the gains then have shape ``(1, n)``.
+    """
     precoder = cfg.precoder
 
     if precoder in _DPC_FAMILY:
@@ -380,7 +446,7 @@ def _linear_transmit(
             sv = np.linalg.svd(hs, compute_uv=False)
             k = np.vstack([waterfill(row, cfg.power_budget) for row in sv])
         w = successive_encoder(factors, k) if precoder == "dpc-conventional" else dpc_linear(hs, k)
-        return np.einsum("mij,mj->mi", w, s), k
+        return _apply(w, s), k
 
     if precoder == "zf":
         w = zf_precode(hs)
@@ -395,7 +461,7 @@ def _linear_transmit(
         raise ConfigError(f"unknown precoder {cfg.precoder!r}")
 
     alpha = power_scale(w, cfg.power_budget)
-    x = alpha[:, np.newaxis] * np.einsum("mij,mj->mi", w, s)
+    x = alpha[:, np.newaxis] * _apply(w, s)
     hw_diag = np.real(np.einsum("mij,mji->mi", hs, w))
     return x, alpha[:, np.newaxis] * hw_diag
 
@@ -406,13 +472,15 @@ def _thp_transmit(
     """THP for one chunk; transmit power calibrated from the pilot batch.
 
     The data vectors (``draws[:, 0]``) and the pilots share one LQ and
-    one feedback pass.
+    one feedback pass. A shared channel ``(1, n, n)`` is factored once and
+    its factors broadcast; the feedback and the power still run per trial.
     """
     factors = lq_decompose(hs)
-    xt = thp_feedback(factors.l, draws, thp_modulo_base(c.points))
+    l = np.broadcast_to(factors.l, (draws.shape[0],) + factors.l.shape[1:])
+    xt = thp_feedback(l, draws, thp_modulo_base(c.points))
     mean_power = np.mean(np.sum(np.abs(xt[:, 1:]) ** 2, axis=2), axis=1)
     alpha = np.sqrt(cfg.power_budget / mean_power)
-    x = alpha[:, np.newaxis] * np.einsum("mji,mj->mi", factors.q.conj(), xt[:, 0])
+    x = alpha[:, np.newaxis] * _apply(factors.q.conj().transpose(0, 2, 1), xt[:, 0])
     return x, alpha[:, np.newaxis] * factors.diag
 
 
@@ -424,7 +492,7 @@ def _thp_transmit(
 def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecord]:
     """Run the full SNR sweep described by ``cfg``.
 
-    Results are a pure function of the config: per-trial streams make the
+    Results are a pure function of the config: per-chunk streams make the
     error counts identical for any worker count. Precoder failures abort
     the sweep with the offending SNR point attached.
     """
@@ -505,14 +573,15 @@ def _fmt(v: float) -> str:
 def write_ber_csv(records: Sequence[BerRecord], cfg: SweepConfig, path) -> None:
     """Write one sweep as CSV with a provenance comment header.
 
-    The header carries the tool version, the config hash, the seed, and
-    the bit-labeling convention, and no timestamps, so identical runs
-    produce byte-identical files.
+    The header carries the tool version, the config hash, the seed, the
+    random-draw scheme and the bit-labeling convention, and no timestamps,
+    so identical runs produce byte-identical files.
     """
     lines = [
         f"# dpc-perm {_version}",
         f"# config_hash={config_hash(cfg)}",
         f"# seed={cfg.seed}",
+        f"# rng_scheme={RNG_SCHEME}",
         f"# gray_labeling={GRAY_LABELING_NOTE}",
         "snr_db,bits,errors,ber,ci_lo,ci_hi,precoder,modulation,n_users,seed",
     ]
@@ -544,6 +613,7 @@ def write_manifest(
     """JSON summary mirroring each config plus its per-point records."""
     payload = {
         "schema_version": 1,
+        "rng_scheme": RNG_SCHEME,
         "tool": "dpc-perm",
         "version": _version,
         "sweeps": [

@@ -8,7 +8,9 @@ from dpc_perm.channel import (
     generate_channel,
     load_channel,
     pooled_entries,
+    sample_channel,
     save_channel,
+    stream,
 )
 from dpc_perm.exceptions import FormatError
 
@@ -18,6 +20,28 @@ def test_same_spec_is_bit_identical():
     a = generate_channel(spec)
     b = generate_channel(spec)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (4, 7), (10, 2024)])
+def test_single_draw_is_the_philox_ss_v1_draw(n, seed):
+    rng = stream(seed)
+    re = rng.standard_normal((n, n))
+    im = rng.standard_normal((n, n))
+    np.testing.assert_array_equal(sample_channel(stream(seed), n), (re + 1j * im) / np.sqrt(2.0))
+
+
+def test_generated_channel_values_are_pinned():
+    h = generate_channel(ChannelSpec(n_users=3, seed=2024))
+    assert h[0, 0] == complex(-0.14122583352104606, 0.572525897146633)
+    assert h[2, 1] == complex(0.49928828374464335, -0.9792541547460539)
+
+
+def test_stacked_draw_is_consecutive_single_draws():
+    rng = stream(11, 2)
+    singles = np.stack([sample_channel(rng, 5) for _ in range(3)])
+    stacked = sample_channel(stream(11, 2), 5, 3)
+    assert stacked.shape == (3, 5, 5)
+    np.testing.assert_array_equal(stacked, singles)
 
 
 def test_single_user_scalar_channel():

@@ -163,7 +163,7 @@ def test_ber_sweep_bad_power_budget_exits_2(tmp_path, budget):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("n_users", [2.7, True, 0])
+@pytest.mark.parametrize("n_users", [2.7, True, 0, 100000])
 def test_ber_sweep_bad_n_users_exits_2(tmp_path, n_users):
     path = tmp_path / "bad.json"
     path.write_text(

@@ -152,12 +152,116 @@ def test_sweep_is_deterministic():
 
 
 def test_worker_count_does_not_change_results():
-    cfg = small_cfg(trials_per_point=1100)  # forces multiple chunks
-    seq = run_ber_sweep(cfg, workers=1)
-    par = run_ber_sweep(cfg, workers=2)
-    assert [(r.bit_errors, r.bits_sent) for r in seq] == [
-        (r.bit_errors, r.bits_sent) for r in par
+    for cfg in (
+        small_cfg(trials_per_point=1100),  # forces multiple chunks
+        small_cfg(trials_per_point=1100, precoder="thp", channel_mode="fixed-channel"),
+    ):
+        seq = run_ber_sweep(cfg, workers=1)
+        par = run_ber_sweep(cfg, workers=2)
+        assert [(r.bit_errors, r.bits_sent, r.measured_tx_power) for r in seq] == [
+            (r.bit_errors, r.bits_sent, r.measured_tx_power) for r in par
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Random-draw contract (philox-ss-v2)
+# ---------------------------------------------------------------------------
+
+
+def chunk_draws(cfg, snr_idx, t0, t1):
+    c = make_constellation(cfg.constellation_order)
+    fixed_h = fixed_channel_for(cfg) if cfg.channel_mode == "fixed-channel" else None
+    return sim._chunk_draws(cfg, snr_idx, t0, t1, c, fixed_h)
+
+
+@pytest.mark.parametrize("t0", [0, 512])
+def test_short_chunk_draws_are_the_rows_of_a_full_chunk(t0):
+    cfg = small_cfg(precoder="thp")
+    short = chunk_draws(cfg, 1, t0, t0 + 300)
+    full = chunk_draws(cfg, 1, t0, t0 + 512)
+    names = ("channels", "bits", "noise", "pilot labels")
+    for name, a, b in zip(names, short, full):
+        assert a.shape[0] == 300 and b.shape[0] == 512, name
+        assert np.array_equal(a, b[:300]), name
+
+
+def test_trial_draws_do_not_depend_on_precoder_mode_or_trial_count():
+    zf = chunk_draws(small_cfg(precoder="zf", trials_per_point=40), 2, 0, 40)
+    thp = chunk_draws(small_cfg(precoder="thp", trials_per_point=9000), 2, 0, 40)
+    fixed = chunk_draws(small_cfg(precoder="zf", channel_mode="fixed-channel"), 2, 0, 40)
+    assert zf[3] is None and fixed[3] is None and thp[3].shape == (40, sim._THP_PILOTS, 4)
+    assert np.array_equal(zf[0], thp[0])
+    assert fixed[0].shape == (1, 4, 4)
+    for other in (thp, fixed):
+        assert np.array_equal(zf[1], other[1])  # bits
+        assert np.array_equal(zf[2], other[2])  # noise
+
+
+def test_draws_differ_between_snr_points_and_chunks():
+    cfg = small_cfg(precoder="thp")
+    base = chunk_draws(cfg, 0, 0, 8)
+    for other in (chunk_draws(cfg, 1, 0, 8), chunk_draws(cfg, 0, 512, 520)):
+        for a, b in zip(base, other):
+            assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "precoder,gain_mode",
+    [(p, "diag-L") for p in sim.PRECODERS] + [(p, "waterfill") for p in sim._DPC_FAMILY],
+)
+def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
+    monkeypatch, precoder, gain_mode
+):
+    # The fixed channel is precoded once per chunk; a per-trial sweep whose
+    # every trial draws that same channel precodes each copy, on the same
+    # bits and noise.
+    cfg = small_cfg(
+        precoder=precoder,
+        gain_mode=gain_mode,
+        channel_mode="fixed-channel",
+        snr_grid_db=(0.0, 8.0, math.inf),
+        trials_per_point=600,  # two chunks per point
+    )
+    fixed = run_ber_sweep(cfg)
+    h = fixed_channel_for(cfg)
+    monkeypatch.setattr(sim, "sample_channel", lambda rng, n, m: np.repeat(h[np.newaxis], m, 0))
+    cfg.channel_mode = "per-trial-channel"
+    per_trial = run_ber_sweep(cfg)
+    assert [(r.bit_errors, r.bits_sent) for r in fixed] == [
+        (r.bit_errors, r.bits_sent) for r in per_trial
     ]
+    for a, b in zip(fixed, per_trial):
+        assert a.measured_tx_power == pytest.approx(b.measured_tx_power, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Resource bound
+# ---------------------------------------------------------------------------
+
+
+def test_huge_n_users_is_a_config_error():
+    raw = {"n_users": 100000, "snr_grid_db": [0], "trials_per_point": 10}
+    with pytest.raises(ConfigError, match="n_users.*MiB"):
+        SweepConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "n_users,precoder,trials,ok",
+    [
+        (128, "zf", 10_000, True),  # 2 * 512 * 128**2 * 16 B: exactly the limit
+        (129, "zf", 10_000, False),
+        (128, "thp", 10_000, False),  # plus 512 * 129 * 128 * 16 B of THP draws
+        (128, "thp", 100, True),  # a chunk holds only the trials of a point
+        (300, "zf", 1, True),
+    ],
+)
+def test_chunk_memory_estimate_bounds_the_config(n_users, precoder, trials, ok):
+    cfg = small_cfg(n_users=n_users, precoder=precoder, trials_per_point=trials)
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="n_users"):
+            cfg.validate()
 
 
 def test_conventional_and_linear_share_error_counts():
@@ -200,7 +304,7 @@ def test_baseline_transmit_power_tracks_budget(precoder):
 @pytest.mark.parametrize("channel_mode", ["per-trial-channel", "fixed-channel"])
 def test_bd_sweep_matches_zf_sweep(channel_mode):
     # With single-antenna users BD is the channel inverse, so a BD sweep
-    # transmits exactly the ZF vectors on the same trial streams.
+    # transmits exactly the ZF vectors on the same trial draws.
     base = dict(
         n_users=6,
         snr_grid_db=(0.0, 8.0, 16.0, math.inf),
@@ -224,17 +328,17 @@ def test_bd_sweep_matches_zf_sweep(channel_mode):
     ],
 )
 def test_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder, snr_db, error):
-    monkeypatch.setattr(sim, "sample_channel", lambda rng, n: np.ones((n, n), dtype=complex))
+    monkeypatch.setattr(sim, "sample_channel", lambda rng, n, m: np.ones((m, n, n), dtype=complex))
     cfg = small_cfg(precoder=precoder, snr_grid_db=(snr_db,), trials_per_point=8)
     with pytest.raises(error, match=rf"sweep aborted \({precoder}, seed 5\)"):
         run_ber_sweep(cfg)
 
 
-def near_singular_channel(rng, n):
-    """A random channel whose rows 0 and 1 differ by 1e-14 in one entry."""
-    h = sample_channel(rng, n)
-    h[1] = h[0]
-    h[1, 0] += 1e-14
+def near_singular_channel(rng, n, m):
+    """Random channels ``(m, n, n)`` whose rows 0 and 1 differ by 1e-14 in one entry."""
+    h = sample_channel(rng, n, m)
+    h[:, 1] = h[:, 0]
+    h[:, 1, 0] += 1e-14
     return h
 
 
@@ -251,7 +355,7 @@ def near_singular_channel(rng, n):
 )
 def test_near_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder, snr_db):
     monkeypatch.setattr(sim, "sample_channel", near_singular_channel)
-    h = near_singular_channel(np.random.default_rng(0), 4)
+    h = near_singular_channel(np.random.default_rng(0), 4, 3)
     assert np.all(np.isfinite(np.linalg.inv(h)))  # invertible in floating point
     cfg = small_cfg(precoder=precoder, snr_grid_db=(snr_db,), trials_per_point=8)
     with pytest.raises(DpcPermError, match=rf"sweep aborted \({precoder}, seed 5\)"):
@@ -317,6 +421,7 @@ def test_csv_deterministic_and_schema(tmp_path):
     assert any("config_hash=" in ln for ln in provenance)
     assert any(f"seed={cfg.seed}" in ln for ln in provenance)
     assert any("gray_labeling=" in ln for ln in provenance)
+    assert "# rng_scheme=philox-ss-v2" in provenance
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header == "snr_db,bits,errors,ber,ci_lo,ci_hi,precoder,modulation,n_users,seed"
     data = [ln for ln in lines if not ln.startswith("#")][1:]
@@ -332,6 +437,7 @@ def test_manifest_mirrors_config(tmp_path):
     write_manifest([(cfg, records)], path)
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == 1
+    assert payload["rng_scheme"] == "philox-ss-v2"
     sweep = payload["sweeps"][0]
     assert sweep["config"]["n_users"] == 4
     assert sweep["config"]["snr_grid_db"] == [0.0, "inf"]
