@@ -36,8 +36,7 @@ from .linalg import (
 )
 from .modem import (
     Constellation,
-    add_awgn,
-    count_ber,
+    hard_decisions,
     make_constellation,
     qam_demodulate,
     qam_modulate,
@@ -97,8 +96,7 @@ __all__ = [
     "make_constellation",
     "qam_modulate",
     "qam_demodulate",
-    "add_awgn",
-    "count_ber",
+    "hard_decisions",
     "wilson_interval",
     "OrderSearchResult",
     "objective_ap",

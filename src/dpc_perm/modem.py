@@ -1,4 +1,4 @@
-"""QAM modulation, AWGN, and bit-error accounting.
+"""QAM modulation, hard decisions, and bit-error intervals.
 
 Constellations are unit-average-energy with a fixed, documented bit
 labeling so that result files are reproducible bit for bit:
@@ -13,15 +13,41 @@ labeling so that result files are reproducible bit for bit:
   cross, so labels follow a serpentine Gray walk over the columns:
   vertically adjacent points always differ in one bit.
 
-Hard decisions are minimum-Euclidean-distance over the full point set;
-exact ties resolve to the numerically smallest bit label.
+Hard decisions (:func:`hard_decisions`) give each sample its nearest
+point in Euclidean distance, an exact tie going to the numerically
+smallest bit label, and its decision margin, half the gap between the
+nearest and second-nearest distances. Both come from one pass over a
+candidate table rather than over the full point set (the restricted
+closest-point search of Agrell, Eriksson, Vardy & Zeger, IEEE TIT 2002):
+
+* The table covers the constellation plus four point spacings of padding
+  with square cells half a minimum spacing wide, so every decision line
+  is a cell edge. A cell keeps the points ``p`` with
+  ``mindist(cell, p) <= U + 1e-9``, where ``U`` is the second-smallest
+  ``maxdist(cell, q)`` over all points ``q``. For any sample in the cell
+  two points lie within ``U``, so its nearest and second-nearest points
+  are candidates. The slack covers rounding in the cell lookup and in
+  the distances (about 1e-15 inside the box), so points whose computed
+  distances tie with the winners are candidates too. The 16-, 64- and
+  128-point tables keep at most 8 candidates a cell, in label order;
+  short rows are padded with a point at infinity, never with a repeated
+  label, which would zero the margin.
+* Samples outside the box, and non-finite ones, are decided over the
+  full point set.
+* Candidates and full sets use the same arithmetic: ``d = |y - p|``, the
+  label from ``argmin(d**2)`` in label order and the margin from the two
+  smallest ``d``. The minimizers of the computed distances are always
+  candidates, so labels and margins equal the full search's bit for bit.
+* When the widest candidate list is more than half the constellation
+  (QPSK keeps all 4 points), one pass over all points is cheaper, and
+  the table is not used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,10 +59,9 @@ __all__ = [
     "make_constellation",
     "modulation_name",
     "qam_modulate",
+    "hard_decisions",
     "qam_demodulate",
     "decision_margins",
-    "add_awgn",
-    "count_ber",
     "wilson_interval",
 ]
 
@@ -44,6 +69,13 @@ QAM_ORDERS = (4, 16, 64, 128)
 
 # Two-sided 95% normal quantile used by the Wilson score interval.
 _Z95 = 1.959963984540054
+
+# Candidate-table geometry (see the module docstring): cells per minimum
+# point spacing, the padding around the constellation in point spacings,
+# and the slack of the candidate rule.
+_CELLS_PER_SPACING = 2
+_PAD_SPACINGS = 4
+_CANDIDATE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,6 +89,26 @@ class Constellation:
     @property
     def name(self) -> str:
         return modulation_name(self.order)
+
+    @cached_property
+    def _table(self) -> "_CandidateTable | None":
+        return _candidate_table(self.points)
+
+
+@dataclass(frozen=True)
+class _CandidateTable:
+    """Candidate points of each cell of a square grid over the constellation.
+
+    Cell ``(i, j)`` spans ``origin + width * ([i, i+1) + 1j * [j, j+1))``
+    and is row ``i * shape[1] + j`` of ``labels`` (candidate labels,
+    ascending) and ``points`` (their points, padded with infinity).
+    """
+
+    origin: complex
+    width: float
+    shape: tuple[int, int]
+    labels: np.ndarray
+    points: np.ndarray
 
 
 def modulation_name(order: int) -> str:
@@ -126,59 +178,102 @@ def qam_modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
     return c.points[labels]
 
 
-def qam_demodulate(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Hard-decision demodulation back to bits.
+def _candidate_table(points: np.ndarray) -> _CandidateTable | None:
+    """Build the candidate table of a constellation (module docstring), or
+    None when the widest candidate list is more than half the points."""
+    gaps = np.abs(points[:, np.newaxis] - points[np.newaxis, :])
+    spacing = float(np.min(gaps[gaps > 0]))
+    width = spacing / _CELLS_PER_SPACING
+    reach = (_PAD_SPACINGS + 0.5) * spacing
+    origin = complex(points.real.min() - reach, points.imag.min() - reach)
 
-    Nearest constellation point in Euclidean distance; an exact tie goes
-    to the smaller bit label (argmin picks the first minimum).
+    def axis(lo: float, p: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        # Per cell along one axis, the squared nearest and farthest offsets
+        # to each point.
+        cells = round((p.max() + reach - lo) / width)
+        edges = lo + width * np.arange(cells + 1)
+        near = np.maximum(0.0, np.maximum(edges[:-1, None] - p, p - edges[1:, None]))
+        far = np.maximum(np.abs(p - edges[:-1, None]), np.abs(p - edges[1:, None]))
+        return cells, near**2, far**2
+
+    n_re, near_re, far_re = axis(origin.real, points.real)
+    n_im, near_im, far_im = axis(origin.imag, points.imag)
+    keep = np.empty((n_re, n_im, points.size), dtype=bool)
+    for i in range(n_re):  # one row of cells at a time keeps the build small
+        mindist = np.sqrt(near_re[i] + near_im)
+        bound = np.sqrt(np.partition(far_re[i] + far_im, 1, axis=1)[:, 1:2])
+        keep[i] = mindist <= bound + _CANDIDATE_SLACK
+    keep = keep.reshape(n_re * n_im, points.size)
+    k = int(keep.sum(axis=1).max())
+    if 2 * k > points.size:
+        return None
+    # Kept labels first, each group in label order.
+    labels = np.argsort(~keep, axis=1, kind="stable")[:, :k]
+    table_points = np.where(np.take_along_axis(keep, labels, axis=1), points[labels], np.inf)
+    return _CandidateTable(origin, width, (n_re, n_im), labels, table_points)
+
+
+def _nearest_two(y: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest of ``points`` (per sample ``(N, K)``, or one set
+    ``(K,)``) and the decision margin, for each sample of ``y`` ``(N,)``."""
+    d = np.abs(y[:, np.newaxis] - points)
+    nearest = np.argmin(d**2, axis=1)
+    d.partition(1, axis=1)
+    return nearest, (d[:, 1] - d[:, 0]) / 2.0
+
+
+def _table_pass(
+    y: np.ndarray, u: np.ndarray, v: np.ndarray, table: _CandidateTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and margins of samples inside the table, at cell coordinates ``(u, v)``."""
+    cell = u.astype(np.intp) * table.shape[1] + v.astype(np.intp)
+    nearest, margins = _nearest_two(y, table.points[cell])
+    return table.labels[cell, nearest], margins
+
+
+def hard_decisions(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-decision bits and decision margins of the samples ``y``.
+
+    Each sample goes to its nearest constellation point in Euclidean
+    distance, an exact tie to the smaller bit label; its margin is half
+    the gap between the nearest and second-nearest point distances, zero
+    on a decision boundary. One pass over the constellation's candidate
+    table gives both, bit-identical to a search over all points (see the
+    module docstring).
     """
     y = np.asarray(y, dtype=np.complex128).ravel()
-    d2 = np.abs(y[:, np.newaxis] - c.points[np.newaxis, :]) ** 2
-    labels = np.argmin(d2, axis=1)
+    table = c._table
+    if table is None:
+        labels, margins = _nearest_two(y, c.points)
+    else:
+        rel = y - table.origin
+        with np.errstate(over="ignore"):  # a huge sample's coordinate is inf: outside
+            u = rel.real / table.width
+            v = rel.imag / table.width
+        # False for NaN, so non-finite samples take the full search.
+        inside = (u >= 0) & (u < table.shape[0]) & (v >= 0) & (v < table.shape[1])
+        if inside.all():
+            labels, margins = _table_pass(y, u, v, table)
+        else:
+            labels = np.empty(y.size, dtype=np.intp)
+            margins = np.empty(y.size)
+            labels[inside], margins[inside] = _table_pass(y[inside], u[inside], v[inside], table)
+            outside = ~inside
+            labels[outside], margins[outside] = _nearest_two(y[outside], c.points)
     b = c.bits_per_symbol
     shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-    return ((labels[:, np.newaxis] >> shifts) & 1).astype(np.uint8).ravel()
+    return ((labels[:, np.newaxis] >> shifts) & 1).astype(np.uint8).ravel(), margins
+
+
+def qam_demodulate(y: np.ndarray, c: Constellation) -> np.ndarray:
+    """Hard-decision bits of the samples ``y`` (see :func:`hard_decisions`)."""
+    return hard_decisions(y, c)[0]
 
 
 def decision_margins(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Distance of each sample to its nearest decision boundary.
-
-    Half the gap between the nearest and second-nearest point distances;
-    zero means the sample sits exactly on a boundary.
-    """
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    d = np.abs(y[:, np.newaxis] - c.points[np.newaxis, :])
-    d.sort(axis=1)
-    return (d[:, 1] - d[:, 0]) / 2.0
-
-
-def add_awgn(
-    x: np.ndarray, snr_db: float, signal_power: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise at the given SNR.
-
-    Noise variance per entry is ``signal_power / 10**(snr_db / 10)``.
-    ``snr_db = inf`` is the noiseless sentinel and returns ``x``
-    unchanged (no draw is consumed). Deterministic in ``rng``.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if not signal_power > 0:
-        raise ValueError(f"signal_power must be positive, got {signal_power}")
-    if math.isinf(snr_db):
-        return x.copy()
-    noise_var = signal_power / 10.0 ** (snr_db / 10.0)
-    scale = math.sqrt(noise_var / 2.0)
-    noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-    return x + scale * noise
-
-
-def count_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int]:
-    """Hamming distance and total length of two bit vectors."""
-    tx = np.asarray(tx_bits).ravel()
-    rx = np.asarray(rx_bits).ravel()
-    if tx.size != rx.size:
-        raise LengthMismatch(f"bit vectors differ in length: {tx.size} vs {rx.size}")
-    return int(np.count_nonzero(tx != rx)), int(tx.size)
+    """Distance of each sample to its nearest decision boundary (see
+    :func:`hard_decisions`)."""
+    return hard_decisions(y, c)[1]
 
 
 def wilson_interval(errors: int, total: int) -> tuple[float, float]:

@@ -266,10 +266,16 @@ def modulo_lattice(z: np.ndarray, base: float) -> np.ndarray:
     if not base > 0:
         raise ValueError(f"modulo base must be positive, got {base}")
     z = np.asarray(z, dtype=np.complex128)
+    # Both parts in one pass over the interleaved float64 view, computing
+    # r - span * floor((r + base) / span) in one buffer.
+    r = np.ascontiguousarray(z).view(np.float64)
     span = 2.0 * base
-    re = np.real(z) - span * np.floor((np.real(z) + base) / span)
-    im = np.imag(z) - span * np.floor((np.imag(z) + base) / span)
-    return re + 1j * im
+    out = r + base
+    out /= span
+    np.floor(out, out=out)
+    out *= span
+    np.subtract(r, out, out=out)
+    return out.view(np.complex128).reshape(z.shape)
 
 
 def thp_modulo_base(points: np.ndarray) -> float:

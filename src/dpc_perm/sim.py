@@ -60,6 +60,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,10 +72,9 @@ from .linalg import lq_decompose
 from .modem import (
     Constellation,
     QAM_ORDERS,
-    decision_margins,
+    hard_decisions,
     make_constellation,
     modulation_name,
-    qam_demodulate,
     qam_modulate,
     wilson_interval,
 )
@@ -404,11 +404,9 @@ def _simulate_chunk(
     y_hat = np.zeros_like(y)
     np.divide(y, g, out=y_hat, where=active)
     if is_thp:
-        y_hat = modulo_lattice(y_hat, thp_modulo_base(c.points))
+        y_hat = modulo_lattice(y_hat, _thp_base(c.order))
 
-    rx_symbols = y_hat[active]
-    margins = decision_margins(rx_symbols, c)
-    rx_bits = qam_demodulate(rx_symbols, c)
+    rx_bits, margins = hard_decisions(y_hat[active], c)
     tx_bits = bits.reshape(m, cfg.n_users, c.bits_per_symbol)[active].ravel()
     errors = int(np.count_nonzero(tx_bits != rx_bits))
 
@@ -466,6 +464,12 @@ def _linear_transmit(
     return x, alpha[:, np.newaxis] * hw_diag
 
 
+@lru_cache(maxsize=None)
+def _thp_base(order: int) -> float:
+    """THP's modulo base for a constellation order, computed once."""
+    return thp_modulo_base(make_constellation(order).points)
+
+
 def _thp_transmit(
     cfg: SweepConfig, hs: np.ndarray, draws: np.ndarray, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -477,7 +481,7 @@ def _thp_transmit(
     """
     factors = lq_decompose(hs)
     l = np.broadcast_to(factors.l, (draws.shape[0],) + factors.l.shape[1:])
-    xt = thp_feedback(l, draws, thp_modulo_base(c.points))
+    xt = thp_feedback(l, draws, _thp_base(c.order))
     mean_power = np.mean(np.sum(np.abs(xt[:, 1:]) ** 2, axis=2), axis=1)
     alpha = np.sqrt(cfg.power_budget / mean_power)
     x = alpha[:, np.newaxis] * _apply(factors.q.conj().transpose(0, 2, 1), xt[:, 0])

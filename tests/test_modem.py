@@ -1,23 +1,71 @@
-"""Tests for constellations, AWGN, and bit-error accounting."""
+"""Tests for constellations, hard decisions, AWGN, and bit-error accounting."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpc_perm.channel import stream
 from dpc_perm.exceptions import LengthMismatch
 from dpc_perm.modem import (
     QAM_ORDERS,
-    add_awgn,
-    count_ber,
     decision_margins,
+    hard_decisions,
     make_constellation,
     modulation_name,
     qam_demodulate,
     qam_modulate,
     wilson_interval,
 )
+
+
+def full_search_demodulate(y, c):
+    """Reference hard decisions: nearest point over the full point set,
+    an exact tie to the smaller label (argmin picks the first minimum)."""
+    y = np.asarray(y, dtype=np.complex128).ravel()
+    d2 = np.abs(y[:, np.newaxis] - c.points[np.newaxis, :]) ** 2
+    labels = np.argmin(d2, axis=1)
+    b = c.bits_per_symbol
+    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
+    return ((labels[:, np.newaxis] >> shifts) & 1).astype(np.uint8).ravel()
+
+
+def full_search_margins(y, c):
+    """Reference margins: half the gap between the nearest and
+    second-nearest of all point distances, from a full sort."""
+    y = np.asarray(y, dtype=np.complex128).ravel()
+    d = np.abs(y[:, np.newaxis] - c.points[np.newaxis, :])
+    d.sort(axis=1)
+    return (d[:, 1] - d[:, 0]) / 2.0
+
+
+def add_awgn(x, snr_db, signal_power, rng):
+    """Add circularly-symmetric complex Gaussian noise at the given SNR.
+
+    Noise variance per entry is ``signal_power / 10**(snr_db / 10)``.
+    ``snr_db = inf`` is the noiseless sentinel and returns ``x``
+    unchanged (no draw is consumed). Deterministic in ``rng``.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if not signal_power > 0:
+        raise ValueError(f"signal_power must be positive, got {signal_power}")
+    if math.isinf(snr_db):
+        return x.copy()
+    noise_var = signal_power / 10.0 ** (snr_db / 10.0)
+    scale = math.sqrt(noise_var / 2.0)
+    noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    return x + scale * noise
+
+
+def count_ber(tx_bits, rx_bits):
+    """Hamming distance and total length of two bit vectors."""
+    tx = np.asarray(tx_bits).ravel()
+    rx = np.asarray(rx_bits).ravel()
+    if tx.size != rx.size:
+        raise LengthMismatch(f"bit vectors differ in length: {tx.size} vs {rx.size}")
+    return int(np.count_nonzero(tx != rx)), int(tx.size)
 
 
 def test_qpsk_labeling_convention():
@@ -103,6 +151,146 @@ def test_decision_margins():
 def test_modulation_names():
     assert modulation_name(4) == "qpsk"
     assert modulation_name(128) == "128-qam"
+
+
+# ---------------------------------------------------------------------------
+# Hard decisions against the full search
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_full_search(y, c):
+    bits, margins = hard_decisions(y, c)
+    np.testing.assert_array_equal(bits, full_search_demodulate(y, c))
+    np.testing.assert_array_equal(margins, full_search_margins(y, c))
+
+
+def half_spacing(c):
+    """Half the minimum point spacing, the ``a`` of the odd-integer grid."""
+    gaps = np.abs(c.points[:, None] - c.points[None, :])
+    return np.min(gaps[gaps > 0]) / 2.0
+
+
+def test_candidate_table_is_used_from_16_qam_up():
+    # QPSK keeps all 4 points in a cell, so it is decided in one pass over
+    # all points; the larger constellations go through the table.
+    assert make_constellation(4)._table is None
+    for order in (16, 64, 128):
+        table = make_constellation(order)._table
+        assert table.labels.shape[1] <= 8
+        # rows hold distinct labels, ascending, padded at infinity
+        valid = np.isfinite(table.points)
+        for labels, ok in zip(table.labels, valid):
+            assert np.all(np.diff(labels[ok]) > 0)
+            assert ok[0] and np.all(ok[: ok.sum()])
+    assert make_constellation(128)._table.shape == (40, 40)
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_hard_decisions_match_at_boundaries_and_midpoints(order):
+    c = make_constellation(order)
+    p = c.points
+    assert_matches_full_search(((p[:, None] + p[None, :]) / 2).ravel(), c)
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_hard_decisions_match_on_half_spacing_grid(order):
+    c = make_constellation(order)
+    k = np.arange(-30, 31) * half_spacing(c)
+    assert_matches_full_search((k[:, None] + 1j * k[None, :]).ravel(), c)
+
+
+def test_hard_decisions_match_at_cross_corners():
+    c = make_constellation(128)
+    a = half_spacing(c)
+    # Vertices of the cross outline, the points around its notches, and
+    # samples nudged off each by a few ulps.
+    raw = [(12, 8), (8, 8), (8, 12), (11, 7), (7, 11), (9, 7), (7, 9), (7, 7), (9, 9), (11, 11)]
+    base = np.array([complex(sr * x, si * y) for x, y in raw for sr in (1, -1) for si in (1, -1)])
+    base = np.concatenate([base, base.conj() * 1j]) * a
+    nudged = [base * (1 + e) for e in (0.0, 1e-15, -1e-15, 1e-9, -1e-9)]
+    assert_matches_full_search(np.concatenate(nudged), c)
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+def test_hard_decisions_match_at_table_edges(order):
+    c = make_constellation(order)
+    table = c._table
+    n_re, n_im = table.shape
+    lo_re, lo_im = table.origin.real, table.origin.imag
+    hi_re, hi_im = lo_re + n_re * table.width, lo_im + n_im * table.width
+    along_re = np.linspace(lo_re, hi_re, 97)
+    along_im = np.linspace(lo_im, hi_im, 97)
+    samples = []
+    for edge, other, on_re in ((lo_re, along_im, True), (hi_re, along_im, True),
+                               (lo_im, along_re, False), (hi_im, along_re, False)):
+        for x in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
+                  edge - 1e-12, edge + 1e-12):
+            samples.append(x + 1j * other if on_re else other + 1j * x)
+    assert_matches_full_search(np.concatenate(samples), c)
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_hard_decisions_match_far_outside(order):
+    c = make_constellation(order)
+    far = np.array([1e8 + 0.5j, -1e8 + 0j, 0.5 - 1e8j, 1e8 + 1e8j, -3e5 + 7e4j,
+                    1e150 + 1e150j, 1e200 - 1e100j, 1e-300 + 0j, -0.0 - 0.0j])
+    assert_matches_full_search(far, c)
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_hard_decisions_match_on_non_finite_samples(order):
+    c = make_constellation(order)
+    y = np.array([np.inf, -np.inf, complex(np.inf, 1.0), complex(0.3, -np.inf),
+                  complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.inf), 0.1 + 0.2j])
+    with np.errstate(invalid="ignore"):  # inf - inf in the margins
+        assert_matches_full_search(y, c)
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_hard_decisions_exact_ties_go_to_smallest_label(order):
+    c = make_constellation(order)
+    p = c.points
+    mids = ((p[:, None] + p[None, :]) / 2).ravel()
+    d2 = np.abs(mids[:, None] - p[None, :]) ** 2
+    tied = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1
+    assert tied.sum() >= order  # every point has a neighbor it ties with
+    labels = np.argmax(d2[tied] == d2[tied].min(axis=1, keepdims=True), axis=1)
+    b = c.bits_per_symbol
+    bits = (labels[:, None] >> np.arange(b - 1, -1, -1)) & 1
+    np.testing.assert_array_equal(qam_demodulate(mids[tied], c), bits.ravel())
+    np.testing.assert_array_equal(decision_margins(mids[tied], c), full_search_margins(mids[tied], c))
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+@pytest.mark.parametrize("scale", [0.05, 0.5, 1.0, 2.0, 10.0, 1e4])
+def test_hard_decisions_match_on_random_samples(order, scale):
+    c = make_constellation(order)
+    rng = np.random.default_rng(order * 1000 + int(scale * 100))
+    # 10^5 samples, in blocks that keep the reference's N x M matrices small
+    for _ in range(10):
+        y = scale * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
+        assert_matches_full_search(y, c)
+
+
+def test_hard_decisions_empty_and_shaped_input():
+    c = make_constellation(64)
+    bits, margins = hard_decisions(np.array([], dtype=complex), c)
+    assert bits.shape == (0,) and margins.shape == (0,)
+    y = np.array([[0.1 + 0.2j, 3.0], [-0.4j, 1e9]])
+    assert_matches_full_search(y, c)
+
+
+# Samples near the constellation (inside the candidate table) and anywhere.
+_SAMPLES = st.one_of(
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(order=st.sampled_from(QAM_ORDERS), y=st.lists(_SAMPLES, min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_hard_decisions_property_matches_full_search(order, y):
+    assert_matches_full_search(np.array(y, dtype=np.complex128), make_constellation(order))
 
 
 # ---------------------------------------------------------------------------

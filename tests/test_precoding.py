@@ -251,6 +251,23 @@ def test_modulo_wraps():
     np.testing.assert_allclose(modulo_lattice(np.array([1.5 + 0.0j]), 1.0), [-0.5 + 0.0j])
 
 
+def test_modulo_equals_per_part_wrap():
+    # Reference: the real and imaginary parts wrapped in separate passes.
+    # The arithmetic per part is the same, so only the sign of a zero may
+    # differ, which == ignores.
+    rng = np.random.default_rng(5)
+    z = 4.0 * (rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7)))
+    z[0, :3] = [0.0, -0.0 + 2.5j, 1.0 - 1.0j]
+    base = 0.9
+    for arg in (z, z[:, ::2], z.T, z[2, 3]):
+        span = 2.0 * base
+        re = np.real(arg) - span * np.floor((np.real(arg) + base) / span)
+        im = np.imag(arg) - span * np.floor((np.imag(arg) + base) / span)
+        out = modulo_lattice(arg, base)
+        assert out.shape == np.shape(arg)
+        assert np.all(out == re + 1j * im)
+
+
 def test_thp_identity_channel_no_wrap():
     s = np.array([0.5 + 0.5j, -0.5 - 0.5j])
     np.testing.assert_allclose(thp_precode(np.eye(2), s, modulo_base=1.0), s, atol=1e-14)
