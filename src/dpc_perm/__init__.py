@@ -20,6 +20,7 @@ from .exceptions import (
     LengthMismatch,
     NumericallySingular,
     OrderSpaceTooLarge,
+    WorkerCrashed,
 )
 from .linalg import (
     EPS_LIN,
@@ -59,7 +60,6 @@ from .precoding import (
     mmse_precode,
     normalize_gains,
     thp_precode,
-    thp_receive,
     waterfill,
     waterfill_powers,
     zf_precode,
@@ -81,6 +81,7 @@ __all__ = [
     "LengthMismatch",
     "FormatError",
     "ConfigError",
+    "WorkerCrashed",
     "EPS_LIN",
     "EPS_SING",
     "LqFactors",
@@ -114,7 +115,6 @@ __all__ = [
     "zf_precode",
     "mmse_precode",
     "thp_precode",
-    "thp_receive",
     "bd_precode",
     "BerRecord",
     "SweepConfig",

@@ -11,8 +11,10 @@ complexity    Decomposition-cost model table with instrumented counts.
 verify        Run the built-in property suites.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric failure. Identical invocations produce byte-identical output
-files (no timestamps anywhere).
+3 numeric failure, 4 a worker process of a parallel sweep died. Numeric
+and worker failures name the precoder, seed, SNR point and trial range.
+Identical invocations produce byte-identical output files (no timestamps
+anywhere).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelSpec, generate_channel
-from .exceptions import ConfigError, DpcPermError, OrderSpaceTooLarge
+from .exceptions import ConfigError, DpcPermError, OrderSpaceTooLarge, WorkerCrashed
 from .linalg import count_decompositions, lq_decompose
 from .modem import QAM_ORDERS, make_constellation, qam_modulate
 from .ordering import (
@@ -53,6 +55,7 @@ _EXIT_OK = 0
 _EXIT_VERIFY = 1
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
+_EXIT_WORKER = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,6 +109,9 @@ def main(argv=None) -> int:
     except (ConfigError, OrderSpaceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except WorkerCrashed as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return _EXIT_WORKER
     except DpcPermError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC

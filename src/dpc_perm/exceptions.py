@@ -35,3 +35,7 @@ class FormatError(DpcPermError):
 
 class ConfigError(DpcPermError):
     """An experiment configuration is missing fields or holds bad values."""
+
+
+class WorkerCrashed(DpcPermError):
+    """A worker process of a parallel sweep died before returning its chunk."""

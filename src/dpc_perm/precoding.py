@@ -42,7 +42,6 @@ __all__ = [
     "mmse_precode",
     "thp_precode",
     "thp_feedback",
-    "thp_receive",
     "thp_modulo_base",
     "modulo_lattice",
     "bd_precode",
@@ -301,7 +300,7 @@ def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     hs = as_channel_stack(h)
     s = _as_symbols(s, h)
     factors = lq_decompose(hs)
-    xt = thp_feedback(factors.l, s[:, np.newaxis, :], modulo_base)[:, 0, :]
+    xt = thp_feedback(factors.l, s[:, :, np.newaxis], modulo_base)[:, :, 0]
     x = np.einsum("mji,mj->mi", factors.q.conj(), xt)
     return x if np.ndim(h) == 3 else x[0]
 
@@ -309,24 +308,22 @@ def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
 def thp_feedback(l: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     """Successive modulo feedback ``x~`` of THP, before the ``q^H`` rotation.
 
-    ``l`` is a stack of LQ lower factors ``(m, n, n)`` and ``s`` holds any
-    number of symbol vectors per channel, ``(m, draws, n)``:
+    ``l`` is a stack of LQ lower factors ``(m, n, n)``, or one factor
+    ``(1, n, n)`` shared by every channel (broadcast, never copied). ``s``
+    holds any number of symbol vectors per channel in a user-major layout,
+    ``(m, n, draws)``, and the result has the same shape:
 
         x~[i] = mod(s[i] - sum_{j<i} l[i, j] * x~[j] / l[i, i])
+
+    ``l`` is divided by its diagonal once; each user is then one batched
+    matmul over its contiguous row ``[:, i, :]`` of every draw.
     """
-    m, draws, n = s.shape
-    xt = np.zeros((m, draws, n), dtype=np.complex128)
-    for i in range(n):
-        acc = np.einsum("mj,mdj->md", l[:, i, :i], xt[:, :, :i])
-        xt[:, :, i] = modulo_lattice(s[:, :, i] - acc / l[:, i, i][:, np.newaxis], modulo_base)
+    b = l / np.diagonal(l, axis1=1, axis2=2)[:, :, np.newaxis]
+    xt = np.empty(s.shape, dtype=np.complex128)
+    for i in range(s.shape[1]):
+        row = s[:, i : i + 1] - b[:, i : i + 1, :i] @ xt[:, :i]
+        xt[:, i : i + 1] = modulo_lattice(row, modulo_base)
     return xt
-
-
-def thp_receive(y: np.ndarray, gains: np.ndarray, modulo_base: float) -> np.ndarray:
-    """Receiver side of THP: per-user gain compensation then modulo."""
-    y = np.asarray(y, dtype=np.complex128)
-    k = as_gains(gains, y.shape[-1])
-    return modulo_lattice(y / k, modulo_base)
 
 
 def bd_precode(

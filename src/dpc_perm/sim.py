@@ -59,6 +59,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -67,7 +69,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .channel import sample_channel, stream
-from .exceptions import ConfigError, DpcPermError
+from .exceptions import ConfigError, DpcPermError, WorkerCrashed
 from .linalg import lq_decompose
 from .modem import (
     Constellation,
@@ -141,9 +143,10 @@ _THP_PILOTS = 128
 
 # Largest estimated working set of one chunk (see _chunk_bytes); a bigger
 # config is refused by SweepConfig.validate instead of failing to allocate.
-# The precoders' own temporaries bring the real peak to about 2-4 times the
-# estimate (n = 64, 512 trials: zf 104 MB, dpc-linear 239 MB, thp 336 MB
-# of growth against estimates of 67, 67 and 135 MB), so at most about 1 GB.
+# The precoders' own temporaries bring the real peak to about 1.5-3.5 times
+# the estimate (n = 64, 512 trials, growth of the peak resident set: zf
+# 99 MB, dpc-linear 230 MB, thp 267 MB against estimates of 67, 67 and
+# 135 MB), so at most about 1 GB.
 _MAX_CHUNK_BYTES = 2**28
 
 _DPC_FAMILY = ("dpc-conventional", "dpc-linear")
@@ -387,10 +390,11 @@ def _simulate_chunk(
 
     is_thp = labels is not None
     if is_thp:
-        # Row 0 of each trial is its data vector, rows 1.. its pilots.
-        draws = np.empty((m, 1 + _THP_PILOTS, cfg.n_users), dtype=np.complex128)
-        draws[:, 0] = s
-        draws[:, 1:] = c.points[labels]
+        # User-major: column 0 of each trial is its data vector, columns
+        # 1.. its pilots.
+        draws = np.empty((m, cfg.n_users, 1 + _THP_PILOTS), dtype=np.complex128)
+        draws[:, :, 0] = s
+        np.take(c.points, labels.transpose(0, 2, 1), out=draws[:, :, 1:])
         x, g = _thp_transmit(cfg, hs, draws, c)
     else:
         x, g = _linear_transmit(cfg, hs, s, nv)
@@ -475,16 +479,19 @@ def _thp_transmit(
 ) -> tuple[np.ndarray, np.ndarray]:
     """THP for one chunk; transmit power calibrated from the pilot batch.
 
-    The data vectors (``draws[:, 0]``) and the pilots share one LQ and
-    one feedback pass. A shared channel ``(1, n, n)`` is factored once and
-    its factors broadcast; the feedback and the power still run per trial.
+    ``draws`` is user-major, ``(m, n, 1 + _THP_PILOTS)``: column 0 holds
+    each trial's data vector, the other columns its pilots. They share
+    one LQ and one feedback pass. A shared channel ``(1, n, n)`` is
+    factored once and its factor broadcast inside the feedback; the
+    feedback and the power still run per trial. The pilot power is one
+    sum of squares over the float64 view of the pilot columns.
     """
     factors = lq_decompose(hs)
-    l = np.broadcast_to(factors.l, (draws.shape[0],) + factors.l.shape[1:])
-    xt = thp_feedback(l, draws, _thp_base(c.order))
-    mean_power = np.mean(np.sum(np.abs(xt[:, 1:]) ** 2, axis=2), axis=1)
+    xt = thp_feedback(factors.l, draws, _thp_base(c.order))
+    pilots = xt[:, :, 1:].view(np.float64)
+    mean_power = np.einsum("mij,mij->m", pilots, pilots) / _THP_PILOTS
     alpha = np.sqrt(cfg.power_budget / mean_power)
-    x = alpha[:, np.newaxis] * _apply(factors.q.conj().transpose(0, 2, 1), xt[:, 0])
+    x = alpha[:, np.newaxis] * _apply(factors.q.conj().transpose(0, 2, 1), xt[:, :, 0])
     return x, alpha[:, np.newaxis] * factors.diag
 
 
@@ -493,12 +500,28 @@ def _thp_transmit(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _chunk_context(cfg: SweepConfig, task: tuple[int, float, int, int]):
+    """Re-raise a chunk's failure with the precoder, seed, SNR point and
+    trial range attached; a dead worker process becomes :class:`WorkerCrashed`."""
+    _, snr_db, t0, t1 = task
+    where = f"sweep aborted ({cfg.precoder}, seed {cfg.seed}) at {snr_db:g} dB, trials [{t0}, {t1})"
+    try:
+        yield
+    except BrokenProcessPool as exc:
+        raise WorkerCrashed(f"{where}: a worker process died: {exc}") from exc
+    except DpcPermError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecord]:
     """Run the full SNR sweep described by ``cfg``.
 
     Results are a pure function of the config: per-chunk streams make the
     error counts identical for any worker count. Precoder failures abort
-    the sweep with the offending SNR point attached.
+    the sweep with the precoder, seed, offending SNR point (in dB) and the
+    chunk's trial range attached; a worker process that dies raises
+    :class:`WorkerCrashed` with the same context.
     """
     cfg.validate()
     n_workers = resolve_workers(workers)
@@ -511,20 +534,16 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
             tasks.append((snr_idx, snr_db, t0, t1))
 
     partials: dict[int, list[dict]] = {i: [] for i in range(len(cfg.snr_grid_db))}
-    try:
-        if n_workers == 1:
-            for snr_idx, snr_db, t0, t1 in tasks:
-                partials[snr_idx].append(_simulate_chunk(cfg, snr_idx, snr_db, t0, t1, fixed_h))
-        else:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = [
-                    (snr_idx, pool.submit(_simulate_chunk, cfg, snr_idx, snr_db, t0, t1, fixed_h))
-                    for snr_idx, snr_db, t0, t1 in tasks
-                ]
-                for snr_idx, fut in futures:
-                    partials[snr_idx].append(fut.result())
-    except DpcPermError as exc:
-        raise type(exc)(f"sweep aborted ({cfg.precoder}, seed {cfg.seed}): {exc}") from exc
+    if n_workers == 1:
+        for task in tasks:
+            with _chunk_context(cfg, task):
+                partials[task[0]].append(_simulate_chunk(cfg, *task, fixed_h))
+    else:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            futures = [(task, pool.submit(_simulate_chunk, cfg, *task, fixed_h)) for task in tasks]
+            for task, fut in futures:
+                with _chunk_context(cfg, task):
+                    partials[task[0]].append(fut.result())
 
     records = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):

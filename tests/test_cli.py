@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from dpc_perm import cli
+from dpc_perm.exceptions import WorkerCrashed
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     import os
@@ -173,6 +176,18 @@ def test_ber_sweep_bad_n_users_exits_2(tmp_path, n_users):
     assert res.returncode == 2, res.stderr
     assert "n_users" in res.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_ber_sweep_worker_crash_exits_4(tmp_path, sweep_config, monkeypatch, capsys):
+    # sim turns a BrokenProcessPool into WorkerCrashed (tests/test_sim.py);
+    # here only the exit code and the message are checked.
+    def crash(cfg, workers=None):
+        raise WorkerCrashed("sweep aborted (dpc-linear, seed 7) at 0 dB, trials [0, 120)")
+
+    monkeypatch.setattr(cli, "run_ber_sweep", crash)
+    argv = ["ber-sweep", "--config", str(sweep_config), "--out", str(tmp_path), "--workers", "2"]
+    assert cli.main(argv) == 4
+    assert "worker failure: sweep aborted" in capsys.readouterr().err
 
 
 def test_complexity_table(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
@@ -14,13 +16,16 @@ from dpc_perm.precoding import (
     mmse_precode,
     modulo_lattice,
     normalize_gains,
+    thp_feedback,
     thp_modulo_base,
     thp_precode,
-    thp_receive,
     waterfill,
     waterfill_powers,
     zf_precode,
 )
+
+
+QPSK_BASE = thp_modulo_base(make_constellation(4).points)
 
 
 def random_channel(seed, n):
@@ -268,6 +273,81 @@ def test_modulo_equals_per_part_wrap():
         assert np.all(out == re + 1j * im)
 
 
+def thp_receive(y, gains, modulo_base):
+    """Receiver side of THP: per-user gain compensation, then the modulo."""
+    return modulo_lattice(np.asarray(y, dtype=np.complex128) / gains, modulo_base)
+
+
+def thp_feedback_reference(l, s, base):
+    """Plain per-vector scalar recursion over a user-major ``s`` ``(m, n, draws)``:
+
+    x~[i] = mod(s[i] - sum_{j<i} l[i, j] * x~[j] / l[i, i])
+    """
+    m, n, draws = s.shape
+    l = np.broadcast_to(l, (m, n, n))
+    xt = np.zeros(s.shape, dtype=np.complex128)
+    for t in range(m):
+        for d in range(draws):
+            for i in range(n):
+                acc = sum(l[t, i, j] * xt[t, j, d] for j in range(i))
+                xt[t, i, d] = modulo_lattice(s[t, i, d] - acc / l[t, i, i], base)
+    return xt
+
+
+def random_lq_stack(rng, m, n):
+    """Lower LQ factors of ``m`` random channels, ``(m, n, n)``."""
+    h = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return lq_decompose(h).l
+
+
+@pytest.mark.parametrize(
+    "m, n, draws, shared",
+    [
+        pytest.param(4, 6, 7, False, id="stack"),
+        pytest.param(3, 5, 7, True, id="shared-factor"),
+        pytest.param(4, 6, 1, False, id="draws-1"),
+        pytest.param(2, 5, 129, False, id="draws-129"),
+        pytest.param(3, 5, 129, True, id="shared-factor-draws-129"),
+        pytest.param(5, 1, 3, False, id="n-1"),
+    ],
+)
+def test_thp_feedback_matches_scalar_recursion(m, n, draws, shared):
+    rng = np.random.default_rng(100 + 7 * n + draws)
+    l = random_lq_stack(rng, 1 if shared else m, n)
+    s = 3.0 * (rng.standard_normal((m, n, draws)) + 1j * rng.standard_normal((m, n, draws)))
+    got = thp_feedback(l, s, QPSK_BASE)
+    assert got.shape == (m, n, draws)
+    np.testing.assert_allclose(got, thp_feedback_reference(l, s, QPSK_BASE), rtol=1e-12, atol=1e-12)
+
+
+def test_thp_feedback_divides_by_a_complex_diagonal():
+    # Any lower-triangular factor, not only the LQ one with a real diagonal.
+    rng = np.random.default_rng(11)
+    l = np.tril(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+    l[:, np.arange(4), np.arange(4)] += 2.0 + 1.0j
+    s = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    np.testing.assert_allclose(
+        thp_feedback(l, s, 1.0), thp_feedback_reference(l, s, 1.0), rtol=1e-12, atol=1e-12
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 3),
+    n=st.integers(1, 6),
+    draws=st.integers(1, 9),
+    base=st.floats(0.05, 20.0),
+    scale=st.floats(0.0, 1e3),
+)
+def test_thp_feedback_output_lies_in_the_modulo_region(seed, m, n, draws, base, scale):
+    rng = np.random.default_rng(seed)
+    l = random_lq_stack(rng, m, n)
+    s = scale * (rng.standard_normal((m, n, draws)) + 1j * rng.standard_normal((m, n, draws)))
+    parts = thp_feedback(l, s, base).view(np.float64)
+    assert np.all((parts >= -base) & (parts < base))
+
+
 def test_thp_identity_channel_no_wrap():
     s = np.array([0.5 + 0.5j, -0.5 - 0.5j])
     np.testing.assert_allclose(thp_precode(np.eye(2), s, modulo_base=1.0), s, atol=1e-14)
@@ -456,8 +536,6 @@ def test_bd_rejects_bad_stack_shapes():
 # ---------------------------------------------------------------------------
 # Stack API
 # ---------------------------------------------------------------------------
-
-QPSK_BASE = thp_modulo_base(make_constellation(4).points)
 
 # Each case maps (channel, symbols, gains) to a tuple of arrays; the same
 # call on a stack must give the per-channel results exactly.

@@ -2,6 +2,9 @@
 
 import json
 import math
+import tracemalloc
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from dpc_perm.exceptions import (
     DpcPermError,
     InfeasibleBlocking,
     NumericallySingular,
+    WorkerCrashed,
 )
 from dpc_perm.modem import make_constellation
 from dpc_perm.precoding import waterfill
@@ -360,6 +364,79 @@ def test_near_singular_trial_channel_aborts_sweep_with_context(monkeypatch, prec
     cfg = small_cfg(precoder=precoder, snr_grid_db=(snr_db,), trials_per_point=8)
     with pytest.raises(DpcPermError, match=rf"sweep aborted \({precoder}, seed 5\)"):
         run_ber_sweep(cfg)
+
+
+class InlinePool:
+    """Stand-in for ``ProcessPoolExecutor`` that runs each task in ``submit``
+    and hands back a finished future; starts no process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+class BrokenPool(InlinePool):
+    """Stand-in pool whose every future raises ``BrokenProcessPool``."""
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+        return fut
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_failure_names_snr_point_and_trial_range(monkeypatch, workers):
+    real = sim.mmse_precode
+
+    def failing(h, noise_var, power=None):
+        # Only the 88-trial second chunk at 10 dB (4 users, budget 4: noise
+        # variance 0.1) fails.
+        if h.shape[0] == 88 and noise_var <= 0.1:
+            raise NumericallySingular("injected failure")
+        return real(h, noise_var, power)
+
+    monkeypatch.setattr(sim, "mmse_precode", failing)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    cfg = small_cfg(precoder="mmse", snr_grid_db=(0.0, 10.0), trials_per_point=600)
+    pattern = r"sweep aborted \(mmse, seed 5\) at 10 dB, trials \[512, 600\): injected failure"
+    with pytest.raises(NumericallySingular, match=pattern):
+        run_ber_sweep(cfg, workers=workers)
+
+
+def test_broken_worker_pool_is_a_worker_crash_with_context(monkeypatch):
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", BrokenPool)
+    cfg = small_cfg(precoder="zf", snr_grid_db=(math.inf, 3.0), trials_per_point=600)
+    pattern = r"sweep aborted \(zf, seed 5\) at inf dB, trials \[0, 512\): a worker process died"
+    with pytest.raises(WorkerCrashed, match=pattern) as info:
+        run_ber_sweep(cfg, workers=2)
+    assert isinstance(info.value, DpcPermError)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+
+@pytest.mark.parametrize("n_users", [10, 32])
+def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users):
+    cfg = small_cfg(n_users=n_users, precoder="thp", snr_grid_db=(10.0,), trials_per_point=512)
+    sim._simulate_chunk(cfg, 0, 10.0, 0, 512, None)  # fill the per-order caches first
+    tracemalloc.start()
+    try:
+        sim._simulate_chunk(cfg, 0, 10.0, 0, 512, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sim._chunk_bytes(cfg)
 
 
 def test_ber_monotone_within_ci():
