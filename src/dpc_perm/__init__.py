@@ -31,7 +31,6 @@ from .linalg import (
     diagonal_permute,
     lq_decompose,
     lq_not_permutation_linear_witness,
-    permutation_matrix,
     permuted_svd,
     svd_decompose,
 )
@@ -39,7 +38,6 @@ from .modem import (
     Constellation,
     hard_decisions,
     make_constellation,
-    qam_demodulate,
     qam_modulate,
     wilson_interval,
 )
@@ -58,7 +56,6 @@ from .precoding import (
     dpc_conventional,
     dpc_linear,
     mmse_precode,
-    normalize_gains,
     thp_precode,
     waterfill,
     waterfill_powers,
@@ -88,7 +85,6 @@ __all__ = [
     "SvdFactors",
     "lq_decompose",
     "svd_decompose",
-    "permutation_matrix",
     "permuted_svd",
     "diagonal_permute",
     "lq_not_permutation_linear_witness",
@@ -96,7 +92,6 @@ __all__ = [
     "Constellation",
     "make_constellation",
     "qam_modulate",
-    "qam_demodulate",
     "hard_decisions",
     "wilson_interval",
     "OrderSearchResult",
@@ -111,7 +106,6 @@ __all__ = [
     "dpc_linear",
     "waterfill",
     "waterfill_powers",
-    "normalize_gains",
     "zf_precode",
     "mmse_precode",
     "thp_precode",

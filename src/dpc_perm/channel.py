@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,15 +26,12 @@ from .linalg import as_channel_matrix
 
 __all__ = [
     "ChannelSpec",
-    "DISTRIBUTIONS",
     "stream",
     "sample_channel",
     "generate_channel",
     "save_channel",
     "load_channel",
 ]
-
-DISTRIBUTIONS = ("complex-gaussian-unit",)
 
 _MAGIC = b"DPCM"
 _FORMAT_VERSION = 1
@@ -48,13 +44,10 @@ class ChannelSpec:
 
     n_users: int
     seed: int
-    distribution: str = "complex-gaussian-unit"
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
 def stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -124,9 +117,3 @@ def load_channel(path) -> np.ndarray:
     h = np.frombuffer(payload, dtype=np.dtype("<c16")).reshape(n, n)
     return h.astype(np.complex128)
 
-
-def pooled_entries(n_users: int, seeds: Sequence[int]) -> np.ndarray:
-    """Flattened channel entries pooled over several seeds (for statistics)."""
-    return np.concatenate(
-        [generate_channel(ChannelSpec(n_users=n_users, seed=s)).ravel() for s in seeds]
-    )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelSpec, generate_channel
 from .exceptions import ConfigError, DpcPermError, OrderSpaceTooLarge, WorkerCrashed
-from .linalg import count_decompositions, lq_decompose
+from .linalg import lq_decompose
 from .modem import QAM_ORDERS, make_constellation, qam_modulate
 from .ordering import (
     MAX_ENUM_USERS,
@@ -218,8 +217,7 @@ def _cmd_order_search(args) -> int:
         ],
     }
     for objective in ("average-power", "papr"):
-        with count_decompositions() as counter:
-            res = diagonal_order_search(h, s, gains, objective)
+        res = diagonal_order_search(h, s, gains, objective)
         entry = {
             "best_order": res.best_order.tolist(),
             "best_value": res.best_value,

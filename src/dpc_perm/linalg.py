@@ -1,19 +1,19 @@
 """Complex dense linear algebra for broadcast-channel precoding.
 
 LQ and SVD factorizations with fixed uniqueness conventions, the checked
-channel inverses built on them, permutation operators in one-line
-notation, and the permutation identities that make the
-diagonal-permutation order search work: row-permuting a channel only
-row-permutes the left singular vectors, while the triangular factor of an
-LQ decomposition does not survive a row permutation.
+channel inverses built on them, order validation, and the permutation
+identities that make the diagonal-permutation order search work:
+row-permuting a channel only row-permutes the left singular vectors,
+while the triangular factor of an LQ decomposition does not survive a
+row permutation.
 
 The factorizations and inverses take one channel ``(n, n)`` or a stack
 ``(m, n, n)``; a single channel is the ``m = 1`` case of the same batched
 code, so a stacked call equals the per-channel calls exactly.
 
 Orders are 0-based one-line notation throughout: ``order[i] = j`` means
-row ``i`` of the permuted object is row ``j`` of the original, so
-``permutation_matrix(order) @ m == m[order, :]``.
+row ``i`` of the permuted object is row ``j`` of the original, so the
+row-permutation operator ``g = np.eye(n)[order]`` has ``g @ m == m[order, :]``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ __all__ = [
     "svd_inverse",
     "channel_inverse",
     "as_order",
-    "identity_order",
-    "invert_order",
-    "compose_orders",
-    "permutation_matrix",
     "permuted_svd",
     "diagonal_permute",
     "lq_not_permutation_linear_witness",
@@ -71,7 +67,7 @@ def _recorder_stack() -> list:
     return _local.stack
 
 
-@dataclass
+@dataclass(eq=False)
 class DecompositionCounter:
     """Counts factorizations executed while a recorder is active."""
 
@@ -98,12 +94,9 @@ def count_decompositions() -> Iterator[DecompositionCounter]:
     try:
         yield counter
     finally:
-        # By identity: counters are dataclasses that compare equal by
-        # value, and an outer recorder with equal counts must stay.
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] is counter:
-                del stack[i]
-                break
+        # Counters compare by identity, so an outer recorder with equal
+        # counts stays.
+        stack.remove(counter)
 
 
 def _tick(kind: str, count: int) -> None:
@@ -160,24 +153,6 @@ def as_order(order: Sequence[int], n: int | None = None) -> np.ndarray:
             raise InvalidPermutation(f"{list(order)!r} is not a bijection of 0..{p.size - 1}")
         seen[v] = True
     return p.astype(np.intp)
-
-
-def identity_order(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.intp)
-
-
-def invert_order(order: Sequence[int]) -> np.ndarray:
-    p = as_order(order)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size, dtype=np.intp)
-    return inv
-
-
-def compose_orders(p: Sequence[int], q: Sequence[int]) -> np.ndarray:
-    """Composite order ``p after q``: ``compose_orders(p, q)[i] = p[q[i]]``."""
-    p = as_order(p)
-    q = as_order(q, p.size)
-    return p[q]
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +289,6 @@ def channel_inverse(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Permutation identities
 # ---------------------------------------------------------------------------
-
-
-def permutation_matrix(order: Sequence[int]) -> np.ndarray:
-    """Row-permutation operator ``g`` with ``g @ m == m[order, :]``."""
-    p = as_order(order)
-    g = np.zeros((p.size, p.size))
-    g[np.arange(p.size), p] = 1.0
-    return g
 
 
 def permuted_svd(factors: SvdFactors, order: Sequence[int]) -> SvdFactors:

@@ -60,8 +60,6 @@ __all__ = [
     "modulation_name",
     "qam_modulate",
     "hard_decisions",
-    "qam_demodulate",
-    "decision_margins",
     "wilson_interval",
 ]
 
@@ -278,17 +276,6 @@ def hard_decisions(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndar
     b = c.bits_per_symbol
     shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
     return ((labels[:, np.newaxis] >> shifts) & 1).astype(np.uint8).ravel(), margins
-
-
-def qam_demodulate(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Hard-decision bits of the samples ``y`` (see :func:`hard_decisions`)."""
-    return hard_decisions(y, c)[0]
-
-
-def decision_margins(y: np.ndarray, c: Constellation) -> np.ndarray:
-    """Distance of each sample to its nearest decision boundary (see
-    :func:`hard_decisions`)."""
-    return hard_decisions(y, c)[1]
 
 
 def wilson_interval(errors: int, total: int) -> tuple[float, float]:

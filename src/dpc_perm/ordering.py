@@ -78,25 +78,20 @@ def objective_papr(x: np.ndarray) -> float:
 
 def _as_signal_block(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
-    return x.reshape(1, 1, x.size)
+    return x.reshape(1, x.size)
 
 
 def _signal_values(kind: str, signals: np.ndarray) -> np.ndarray:
-    """Objective of each order's signals, shape ``(orders, rows, n)``.
-
-    Row 0 is the fixed signal; in expectation mode the objective is
-    averaged over the appended random rows only.
-    """
+    """Objective of each order's signal, one per row of ``(orders, n)``."""
     if not np.all(np.isfinite(signals)):
         raise ValueError("signal must be finite")
-    rows = signals[:, 1:] if signals.shape[1] > 1 else signals
-    power = rows.real**2 + rows.imag**2
-    mean = power.mean(axis=2)
+    power = signals.real**2 + signals.imag**2
+    mean = power.mean(axis=1)
     if kind == "average-power":
-        return mean.mean(axis=1)
+        return mean
     if np.any(mean == 0.0):
         raise DegenerateGain("PAPR is undefined for the all-zero signal")
-    return (power.max(axis=2) / mean).mean(axis=1)
+    return power.max(axis=1) / mean
 
 
 def _min_power_values(k_perm: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -148,18 +143,17 @@ def _permuted_gains(k: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 def _order_values(
-    kinds: tuple[str, ...], b: np.ndarray, k_perm: np.ndarray, sym: np.ndarray
+    kinds: tuple[str, ...], b: np.ndarray, k_perm: np.ndarray, s: np.ndarray
 ) -> list[np.ndarray]:
-    """Values of each objective in ``kinds`` for every order's signals.
+    """Values of each objective in ``kinds`` for every order's signal.
 
-    Order j's signals are the rows of ``(k_perm[j] * sym) @ b.T``; orders
-    are taken in chunks (:func:`_chunks`), each chunk one matrix product.
+    Order j's signal is ``(k_perm[j] * s) @ b.T``; orders are taken in
+    chunks (:func:`_chunks`), each chunk one matrix product.
     """
     m, n = k_perm.shape
     parts = []
-    for chunk in _chunks(m, sym.size):
-        kp = k_perm[chunk]
-        x = ((kp[:, np.newaxis, :] * sym).reshape(-1, n) @ b.T).reshape(kp.shape[0], -1, n)
+    for chunk in _chunks(m, n):
+        x = (k_perm[chunk] * s) @ b.T
         parts.append([_signal_values(kind, x) for kind in kinds])
     return [np.concatenate(column) for column in zip(*parts)]
 
@@ -194,34 +188,11 @@ def _check_objective(objective: str) -> None:
         raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 
-def _symbol_matrix(
-    s: np.ndarray, symbol_draws: int, draw_rng: np.random.Generator | None
-) -> np.ndarray:
-    """Rows of symbol vectors driving the search.
-
-    Row 0 is always the caller's fixed ``s`` (it becomes the reported
-    best signal). With ``symbol_draws > 0`` the objective is instead
-    averaged over that many unit-variance complex Gaussian draws, shared
-    across every order so the comparison uses common randomness.
-    """
-    fixed = np.asarray(s, dtype=np.complex128)[np.newaxis, :]
-    if not symbol_draws:
-        return fixed
-    if draw_rng is None:
-        draw_rng = np.random.default_rng(0)
-    n = fixed.shape[1]
-    re = draw_rng.standard_normal((symbol_draws, n))
-    im = draw_rng.standard_normal((symbol_draws, n))
-    return np.vstack([fixed, (re + 1j * im) / np.sqrt(2.0)])
-
-
 def naive_order_search(
     h: np.ndarray,
     s: np.ndarray,
     gains: np.ndarray,
     objective: str = "average-power",
-    symbol_draws: int = 0,
-    draw_rng: np.random.Generator | None = None,
 ) -> OrderSearchResult:
     """Reference order search that repeats a full DPC per order.
 
@@ -244,20 +215,19 @@ def naive_order_search(
     n = h.shape[0]
     _check_enumerable(n)
     _check_objective(objective)
-    k = as_gains(gains, n, allow_zero=True)
-    sym = _symbol_matrix(s, symbol_draws, draw_rng)
+    k = as_gains(gains, n)
+    s = np.asarray(s, dtype=np.complex128)
     orders = _lex_orders(n)
-    first_signals = np.empty(orders.shape, dtype=np.complex128)
+    signals = np.empty(orders.shape, dtype=np.complex128)
     values = np.empty(orders.shape[0])
     with count_decompositions() as counter:
-        for chunk in _chunks(orders.shape[0], sym.size):
+        for chunk in _chunks(orders.shape[0], n):
             block = orders[chunk]
             # One LQ per order: the rows of h permuted by each order, stacked.
             w = successive_encoder(lq_decompose(h[block]), k)
-            signals = np.einsum("mij,rmj->mri", w, sym[:, block])
-            first_signals[chunk] = signals[:, 0]
+            signals[chunk] = np.einsum("mij,mj->mi", w, s[block])
             if objective != "min-power":
-                values[chunk] = _signal_values(objective, signals)
+                values[chunk] = _signal_values(objective, signals[chunk])
     if objective == "min-power":
         lam = np.linalg.svd(h, compute_uv=False) ** 2
         values = _min_power_values(_permuted_gains(k, orders), lam)
@@ -265,7 +235,7 @@ def naive_order_search(
     return OrderSearchResult(
         best_order=orders[best].copy(),
         best_value=float(values[best]),
-        best_signal=first_signals[best].copy(),
+        best_signal=signals[best].copy(),
         decompositions_performed=counter.total,
         permutations_evaluated=orders.shape[0],
         objective=objective,
@@ -277,13 +247,11 @@ def diagonal_order_search(
     s: np.ndarray,
     gains: np.ndarray,
     objective: str = "average-power",
-    symbol_draws: int = 0,
-    draw_rng: np.random.Generator | None = None,
 ) -> OrderSearchResult:
     """Order search by diagonal permutation: one factorization total.
 
     The channel is SVD-factorized once into ``b = v @ diag(1/sigma) @ u^H``.
-    Every order's precoded vectors are ``(k_pi * s) @ b.T`` with ``k_pi``
+    Every order's precoded vector is ``(k_pi * s) @ b.T`` with ``k_pi``
     the diagonally permuted gain vector; they are evaluated for all n!
     orders at once, as one matrix product per chunk of orders, and the
     objective is reduced along axes. ``min-power`` is
@@ -298,8 +266,8 @@ def diagonal_order_search(
     n = h.shape[0]
     _check_enumerable(n)
     _check_objective(objective)
-    k = as_gains(gains, n, allow_zero=True)
-    sym = _symbol_matrix(s, symbol_draws, draw_rng)
+    k = as_gains(gains, n)
+    s = np.asarray(s, dtype=np.complex128)
     with count_decompositions() as counter:
         b, sigma = svd_inverse(h)
     orders = _lex_orders(n)
@@ -307,12 +275,12 @@ def diagonal_order_search(
     if objective == "min-power":
         values = _min_power_values(k_perm, sigma**2)
     else:
-        (values,) = _order_values((objective,), b, k_perm, sym)
+        (values,) = _order_values((objective,), b, k_perm, s)
     best = _select(values)
     return OrderSearchResult(
         best_order=orders[best].copy(),
         best_value=float(values[best]),
-        best_signal=b @ (k_perm[best] * sym[0]),
+        best_signal=b @ (k_perm[best] * s),
         decompositions_performed=counter.total,
         permutations_evaluated=orders.shape[0],
         objective=objective,
@@ -329,11 +297,11 @@ def order_table(h: np.ndarray, s: np.ndarray, gains: np.ndarray) -> list[dict]:
     h = as_channel_matrix(h)
     n = h.shape[0]
     _check_enumerable(n)
-    k = as_gains(gains, n, allow_zero=True)
+    k = as_gains(gains, n)
     b, _ = svd_inverse(h)
     orders = _lex_orders(n)
-    sym = np.asarray(s, dtype=np.complex128)[np.newaxis, :]
-    ap, papr = _order_values(("average-power", "papr"), b, _permuted_gains(k, orders), sym)
+    s = np.asarray(s, dtype=np.complex128)
+    ap, papr = _order_values(("average-power", "papr"), b, _permuted_gains(k, orders), s)
     return [
         {"order": tuple(order), "ap": a, "papr": r}
         for order, a, r in zip(orders.tolist(), ap.tolist(), papr.tolist())
@@ -350,7 +318,7 @@ def min_power_order_closed_form(gains: np.ndarray, sigma: np.ndarray) -> np.ndar
     lexicographically smallest order. Water-filled gains are already
     ranked like the eigenvalues, so they map to the identity order.
     """
-    k = as_gains(gains, allow_zero=True)
+    k = as_gains(gains)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != k.shape or np.any(sigma <= 0):
         raise ValueError("sigma must be positive and match the gain vector")

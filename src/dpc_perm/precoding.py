@@ -3,8 +3,8 @@
 Two equivalent dirty-paper implementations sit at the core: the
 conventional successive one built on an LQ factorization and per-user
 feedback, and the linear one built on a single SVD with a designed
-diagonal gain matrix. Around them: water-filling gain design, gain
-normalization, and the usual comparison baselines (ZF, MMSE, THP, BD).
+diagonal gain matrix. Around them: water-filling gain design, power
+scaling, and the usual comparison baselines (ZF, MMSE, THP, BD).
 
 All precoders are pure functions of their inputs. Each takes one channel
 ``(n, n)`` or a stack of channels ``(m, n, n)``, with per-channel symbols
@@ -37,7 +37,6 @@ __all__ = [
     "dpc_linear",
     "waterfill",
     "waterfill_powers",
-    "normalize_gains",
     "zf_precode",
     "mmse_precode",
     "thp_precode",
@@ -46,12 +45,11 @@ __all__ = [
     "modulo_lattice",
     "bd_precode",
     "power_scale",
-    "scale_to_power",
 ]
 
 
-def as_gains(k: np.ndarray, n: int | None = None, allow_zero: bool = False) -> np.ndarray:
-    """Validate a diagonal gain vector (positive, or non-negative if allowed)."""
+def as_gains(k: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Validate a diagonal gain vector: finite and non-negative."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 1 or k.size < 1:
         raise ValueError(f"gains must be a 1-D vector, got shape {k.shape}")
@@ -59,11 +57,8 @@ def as_gains(k: np.ndarray, n: int | None = None, allow_zero: bool = False) -> n
         raise ValueError(f"gains have length {k.size}, expected {n}")
     if not np.all(np.isfinite(k)):
         raise ValueError("gains must be finite")
-    if allow_zero:
-        if np.any(k < 0):
-            raise ValueError("gains must be non-negative")
-    elif np.any(k <= 0):
-        raise ValueError("gains must be strictly positive")
+    if np.any(k < 0):
+        raise ValueError("gains must be non-negative")
     return k
 
 
@@ -192,17 +187,6 @@ def waterfill(sigma: np.ndarray, p_total: float) -> np.ndarray:
     return np.sqrt(p * np.asarray(sigma, dtype=float) ** 2)
 
 
-def normalize_gains(k: np.ndarray, target: float) -> np.ndarray:
-    """Scale gains so that ``sum(k**2) == target``, preserving ratios."""
-    k = as_gains(k, allow_zero=True)
-    if not target > 0:
-        raise ValueError(f"target must be positive, got {target}")
-    total = float(np.sum(k**2))
-    if total == 0.0:
-        raise DegenerateGain("cannot normalize an all-zero gain vector")
-    return k * np.sqrt(target / total)
-
-
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
@@ -219,24 +203,17 @@ def power_scale(w: np.ndarray, power: float) -> np.ndarray:
     return np.sqrt(power / total)
 
 
-def scale_to_power(w: np.ndarray, power: float | None) -> np.ndarray:
-    """Scale a precoding matrix, or each matrix of a stack ``(m, n, n)``, so
-    that ``tr(w w^H) == power`` (no-op if None)."""
-    if power is None:
-        return w
-    return w * power_scale(w, power)[..., np.newaxis, np.newaxis]
-
-
-def zf_precode(h: np.ndarray, power: float | None = None) -> np.ndarray:
-    """Zero-forcing precoder ``w = h^{-1}``, optionally scaled to ``tr(w w^H) = power``.
+def zf_precode(h: np.ndarray) -> np.ndarray:
+    """Zero-forcing precoder ``w = h^{-1}``, unscaled; :func:`power_scale`
+    gives the factor to ``tr(w w^H) = power``.
 
     ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``; the inverse and
     its singularity rule are :func:`linalg.channel_inverse`.
     """
-    return scale_to_power(channel_inverse(h), power)
+    return channel_inverse(h)
 
 
-def mmse_precode(h: np.ndarray, noise_var: float, power: float | None = None) -> np.ndarray:
+def mmse_precode(h: np.ndarray, noise_var: float) -> np.ndarray:
     """Regularized channel inversion ``w = h^H (h h^H + n * noise_var * I)^{-1}``.
 
     The regularizer sums the noise over the n users. As ``noise_var``
@@ -244,23 +221,26 @@ def mmse_precode(h: np.ndarray, noise_var: float, power: float | None = None) ->
     ``noise_var = 0`` (infinite SNR) is the zero-forcing precoder itself,
     with its singularity rule. For ``noise_var > 0`` the matrix stays
     finite even for singular channels. ``h`` is a channel ``(n, n)`` or a
-    stack ``(m, n, n)``.
+    stack ``(m, n, n)``. The matrix is unscaled; :func:`power_scale` gives
+    the factor to ``tr(w w^H) = power``.
     """
     if not noise_var >= 0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
     if noise_var == 0:
-        return zf_precode(h, power)
+        return zf_precode(h)
     hs = as_channel_stack(h)
     n = hs.shape[1]
     hh = hs.conj().transpose(0, 2, 1)
-    w = scale_to_power(hh @ np.linalg.inv(hs @ hh + (n * noise_var) * np.eye(n)), power)
+    w = hh @ np.linalg.inv(hs @ hh + (n * noise_var) * np.eye(n))
     return w if np.ndim(h) == 3 else w[0]
 
 
 def modulo_lattice(z: np.ndarray, base: float) -> np.ndarray:
     """Wrap real and imaginary parts independently into ``[-base, base)``.
 
-    Values already inside the region pass through unchanged.
+    Values already inside the region pass through unchanged. A wrapped
+    part that rounding leaves a few ulps outside the region (it is then
+    next to ``-base`` or ``base``, one lattice point) is clipped back in.
     """
     if not base > 0:
         raise ValueError(f"modulo base must be positive, got {base}")
@@ -274,6 +254,7 @@ def modulo_lattice(z: np.ndarray, base: float) -> np.ndarray:
     np.floor(out, out=out)
     out *= span
     np.subtract(r, out, out=out)
+    np.clip(out, -base, np.nextafter(base, -np.inf), out=out)
     return out.view(np.complex128).reshape(z.shape)
 
 
@@ -326,9 +307,7 @@ def thp_feedback(l: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray
     return xt
 
 
-def bd_precode(
-    h: np.ndarray, groups: Sequence[Sequence[int]], power: float | None = None
-) -> np.ndarray:
+def bd_precode(h: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
     """Block-diagonalization precoder for a partition of users into groups.
 
     Each group's columns are confined to the null space of every other
@@ -356,13 +335,12 @@ def bd_precode(
         Square channel ``(n, n)``, or a stack of them ``(m, n, n)``.
     groups : sequence of sequences of int
         A partition of the users ``0..n-1``, shared by every channel.
-    power : float, optional
-        If given, each channel's precoder is scaled to ``tr(w w^H) = power``.
 
     Returns
     -------
     np.ndarray
-        The precoder, with the shape of ``h``.
+        The unscaled precoder, with the shape of ``h``; :func:`power_scale`
+        gives each channel's factor to ``tr(w w^H) = power``.
 
     Raises
     ------
@@ -400,7 +378,6 @@ def bd_precode(
         bad = int(np.nonzero(~ok)[1][0])
         group = next(g for g in parts if bad in g)
         raise InfeasibleBlocking(f"projected channel for group {group.tolist()} is singular")
-    w = scale_to_power(w, power)
     return w if np.ndim(h) == 3 else w[0]
 
 
@@ -420,4 +397,4 @@ def _as_stack_gains(gains: np.ndarray, hs: np.ndarray) -> np.ndarray:
     k = np.asarray(gains, dtype=float)
     if k.shape not in (hs.shape[2:], hs.shape[:2]):
         raise ValueError(f"gains must have shape {hs.shape[2:]} or {hs.shape[:2]}, got {k.shape}")
-    return as_gains(k.ravel(), allow_zero=True).reshape(k.shape)
+    return as_gains(k.ravel()).reshape(k.shape)

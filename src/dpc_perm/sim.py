@@ -541,9 +541,14 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [(task, pool.submit(_simulate_chunk, cfg, *task, fixed_h)) for task in tasks]
-            for task, fut in futures:
-                with _chunk_context(cfg, task):
-                    partials[task[0]].append(fut.result())
+            try:
+                for task, fut in futures:
+                    with _chunk_context(cfg, task):
+                        partials[task[0]].append(fut.result())
+            except BaseException:
+                # Leaving the block waits for every queued chunk; drop them.
+                pool.shutdown(cancel_futures=True)
+                raise
 
     records = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):

@@ -7,7 +7,6 @@ from dpc_perm.channel import (
     ChannelSpec,
     generate_channel,
     load_channel,
-    pooled_entries,
     sample_channel,
     save_channel,
     stream,
@@ -60,7 +59,9 @@ def test_entry_variance_statistic():
     # 100 seeds x 100 entries = 1e4 pooled entries; the mean of |h|^2
     # estimates the per-entry variance with standard error 1e-2, so the
     # [0.95, 1.05] window sits 5 sigma out.
-    entries = pooled_entries(10, seeds=range(100))
+    entries = np.concatenate(
+        [generate_channel(ChannelSpec(n_users=10, seed=s)).ravel() for s in range(100)]
+    )
     assert entries.size == 10_000
     variance = float(np.mean(np.abs(entries) ** 2))
     assert 0.95 <= variance <= 1.05
@@ -71,8 +72,6 @@ def test_entry_variance_statistic():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(n_users=0, seed=1)
-    with pytest.raises(ValueError):
-        ChannelSpec(n_users=2, seed=1, distribution="rayleigh-correlated")
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -12,11 +12,9 @@ from dpc_perm.exceptions import LengthMismatch
 from dpc_perm.modem import (
     QAM_ORDERS,
     Constellation,
-    decision_margins,
     hard_decisions,
     make_constellation,
     modulation_name,
-    qam_demodulate,
     qam_modulate,
     wilson_interval,
 )
@@ -117,21 +115,21 @@ def test_modulate_demodulate_roundtrip_exhaustive(order):
     labels = np.arange(order)
     bits = ((labels[:, None] >> np.arange(b - 1, -1, -1)) & 1).astype(np.uint8).ravel()
     symbols = qam_modulate(bits, c)
-    np.testing.assert_array_equal(qam_demodulate(symbols, c), bits)
+    np.testing.assert_array_equal(hard_decisions(symbols, c)[0], bits)
 
 
 def test_demodulate_tolerates_tiny_perturbation():
     c = make_constellation(64)
     bits = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
     s = qam_modulate(bits, c)
-    np.testing.assert_array_equal(qam_demodulate(s + (1e-9 - 1e-9j), c), bits)
+    np.testing.assert_array_equal(hard_decisions(s + (1e-9 - 1e-9j), c)[0], bits)
 
 
 def test_demodulate_midpoint_tie_goes_to_lower_label():
     c = make_constellation(4)
     # midpoint between labels 0 (1+1j)/sqrt2 and 1 (1-1j)/sqrt2
     mid = np.array([(1 + 0j) / np.sqrt(2)])
-    np.testing.assert_array_equal(qam_demodulate(mid, c), [0, 0])
+    np.testing.assert_array_equal(hard_decisions(mid, c)[0], [0, 0])
 
 
 def test_modulate_length_mismatch():
@@ -143,10 +141,10 @@ def test_modulate_length_mismatch():
 def test_decision_margins():
     c = make_constellation(4)
     exact = qam_modulate(np.array([0, 0]), c)
-    m = decision_margins(exact, c)
+    m = hard_decisions(exact, c)[1]
     assert m[0] == pytest.approx(1.0 / np.sqrt(2.0))
     on_boundary = np.array([(1 + 0j) / np.sqrt(2)])
-    assert decision_margins(on_boundary, c)[0] == pytest.approx(0.0, abs=1e-15)
+    assert hard_decisions(on_boundary, c)[1][0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_equal_valued_constellations_compare_equal_and_hash_alike():
@@ -268,8 +266,9 @@ def test_hard_decisions_exact_ties_go_to_smallest_label(order):
     labels = np.argmax(d2[tied] == d2[tied].min(axis=1, keepdims=True), axis=1)
     b = c.bits_per_symbol
     bits = (labels[:, None] >> np.arange(b - 1, -1, -1)) & 1
-    np.testing.assert_array_equal(qam_demodulate(mids[tied], c), bits.ravel())
-    np.testing.assert_array_equal(decision_margins(mids[tied], c), full_search_margins(mids[tied], c))
+    got_bits, got_margins = hard_decisions(mids[tied], c)
+    np.testing.assert_array_equal(got_bits, bits.ravel())
+    np.testing.assert_array_equal(got_margins, full_search_margins(mids[tied], c))
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)

@@ -178,19 +178,19 @@ def test_tie_rule_depends_on_values_only():
 
 @pytest.mark.parametrize("objective", ["average-power", "papr"])
 def test_chunked_evaluation_matches_unchunked_and_naive(monkeypatch, objective):
-    n, draws = 5, 300
+    n = 5
     h = random_channel(61, n)
     s = qpsk(np.random.default_rng(6), n)
     k = lq_decompose(h).diag
 
     def run(search):
-        return search(h, s, k, objective, symbol_draws=draws, draw_rng=np.random.default_rng(8))
+        return search(h, s, k, objective)
 
-    monkeypatch.setattr(ordering, "_CHUNK_ENTRIES", 120 * (draws + 1) * n)
+    monkeypatch.setattr(ordering, "_CHUNK_ENTRIES", 120 * n)
     whole = run(diagonal_order_search)
     # 7 orders a chunk: 120 orders leave a ragged last chunk of one.
-    monkeypatch.setattr(ordering, "_CHUNK_ENTRIES", 7 * (draws + 1) * n)
-    assert [len(range(120)[c]) for c in ordering._chunks(120, (draws + 1) * n)][-2:] == [7, 1]
+    monkeypatch.setattr(ordering, "_CHUNK_ENTRIES", 7 * n)
+    assert [len(range(120)[c]) for c in ordering._chunks(120, n)][-2:] == [7, 1]
     chunked = run(diagonal_order_search)
     naive = run(naive_order_search)
     for res in (chunked, naive):
@@ -277,21 +277,6 @@ def test_best_value_equals_objective_of_best_signal():
     for objective, fn in (("average-power", objective_ap), ("papr", objective_papr)):
         res = diagonal_order_search(h, s, k, objective)
         assert res.best_value == pytest.approx(fn(res.best_signal), rel=1e-12)
-
-
-def test_expectation_mode_smoke():
-    rng = np.random.default_rng(3)
-    h = random_channel(57, 3)
-    s = qpsk(rng, 3)
-    k = lq_decompose(h).diag
-    res = diagonal_order_search(
-        h, s, k, "average-power", symbol_draws=200, draw_rng=np.random.default_rng(5)
-    )
-    ref = naive_order_search(
-        h, s, k, "average-power", symbol_draws=200, draw_rng=np.random.default_rng(5)
-    )
-    assert res.best_order.tolist() == ref.best_order.tolist()
-    assert res.best_value == pytest.approx(ref.best_value, rel=1e-9)
 
 
 def test_order_space_guard():

@@ -15,7 +15,7 @@ from dpc_perm.precoding import (
     dpc_linear,
     mmse_precode,
     modulo_lattice,
-    normalize_gains,
+    power_scale,
     thp_feedback,
     thp_modulo_base,
     thp_precode,
@@ -179,31 +179,32 @@ def test_waterfill_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# Gain normalization
+# Power scaling, ZF / MMSE
 # ---------------------------------------------------------------------------
 
 
-def test_normalize_gains_examples():
-    np.testing.assert_allclose(normalize_gains(np.array([1.0, 1.0]), 2.0), [1.0, 1.0])
-    np.testing.assert_allclose(normalize_gains(np.array([3.0, 4.0]), 1.0), [0.6, 0.8])
+def to_power(w, power):
+    """``w``, or each matrix of a stack, scaled to ``tr(w w^H) = power``."""
+    return w * power_scale(w, power)[..., np.newaxis, np.newaxis]
 
 
-def test_normalize_gains_idempotent():
-    k = np.array([0.2, 1.7, 0.9])
-    once = normalize_gains(k, 5.0)
-    twice = normalize_gains(once, 5.0)
-    np.testing.assert_allclose(once, twice, rtol=1e-15)
-    assert np.sum(once**2) == pytest.approx(5.0, rel=1e-12)
+def test_power_scale_sets_the_trace_of_each_slice():
+    ws = np.stack([random_channel(25 + t, 4) for t in range(5)])
+    ws[2] *= 1e-3
+    alpha = power_scale(ws, 3.0)
+    assert alpha.shape == (5,)
+    for w in to_power(ws, 3.0):
+        assert np.trace(w @ w.conj().T).real == pytest.approx(3.0, rel=1e-12)
 
 
-def test_normalize_gains_degenerate():
+def test_power_scale_rejects_zero_precoder_and_bad_power():
     with pytest.raises(DegenerateGain):
-        normalize_gains(np.zeros(3), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# ZF / MMSE
-# ---------------------------------------------------------------------------
+        power_scale(np.zeros((3, 3)), 1.0)
+    with pytest.raises(DegenerateGain):
+        power_scale(np.stack([np.eye(3), np.zeros((3, 3))]), 1.0)
+    for power in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            power_scale(np.eye(3), power)
 
 
 def test_zf_identity_and_scaling():
@@ -213,7 +214,7 @@ def test_zf_identity_and_scaling():
 
 def test_zf_normalized_is_scaled_identity():
     h = random_channel(21, 4)
-    w = zf_precode(h, power=4.0)
+    w = to_power(zf_precode(h), 4.0)
     assert np.sum(np.abs(w) ** 2) == pytest.approx(4.0, rel=1e-12)
     hw = h @ w
     c = np.mean(np.diag(hw)).real
@@ -225,8 +226,8 @@ def test_mmse_reduces_to_zf_direction():
         mmse_precode(np.eye(2), 1e-12), np.eye(2) / (1 + 2e-12), atol=1e-9
     )
     h = random_channel(22, 5)
-    w_mmse = mmse_precode(h, 1e-9, power=5.0)
-    w_zf = zf_precode(h, power=5.0)
+    w_mmse = to_power(mmse_precode(h, 1e-9), 5.0)
+    w_zf = to_power(zf_precode(h), 5.0)
     assert np.linalg.norm(w_mmse - w_zf) <= 1e-4
 
 
@@ -271,6 +272,21 @@ def test_modulo_equals_per_part_wrap():
         out = modulo_lattice(arg, base)
         assert out.shape == np.shape(arg)
         assert np.all(out == re + 1j * im)
+
+
+@pytest.mark.parametrize("base", [0.5, np.sqrt(2.0), 0.7, 1.3])
+def test_modulo_stays_in_region_next_to_wrap_boundaries(base):
+    # +-20 ulps around 100 wrap boundaries k * 2 * base - base, where
+    # r - span * floor((r + base) / span) can round onto or past +-base.
+    r = np.arange(-50, 50) * 2.0 * base - base
+    up, down = [r], [r]
+    for _ in range(20):
+        up.append(np.nextafter(up[-1], np.inf))
+        down.append(np.nextafter(down[-1], -np.inf))
+    r = np.concatenate(up + down)
+    out = modulo_lattice(r + 1j * r[::-1], base)
+    for part in (out.real, out.imag):
+        assert np.all((part >= -base) & (part < base))
 
 
 def thp_receive(y, gains, modulo_base):
@@ -504,10 +520,15 @@ def bd_null_space_oracle(h, groups):
 @pytest.mark.parametrize("power", [None, 2.5])
 def test_bd_stack_matches_slices_and_null_space_oracle(groups, power):
     hs = np.stack([random_channel(40 + t, 5) for t in range(6)])
-    ws = bd_precode(hs, groups, power=power)
+
+    def bd(h):
+        w = bd_precode(h, groups)
+        return w if power is None else to_power(w, power)
+
+    ws = bd(hs)
     assert ws.shape == hs.shape
     for h, w in zip(hs, ws):
-        np.testing.assert_array_equal(w, bd_precode(h, groups, power=power))
+        np.testing.assert_array_equal(w, bd(h))
         ref = bd_null_space_oracle(h, groups)
         if power is not None:
             ref *= np.sqrt(power / np.sum(np.abs(ref) ** 2))
@@ -546,9 +567,13 @@ STACK_CASES = [
     pytest.param(lambda h, s, k: (dpc_conventional(h, s, k),), id="dpc_conventional-gains"),
     pytest.param(lambda h, s, k: (dpc_linear(h, k),), id="dpc_linear"),
     pytest.param(lambda h, s, k: (dpc_linear(h, np.arange(1.0, 6.0)),), id="dpc_linear-shared"),
-    pytest.param(lambda h, s, k: (zf_precode(h), zf_precode(h, power=2.5)), id="zf"),
+    pytest.param(lambda h, s, k: (zf_precode(h), to_power(zf_precode(h), 2.5)), id="zf"),
     pytest.param(
-        lambda h, s, k: (mmse_precode(h, 0.1), mmse_precode(h, 0.1, 2.5), mmse_precode(h, 0.0)),
+        lambda h, s, k: (
+            mmse_precode(h, 0.1),
+            to_power(mmse_precode(h, 0.1), 2.5),
+            mmse_precode(h, 0.0),
+        ),
         id="mmse",
     ),
     pytest.param(lambda h, s, k: (thp_precode(h, s, QPSK_BASE),), id="thp"),

@@ -387,6 +387,9 @@ class InlinePool:
             fut.set_exception(exc)
         return fut
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
 
 class BrokenPool(InlinePool):
     """Stand-in pool whose every future raises ``BrokenProcessPool``."""
@@ -401,12 +404,12 @@ class BrokenPool(InlinePool):
 def test_sweep_failure_names_snr_point_and_trial_range(monkeypatch, workers):
     real = sim.mmse_precode
 
-    def failing(h, noise_var, power=None):
+    def failing(h, noise_var):
         # Only the 88-trial second chunk at 10 dB (4 users, budget 4: noise
         # variance 0.1) fails.
         if h.shape[0] == 88 and noise_var <= 0.1:
             raise NumericallySingular("injected failure")
-        return real(h, noise_var, power)
+        return real(h, noise_var)
 
     monkeypatch.setattr(sim, "mmse_precode", failing)
     monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
@@ -414,6 +417,39 @@ def test_sweep_failure_names_snr_point_and_trial_range(monkeypatch, workers):
     pattern = r"sweep aborted \(mmse, seed 5\) at 10 dB, trials \[512, 600\): injected failure"
     with pytest.raises(NumericallySingular, match=pattern):
         run_ber_sweep(cfg, workers=workers)
+
+
+class PendingPool(InlinePool):
+    """Stand-in pool whose first future fails and whose others stay
+    pending, like chunks still queued; records how it is shut down."""
+
+    def __init__(self, max_workers):
+        self.futures = []
+        self.cancel_futures = None
+
+    def submit(self, fn, *args):
+        fut = Future()
+        if not self.futures:
+            fut.set_exception(NumericallySingular("injected failure"))
+        self.futures.append(fut)
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.cancel_futures = cancel_futures
+        if cancel_futures:
+            for fut in self.futures:
+                fut.cancel()
+
+
+def test_failing_parallel_sweep_cancels_queued_chunks(monkeypatch):
+    pool = PendingPool(max_workers=2)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda max_workers: pool)
+    cfg = small_cfg(precoder="zf", snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=8)
+    with pytest.raises(NumericallySingular, match=r"at 0 dB, trials \[0, 8\): injected failure"):
+        run_ber_sweep(cfg, workers=2)
+    assert pool.cancel_futures is True
+    assert len(pool.futures) == 3
+    assert all(fut.cancelled() for fut in pool.futures[1:])
 
 
 def test_broken_worker_pool_is_a_worker_crash_with_context(monkeypatch):
