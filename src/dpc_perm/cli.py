@@ -42,6 +42,7 @@ from .sim import (
     SweepConfig,
     config_hash,
     config_int,
+    config_object,
     resolve_workers,
     run_ber_sweep,
     sweep_csv_name,
@@ -139,7 +140,7 @@ def _cmd_ber_sweep(args) -> int:
         raise ConfigError("config must be a sweep object or {'sweeps': [...]}")
     configs = []
     for entry in sweeps:
-        if args.seed is not None:
+        if args.seed is not None and isinstance(entry, dict):
             entry = {**entry, "seed": args.seed}
         configs.append(SweepConfig.from_dict(entry))
     workers = resolve_workers(args.workers)
@@ -158,15 +159,9 @@ def _cmd_ber_sweep(args) -> int:
 
 
 def _order_search_config(raw: dict, seed_override) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("order-search config must be a JSON object")
     defaults = {"constellation_order": 16, "symbol_seed": 1, "gain_mode": "diag-L"}
-    missing = {"n_users", "seed"} - set(raw)
-    if missing:
-        raise ConfigError(f"missing required config fields: {sorted(missing)}")
-    unknown = set(raw) - {"n_users", "seed", *defaults}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    required = ("n_users", "seed")
+    config_object(raw, "order-search config", required, (*required, *defaults))
     cfg = {**defaults, **raw}
     if seed_override is not None:
         cfg["seed"] = seed_override

@@ -176,16 +176,24 @@ class OrderSearchResult:
     objective: str
 
 
-def _check_enumerable(n: int) -> None:
+def _search_inputs(
+    h: np.ndarray, s: np.ndarray, gains: np.ndarray, objective: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked ``(h, k, s)`` of a search: a square channel within the
+    enumeration guard, a known objective, n gains and n symbols."""
+    h = as_channel_matrix(h)
+    n = h.shape[0]
     if n > MAX_ENUM_USERS:
         raise OrderSpaceTooLarge(
             f"{n}! orders exceed the n <= {MAX_ENUM_USERS} enumeration guard"
         )
-
-
-def _check_objective(objective: str) -> None:
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    k = as_gains(gains, n)
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape != (n,):
+        raise ValueError(f"symbol vector must have shape ({n},), got {s.shape}")
+    return h, k, s
 
 
 def naive_order_search(
@@ -211,12 +219,8 @@ def naive_order_search(
     singular values; that bookkeeping is not a per-order factorization
     and is not counted as one.
     """
-    h = as_channel_matrix(h)
+    h, k, s = _search_inputs(h, s, gains, objective)
     n = h.shape[0]
-    _check_enumerable(n)
-    _check_objective(objective)
-    k = as_gains(gains, n)
-    s = np.asarray(s, dtype=np.complex128)
     orders = _lex_orders(n)
     signals = np.empty(orders.shape, dtype=np.complex128)
     values = np.empty(orders.shape[0])
@@ -262,15 +266,10 @@ def diagonal_order_search(
     :func:`naive_order_search`, so winners match exactly and per-order
     signals to rounding.
     """
-    h = as_channel_matrix(h)
-    n = h.shape[0]
-    _check_enumerable(n)
-    _check_objective(objective)
-    k = as_gains(gains, n)
-    s = np.asarray(s, dtype=np.complex128)
+    h, k, s = _search_inputs(h, s, gains, objective)
     with count_decompositions() as counter:
         b, sigma = svd_inverse(h)
-    orders = _lex_orders(n)
+    orders = _lex_orders(h.shape[0])
     k_perm = _permuted_gains(k, orders)
     if objective == "min-power":
         values = _min_power_values(k_perm, sigma**2)
@@ -294,13 +293,9 @@ def order_table(h: np.ndarray, s: np.ndarray, gains: np.ndarray) -> list[dict]:
     in lexicographic order of the orders, from the same batched
     evaluation as :func:`diagonal_order_search`.
     """
-    h = as_channel_matrix(h)
-    n = h.shape[0]
-    _check_enumerable(n)
-    k = as_gains(gains, n)
+    h, k, s = _search_inputs(h, s, gains, "average-power")
     b, _ = svd_inverse(h)
-    orders = _lex_orders(n)
-    s = np.asarray(s, dtype=np.complex128)
+    orders = _lex_orders(h.shape[0])
     ap, papr = _order_values(("average-power", "papr"), b, _permuted_gains(k, orders), s)
     return [
         {"order": tuple(order), "ap": a, "papr": r}

@@ -106,6 +106,7 @@ __all__ = [
     "config_hash",
     "config_int",
     "config_float",
+    "config_object",
     "write_ber_csv",
     "write_manifest",
     "sweep_csv_name",
@@ -168,71 +169,71 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.power_budget is None:
-            self.power_budget = float(self.n_users)
-        self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
+            self.power_budget = self.n_users
 
     def validate(self) -> "SweepConfig":
-        checks = [
-            (self.n_users >= 1, "n_users"),
-            (self.trials_per_point >= 1, "trials_per_point"),
-            (self.constellation_order in QAM_ORDERS, "constellation_order"),
-            (self.channel_mode in CHANNEL_MODES, "channel_mode"),
-            (self.precoder in PRECODERS, "precoder"),
-            (self.gain_mode in GAIN_MODES, "gain_mode"),
-            (math.isfinite(self.power_budget) and self.power_budget > 0, "power_budget"),
-            (self.seed >= 0, "seed"),
-            (len(self.snr_grid_db) >= 1, "snr_grid_db"),
-            (all(not math.isnan(v) for v in self.snr_grid_db), "snr_grid_db"),
-            # +inf is the noiseless sentinel; -inf has no meaning here
-            (all(v == math.inf or math.isfinite(v) for v in self.snr_grid_db), "snr_grid_db"),
-        ]
-        for ok, field_name in checks:
-            if not ok:
-                raise ConfigError(f"invalid value for field {field_name!r}")
+        """Check every field, normalize it in place and return ``self``.
+
+        The one check for configs built in Python and read from JSON
+        alike (:meth:`from_dict` ends here, and :func:`run_ber_sweep`
+        starts here): integer fields go through :func:`config_int`,
+        a chunk of trials must fit the memory bound, ``power_budget`` goes
+        through :func:`config_float` and each SNR point is a finite number
+        or ``+inf`` (``"inf"`` in JSON). A bad value raises
+        :class:`ConfigError` naming its field.
+        """
+        self.n_users = config_int(self.n_users, "n_users", 1)
+        self.trials_per_point = config_int(self.trials_per_point, "trials_per_point", 1)
+        self.constellation_order = config_int(self.constellation_order, "constellation_order", 1)
+        self.seed = config_int(self.seed, "seed", 0)
         need = _chunk_bytes(self)
         if need > _MAX_CHUNK_BYTES:
             raise ConfigError(
                 f"invalid value for field 'n_users': {self.n_users} users need about "
-                f"{need / 2**20:.0f} MiB per chunk of trials, above the "
-                f"{_MAX_CHUNK_BYTES / 2**20:.0f} MiB limit"
+                f"{need // 2**20} MiB per chunk of trials, above the "
+                f"{_MAX_CHUNK_BYTES // 2**20} MiB limit"
             )
+        self.power_budget = config_float(self.power_budget, "power_budget")
+        if not isinstance(self.snr_grid_db, (list, tuple)):
+            raise ConfigError("invalid value for field 'snr_grid_db': expected a list")
+        self.snr_grid_db = tuple(_parse_snr(v) for v in self.snr_grid_db)
+        checks = [
+            (self.constellation_order in QAM_ORDERS, "constellation_order"),
+            (self.channel_mode in CHANNEL_MODES, "channel_mode"),
+            (self.precoder in PRECODERS, "precoder"),
+            (self.gain_mode in GAIN_MODES, "gain_mode"),
+            (self.power_budget > 0, "power_budget"),
+            (len(self.snr_grid_db) >= 1, "snr_grid_db"),
+        ]
+        for ok, field_name in checks:
+            if not ok:
+                raise ConfigError(f"invalid value for field {field_name!r}")
         return self
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("sweep config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"n_users", "snr_grid_db", "trials_per_point"} - set(raw)
-        if missing:
-            raise ConfigError(f"missing required config fields: {sorted(missing)}")
-        data = dict(raw)
-        if not isinstance(raw["snr_grid_db"], (list, tuple)):
-            raise ConfigError("snr_grid_db must be a list")
-        data["snr_grid_db"] = tuple(_parse_snr(v) for v in raw["snr_grid_db"])
-        for field_name, minimum in (
-            ("n_users", 1),
-            ("trials_per_point", 1),
-            ("constellation_order", 1),
-            ("seed", 0),
-        ):
-            if field_name in data:
-                data[field_name] = config_int(data[field_name], field_name, minimum)
-        if data.get("power_budget") is not None:
-            data["power_budget"] = config_float(data["power_budget"], "power_budget")
-        try:
-            cfg = cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        return cfg.validate()
+        """A checked config from its JSON object (see :meth:`validate`)."""
+        required = ("n_users", "snr_grid_db", "trials_per_point")
+        config_object(raw, "sweep config", required, cls.__dataclass_fields__)
+        return cls(**raw).validate()
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = asdict(self.validate())
         d["snr_grid_db"] = ["inf" if math.isinf(v) else v for v in self.snr_grid_db]
         return d
+
+
+def config_object(raw, what: str, required: Iterable[str], known: Iterable[str]) -> None:
+    """Check the JSON shape of a config: an object that holds every field in
+    ``required`` and no field outside ``known``; else :class:`ConfigError`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    missing = set(required) - set(raw)
+    if missing:
+        raise ConfigError(f"missing required config fields: {sorted(missing)}")
 
 
 def config_int(value, field_name: str, minimum: int) -> int:
@@ -270,11 +271,13 @@ def config_float(value, field_name: str) -> float:
 
 
 def _parse_snr(v) -> float:
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity", "+inf"):
-            return math.inf
-        raise ConfigError(f"bad SNR value {v!r} in snr_grid_db")
-    return float(v)
+    """One SNR point: a finite number, or +inf (the noiseless point) given
+    as the string ``"inf"`` or as a float."""
+    if isinstance(v, str) and v.lower() in ("inf", "infinity", "+inf"):
+        return math.inf
+    if isinstance(v, float) and v == math.inf:
+        return v
+    return config_float(v, "snr_grid_db")
 
 
 @dataclass
@@ -324,19 +327,15 @@ def fixed_channel_for(cfg: SweepConfig) -> np.ndarray:
 def resolve_workers(workers: int | None) -> int:
     """Explicit worker count, else the DPC_PERM_WORKERS env var, else 1."""
     if workers is not None:
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
-        return workers
+        return config_int(workers, "workers", 1)
     env = os.environ.get("DPC_PERM_WORKERS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"DPC_PERM_WORKERS={env!r} is not an integer") from exc
-        if value < 1:
-            raise ConfigError("DPC_PERM_WORKERS must be >= 1")
-        return value
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"DPC_PERM_WORKERS={env!r} is not an integer") from exc
+    return config_int(value, "DPC_PERM_WORKERS", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +414,9 @@ def _simulate_chunk(
     errors = int(np.count_nonzero(tx_bits != rx_bits))
 
     return {
-        "chunk": t0,
         "errors": errors,
         "bits": int(tx_bits.size),
         "tx_power_sum": float(np.sum(np.abs(x) ** 2)),
-        "vectors": m,
         "min_margin": float(margins.min()) if margins.size else math.inf,
     }
 
@@ -533,7 +530,9 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
             t1 = min(t0 + _CHUNK, cfg.trials_per_point)
             tasks.append((snr_idx, snr_db, t0, t1))
 
-    partials: dict[int, list[dict]] = {i: [] for i in range(len(cfg.snr_grid_db))}
+    # Both paths collect chunks in task order, so each point's float sums
+    # add up in the same order for any worker count.
+    partials: list[list[dict]] = [[] for _ in cfg.snr_grid_db]
     if n_workers == 1:
         for task in tasks:
             with _chunk_context(cfg, task):
@@ -551,12 +550,10 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
                 raise
 
     records = []
-    for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        parts = sorted(partials[snr_idx], key=lambda d: d["chunk"])
+    for snr_db, parts in zip(cfg.snr_grid_db, partials):
         errors = sum(p["errors"] for p in parts)
         bits = sum(p["bits"] for p in parts)
         power_sum = sum(p["tx_power_sum"] for p in parts)
-        vectors = sum(p["vectors"] for p in parts)
         margin = min(p["min_margin"] for p in parts)
         lo, hi = wilson_interval(errors, bits)
         records.append(
@@ -567,7 +564,7 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
                 ber=errors / bits,
                 ci_lo=lo,
                 ci_hi=hi,
-                measured_tx_power=power_sum / vectors,
+                measured_tx_power=power_sum / cfg.trials_per_point,
                 min_decision_margin=margin,
             )
         )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpc_perm.channel import (
     ChannelSpec,
@@ -100,6 +102,28 @@ def test_load_oversized_payload(tmp_path):
     with pytest.raises(FormatError):
         load_channel(path)
 
+
+
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(data=st.data(), extra=st.binary(min_size=1, max_size=40))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_dpcm_round_trip_is_bit_exact_and_any_other_size_is_refused(tmp_path, data, extra):
+    n = data.draw(st.integers(1, 4))
+    parts = data.draw(st.lists(_ENTRY, min_size=2 * n * n, max_size=2 * n * n))
+    h = np.array(parts).view(np.complex128).reshape(n, n)
+    path = tmp_path / "h.dpcm"
+    save_channel(h, path)
+    raw = path.read_bytes()
+    assert load_channel(path).tobytes() == h.tobytes()
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(FormatError):
+            load_channel(path)
+    path.write_bytes(raw + extra)
+    with pytest.raises(FormatError):
+        load_channel(path)
 
 def test_load_bad_magic(tmp_path):
     path = tmp_path / "h.dpcm"

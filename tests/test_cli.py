@@ -178,6 +178,29 @@ def test_ber_sweep_bad_n_users_exits_2(tmp_path, n_users):
     assert not (tmp_path / "o").exists()
 
 
+
+@pytest.mark.parametrize(
+    "point", [None, True, pytest.param(10**400, id="400-digits"), "-inf", "ten"]
+)
+def test_ber_sweep_bad_snr_point_exits_2(tmp_path, point):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n_users": 2, "snr_grid_db": [point], "trials_per_point": 10}))
+    res = run_cli("ber-sweep", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "snr_grid_db" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", [[1], {"sweeps": [1]}, {"sweeps": [[]]}])
+def test_ber_sweep_non_object_config_exits_2(tmp_path, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    res = run_cli("ber-sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "3")
+    assert res.returncode == 2, res.stderr
+    assert "JSON object" in res.stderr or "sweeps" in res.stderr
+    assert "Traceback" not in res.stderr
+
 def test_ber_sweep_worker_crash_exits_4(tmp_path, sweep_config, monkeypatch, capsys):
     # sim turns a BrokenProcessPool into WorkerCrashed (tests/test_sim.py);
     # here only the exit code and the message are checked.

@@ -291,6 +291,19 @@ def test_order_space_guard():
         order_table(h, s, k)
 
 
+
+@pytest.mark.parametrize("length", [1, 5])
+def test_symbol_vector_must_have_one_symbol_per_user(length):
+    h = random_channel(58, 4)
+    s = np.ones(length, dtype=complex)
+    k = np.ones(4)
+    with pytest.raises(ValueError, match="shape"):
+        naive_order_search(h, s, k)
+    with pytest.raises(ValueError, match="shape"):
+        diagonal_order_search(h, s, k)
+    with pytest.raises(ValueError, match="shape"):
+        order_table(h, s, k)
+
 def test_ap_papr_spread_for_seeded_16qam_instance():
     # Orders must genuinely spread both statistics on a generic channel.
     h = random_channel(2024, 4)

@@ -2,12 +2,16 @@
 
 import json
 import math
+import re
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpc_perm import sim
 from dpc_perm.channel import sample_channel
@@ -18,7 +22,7 @@ from dpc_perm.exceptions import (
     NumericallySingular,
     WorkerCrashed,
 )
-from dpc_perm.modem import make_constellation
+from dpc_perm.modem import QAM_ORDERS, make_constellation
 from dpc_perm.precoding import waterfill
 from dpc_perm.sim import (
     BerRecord,
@@ -125,6 +129,124 @@ def test_resolve_workers_env_fallback(monkeypatch):
     with pytest.raises(ConfigError):
         resolve_workers(None)
 
+
+
+@pytest.mark.parametrize("workers", [True, 0, 2.5, "2"])
+def test_resolve_workers_rejects_a_bad_argument(workers):
+    with pytest.raises(ConfigError, match="workers"):
+        resolve_workers(workers)
+
+
+@pytest.mark.parametrize("env", ["0", "-2", "1.5", "two"])
+def test_resolve_workers_rejects_a_bad_environment_value(monkeypatch, env):
+    monkeypatch.setenv("DPC_PERM_WORKERS", env)
+    with pytest.raises(ConfigError, match="DPC_PERM_WORKERS"):
+        resolve_workers(None)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_users", True),
+        ("n_users", 2.7),
+        ("trials_per_point", True),
+        ("seed", 1.5),
+        ("snr_grid_db", [None]),
+        ("snr_grid_db", ["10"]),
+        ("snr_grid_db", [True]),
+        ("snr_grid_db", [-math.inf]),
+        ("snr_grid_db", 10.0),
+        ("power_budget", "5"),
+    ],
+)
+def test_python_built_config_is_checked_like_json(field, value):
+    with pytest.raises(ConfigError, match=field):
+        small_cfg(**{field: value}).validate()
+    with pytest.raises(ConfigError, match=field):
+        run_ber_sweep(small_cfg(**{field: value}))
+
+
+def test_validate_normalizes_fields_in_place():
+    cfg = small_cfg(n_users=4.0, snr_grid_db=[0, "inf"], seed=3.0, power_budget=2)
+    assert cfg.validate() is cfg
+    assert cfg == small_cfg(n_users=4, snr_grid_db=(0.0, math.inf), seed=3, power_budget=2.0)
+    assert type(cfg.n_users) is int and type(cfg.power_budget) is float
+
+
+def test_readme_example_sweep_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A sweep config is a JSON object.*?```json\n(.*?)```", readme, re.S)
+    cfg = SweepConfig.from_dict(json.loads(block.group(1)))
+    assert cfg.n_users == 10 and cfg.power_budget == 10.0
+
+
+# Config fields and values for the round-trip properties. n_users stays
+# at or below 64 so every generated config is inside the chunk-memory bound.
+def _int_field(lo: int, hi: int):
+    return st.integers(lo, hi) | st.integers(lo, hi).map(float)
+
+
+_SNR_POINT = (
+    st.floats(-50, 50) | st.integers(-50, 50) | st.just(math.inf) | st.sampled_from(["inf", "Infinity"])
+)
+_VALID_RAW = st.fixed_dictionaries(
+    {
+        "n_users": _int_field(1, 64),
+        "snr_grid_db": st.lists(_SNR_POINT, min_size=1, max_size=5),
+        "trials_per_point": _int_field(1, 10**6),
+    },
+    optional={
+        "constellation_order": st.sampled_from(QAM_ORDERS),
+        "channel_mode": st.sampled_from(sim.CHANNEL_MODES),
+        "precoder": st.sampled_from(sim.PRECODERS),
+        "gain_mode": st.sampled_from(sim.GAIN_MODES),
+        "power_budget": st.none() | st.floats(1e-6, 1e6) | st.integers(1, 10**6),
+        "seed": _int_field(0, 2**64),
+    },
+)
+_NOT_A_NUMBER = st.booleans() | st.none() | st.text(max_size=4) | st.lists(st.integers(), max_size=1)
+_NOT_AN_INT = _NOT_A_NUMBER | st.floats().filter(lambda v: not v.is_integer())
+_NOT_FINITE = st.sampled_from([math.nan, -math.inf, 10**400, -(10**400)])
+_BAD_VALUES = {
+    "n_users": _NOT_AN_INT | st.integers(max_value=0) | st.just(10**400),
+    "trials_per_point": _NOT_AN_INT | st.integers(max_value=0),
+    "constellation_order": _NOT_AN_INT | st.integers().filter(lambda v: v not in QAM_ORDERS),
+    "seed": _NOT_AN_INT | st.integers(max_value=-1),
+    "power_budget": _NOT_A_NUMBER.filter(lambda v: v is not None)
+    | _NOT_FINITE
+    | st.just(math.inf)
+    | st.floats(max_value=0.0)
+    | st.integers(max_value=0),
+}
+
+
+@given(raw=_VALID_RAW)
+@settings(max_examples=200, deadline=None)
+def test_config_round_trips_through_json(raw):
+    cfg = SweepConfig.from_dict(raw)
+    assert SweepConfig(**raw).validate() == cfg
+    back = SweepConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back == cfg
+    assert config_hash(back) == config_hash(cfg)
+
+
+@given(raw=_VALID_RAW, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_bad_values_fail_alike_from_python_and_json(raw, data):
+    field = data.draw(st.sampled_from([*_BAD_VALUES, "snr_grid_db"]))
+    if field == "snr_grid_db":
+        bad = data.draw(
+            _NOT_A_NUMBER.filter(lambda v: str(v).lower() not in ("inf", "infinity", "+inf"))
+            | _NOT_FINITE
+        )
+        raw = {**raw, field: [*raw[field], bad]}
+    else:
+        raw = {**raw, field: data.draw(_BAD_VALUES[field])}
+    with pytest.raises(ConfigError, match=field) as from_json:
+        SweepConfig.from_dict(raw)
+    with pytest.raises(ConfigError, match=field) as from_python:
+        SweepConfig(**raw).validate()
+    assert str(from_json.value) == str(from_python.value)
 
 def test_noise_variance_convention():
     cfg = small_cfg()
