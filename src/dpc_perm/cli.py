@@ -250,19 +250,20 @@ def _cmd_order_search(args) -> int:
 def _cmd_complexity(args) -> int:
     if args.n_max < 1 or args.n_max > 12:
         raise ConfigError("n-max must be between 1 and 12")
+    seed = config_int(args.seed, "seed", 0)
     measured_limit = 7
     lines = [
         f"# dpc-perm {__version__}",
-        f"# config_hash={config_hash({'n_max': args.n_max, 'seed': args.seed})}",
-        f"# seed={args.seed}",
+        f"# config_hash={config_hash({'n_max': args.n_max, 'seed': seed})}",
+        f"# seed={seed}",
         "n,naive_model,proposed_model,ratio_db,measured_naive_decomps,measured_proposed_decomps",
     ]
     for n in range(1, args.n_max + 1):
         naive, proposed, ratio = complexity_model(n)
         measured_naive = measured_proposed = ""
         if n <= measured_limit:
-            h = generate_channel(ChannelSpec(n_users=n, seed=args.seed + n))
-            rng = np.random.default_rng(args.seed + n)
+            h = generate_channel(ChannelSpec(n_users=n, seed=seed + n))
+            rng = np.random.default_rng(seed + n)
             s = (rng.choice([-1.0, 1.0], n) + 1j * rng.choice([-1.0, 1.0], n)) / np.sqrt(2)
             gains = lq_decompose(h).diag
             res_naive = naive_order_search(h, s, gains, "average-power")

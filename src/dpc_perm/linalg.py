@@ -1,13 +1,13 @@
 """Complex dense linear algebra for broadcast-channel precoding.
 
 LQ and SVD factorizations with fixed uniqueness conventions, the checked
-channel inverses built on them, order validation, and the permutation
+SVD inverse built on them, order validation, and the permutation
 identities that make the diagonal-permutation order search work:
 row-permuting a channel only row-permutes the left singular vectors,
 while the triangular factor of an LQ decomposition does not survive a
 row permutation.
 
-The factorizations and inverses take one channel ``(n, n)`` or a stack
+The factorizations and the inverse take one channel ``(n, n)`` or a stack
 ``(m, n, n)``; a single channel is the ``m = 1`` case of the same batched
 code, so a stacked call equals the per-channel calls exactly.
 
@@ -39,7 +39,6 @@ __all__ = [
     "lq_decompose",
     "svd_decompose",
     "svd_inverse",
-    "channel_inverse",
     "as_order",
     "permuted_svd",
     "diagonal_permute",
@@ -261,29 +260,6 @@ def svd_inverse(h: np.ndarray, gains: np.ndarray | None = None) -> tuple[np.ndar
     a /= f.sigma[:, :, np.newaxis]
     w = f.v @ a
     return (w, f.sigma) if np.ndim(h) == 3 else (w[0], f.sigma[0])
-
-
-def channel_inverse(h: np.ndarray) -> np.ndarray:
-    """Inverse of a channel, or of each channel of a stack ``(m, n, n)``.
-
-    One batched ``np.linalg.inv``. A channel is singular, and raises
-    :class:`NumericallySingular`, when the inverse fails or the Frobenius
-    condition bound ``||H||_F * ||H^-1||_F`` reaches ``1 / EPS_SING``. The
-    bound lies between the condition number ``sigma_max / sigma_min`` and
-    ``n`` times it, so it rejects every channel the SVD check of
-    :func:`svd_inverse` rejects, for the cost of two norms.
-    """
-    hs = as_channel_stack(h)
-    try:
-        w = np.linalg.inv(hs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericallySingular("channel is singular: no inverse") from exc
-    bound = np.linalg.norm(hs, axis=(1, 2)) * np.linalg.norm(w, axis=(1, 2))
-    if not np.all(bound < 1.0 / EPS_SING):
-        raise NumericallySingular(
-            f"channel condition bound ||H||_F ||H^-1||_F reaches 1/{EPS_SING:g}"
-        )
-    return w if np.ndim(h) == 3 else w[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,10 @@ chunk of trials.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .exceptions import DegenerateGain, InfeasibleBlocking
-from .linalg import (
-    EPS_SING,
-    LqFactors,
-    as_channel_stack,
-    channel_inverse,
-    lq_decompose,
-    svd_inverse,
-)
+from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
+from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_decompose, svd_inverse
 
 __all__ = [
     "as_gains",
@@ -207,10 +198,25 @@ def zf_precode(h: np.ndarray) -> np.ndarray:
     """Zero-forcing precoder ``w = h^{-1}``, unscaled; :func:`power_scale`
     gives the factor to ``tr(w w^H) = power``.
 
-    ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``; the inverse and
-    its singularity rule are :func:`linalg.channel_inverse`.
+    ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``, inverted by one
+    batched ``np.linalg.inv``. A channel is singular, and raises
+    :class:`NumericallySingular`, when the inverse fails or the Frobenius
+    condition bound ``||H||_F * ||H^-1||_F`` reaches ``1 / EPS_SING``. The
+    bound lies between the condition number ``sigma_max / sigma_min`` and
+    ``n`` times it, so it rejects every channel the SVD check of
+    :func:`linalg.svd_inverse` rejects, for the cost of two norms.
     """
-    return channel_inverse(h)
+    hs = as_channel_stack(h)
+    try:
+        w = np.linalg.inv(hs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericallySingular("channel is singular: no inverse") from exc
+    bound = np.linalg.norm(hs, axis=(1, 2)) * np.linalg.norm(w, axis=(1, 2))
+    if not np.all(bound < 1.0 / EPS_SING):
+        raise NumericallySingular(
+            f"channel condition bound ||H||_F ||H^-1||_F reaches 1/{EPS_SING:g}"
+        )
+    return w if np.ndim(h) == 3 else w[0]
 
 
 def mmse_precode(h: np.ndarray, noise_var: float) -> np.ndarray:
@@ -307,77 +313,44 @@ def thp_feedback(l: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray
     return xt
 
 
-def bd_precode(h: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Block-diagonalization precoder for a partition of users into groups.
+def bd_precode(h: np.ndarray) -> np.ndarray:
+    """Block-diagonalization precoder for single-antenna users.
 
-    Each group's columns are confined to the null space of every other
-    group's channel rows, so inter-group interference is exactly zero;
-    within a group the effective channel is inverted. For a square
-    channel of full rank, the null space of the other ``n - |g|`` rows
-    has dimension exactly ``|g|`` and is spanned by the columns ``g`` of
-    ``h^{-1}``, so BD over any partition is the channel inverse (Spencer,
-    Swindlehurst & Haardt, IEEE TSP 2004). It is computed as one batched
-    inverse over the whole stack. With single-antenna users every group
-    is a singleton, the configuration the BER sweeps use.
+    Each user's column is confined to the null space of every other
+    user's channel row, so inter-user interference is exactly zero, and
+    the user's projected scalar channel is inverted. For a square channel
+    of full rank that null space is spanned by column ``j`` of ``h^{-1}``,
+    so BD is the channel inverse (Spencer, Swindlehurst & Haardt, IEEE TSP
+    2004). It is computed as one batched inverse over the whole stack.
 
-    What sets BD apart from zero forcing are its feasibility checks. The
-    projected in-group channel of group ``g`` has singular values
-    ``1 / sv(w[:, g])``; the group is infeasible when the smallest of them
-    is at most ``EPS_SING * max(largest, 1)``. For a singleton ``{j}``
-    that is a column norm ``||w[:, j]|| >= 1 / EPS_SING``. These checks
-    replace the whole-channel condition bound of :func:`zf_precode`:
-    a badly scaled channel whose groups are each well conditioned, such
-    as ``diag(1e6, 1e-7)`` in singletons, is feasible for BD.
+    What sets BD apart from zero forcing is its feasibility rule. User
+    ``j``'s projected channel is ``1 / ||w[:, j]||``, and the user is
+    infeasible when the column norm ``||w[:, j]||`` reaches
+    ``1 / EPS_SING``. This per-user rule replaces the whole-channel
+    condition bound of :func:`zf_precode`: a badly scaled channel whose
+    users are each well separated, such as ``diag(1e6, 1e-7)``, is
+    feasible for BD.
 
-    Parameters
-    ----------
-    h : np.ndarray
-        Square channel ``(n, n)``, or a stack of them ``(m, n, n)``.
-    groups : sequence of sequences of int
-        A partition of the users ``0..n-1``, shared by every channel.
-
-    Returns
-    -------
-    np.ndarray
-        The unscaled precoder, with the shape of ``h``; :func:`power_scale`
-        gives each channel's factor to ``tr(w w^H) = power``.
+    ``h`` is a square channel ``(n, n)``, or a stack of them ``(m, n, n)``.
+    The result is the unscaled precoder, with the shape of ``h``;
+    :func:`power_scale` gives each channel's factor to
+    ``tr(w w^H) = power``.
 
     Raises
     ------
-    ValueError
-        If ``groups`` is not a partition of ``0..n-1``.
     InfeasibleBlocking
-        If some channel of the stack is singular, or some group's
-        projected channel is numerically singular.
+        If some channel of the stack is singular, or some user's projected
+        channel is numerically singular.
     """
     hs = as_channel_stack(h)
-    n = hs.shape[1]
-    parts = [np.asarray(list(group), dtype=np.intp) for group in groups]
-    users = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-    if (
-        any(g.size == 0 for g in parts)
-        or np.any((users < 0) | (users >= n))
-        or np.unique(users).size < users.size
-    ):
-        raise ValueError(f"groups must partition 0..{n - 1}, got {groups!r}")
-    if users.size < n:
-        raise ValueError(f"groups must cover every user, got {groups!r}")
-
     try:
         w = np.linalg.inv(hs)
     except np.linalg.LinAlgError as exc:
         raise InfeasibleBlocking("channel is singular: no null space left for blocking") from exc
-    # A column norm of at least 1 / EPS_SING makes its singleton infeasible,
-    # and every larger group holding that column as well.
     ok = np.linalg.norm(w, axis=1) < 1.0 / EPS_SING
-    for g in parts:
-        if g.size > 1:
-            sv = np.linalg.svd(w[:, :, g], compute_uv=False)
-            ok[:, g] &= 1.0 / sv[:, :1] > EPS_SING * np.maximum(1.0 / sv[:, -1:], 1.0)
     if not np.all(ok):
-        bad = int(np.nonzero(~ok)[1][0])
-        group = next(g for g in parts if bad in g)
-        raise InfeasibleBlocking(f"projected channel for group {group.tolist()} is singular")
+        user = int(np.nonzero(~ok)[1][0])
+        raise InfeasibleBlocking(f"projected channel for user {user} is singular")
     return w if np.ndim(h) == 3 else w[0]
 
 

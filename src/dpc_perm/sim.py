@@ -179,8 +179,9 @@ class SweepConfig:
         starts here): integer fields go through :func:`config_int`,
         a chunk of trials must fit the memory bound, ``power_budget`` goes
         through :func:`config_float` and each SNR point is a finite number
-        or ``+inf`` (``"inf"`` in JSON). A bad value raises
-        :class:`ConfigError` naming its field.
+        or ``+inf`` (``"inf"`` in JSON), and ``waterfill`` gains need a
+        DPC-family precoder. A bad value raises :class:`ConfigError`
+        naming its field.
         """
         self.n_users = config_int(self.n_users, "n_users", 1)
         self.trials_per_point = config_int(self.trials_per_point, "trials_per_point", 1)
@@ -204,6 +205,7 @@ class SweepConfig:
             (self.gain_mode in GAIN_MODES, "gain_mode"),
             (self.power_budget > 0, "power_budget"),
             (len(self.snr_grid_db) >= 1, "snr_grid_db"),
+            (self.gain_mode == "diag-L" or self.precoder in _DPC_FAMILY, "gain_mode"),
         ]
         for ok, field_name in checks:
             if not ok:
@@ -451,13 +453,10 @@ def _linear_transmit(
         w = zf_precode(hs)
     elif precoder == "mmse":
         w = mmse_precode(hs, nv)
-    elif precoder == "bd":
-        # Single-antenna users: every user is its own block. BD of a square
-        # channel is its inverse, so this is the ZF matrix, made by one
-        # batched call that adds BD's per-group feasibility checks.
-        w = bd_precode(hs, [[j] for j in range(cfg.n_users)])
     else:
-        raise ConfigError(f"unknown precoder {cfg.precoder!r}")
+        # BD of a square channel is its inverse, so this is the ZF matrix,
+        # with BD's per-user feasibility rule in place of ZF's bound.
+        w = bd_precode(hs)
 
     alpha = power_scale(w, cfg.power_budget)
     x = alpha[:, np.newaxis] * _apply(w, s)

@@ -178,6 +178,16 @@ def test_ber_sweep_bad_n_users_exits_2(tmp_path, n_users):
     assert not (tmp_path / "o").exists()
 
 
+def test_ber_sweep_waterfill_outside_the_dpc_family_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    raw = {"n_users": 2, "snr_grid_db": [0], "trials_per_point": 10}
+    raw.update(precoder="zf", gain_mode="waterfill")
+    path.write_text(json.dumps(raw))
+    res = run_cli("ber-sweep", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "gain_mode" in res.stderr
+    assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize(
     "point", [None, True, pytest.param(10**400, id="400-digits"), "-inf", "ten"]
@@ -246,6 +256,15 @@ def test_order_search_and_complexity_hash_their_configs_like_sweeps(tmp_path):
 def test_complexity_out_of_range_exits_2(tmp_path):
     res = run_cli("complexity", "--n-max", "13", "--out", str(tmp_path / "o"))
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_complexity_negative_seed_exits_2(tmp_path, seed):
+    res = run_cli("complexity", "--n-max", "2", "--seed", seed, "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "seed" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_passes_on_fresh_checkout():

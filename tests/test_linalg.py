@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import InvalidPermutation, NumericallySingular
@@ -118,6 +120,47 @@ def test_svd_contract(n, seed):
     assert np.linalg.norm(f.v @ f.v.conj().T - np.eye(n)) <= EPS_LIN * n
     err = np.linalg.norm(f.reconstruct() - h) / np.linalg.norm(h)
     assert err <= 1e-12
+
+
+def _gaussian_stack(seed, m, n, exp):
+    """``m`` complex Gaussian ``n x n`` channels scaled by ``10**exp``."""
+    rng = np.random.default_rng(seed)
+    return 10.0**exp * (rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+
+
+# Channel stacks from seeded generators, over six decades of scale.
+_STACKS = st.builds(
+    _gaussian_stack, st.integers(0, 2**32), st.integers(1, 6), st.integers(1, 12), st.integers(-3, 3)
+)
+
+
+def _assert_unitary(q):
+    n = q.shape[-1]
+    for qi in q:
+        assert np.linalg.norm(qi @ qi.conj().T - np.eye(n)) <= EPS_LIN * n
+
+
+@given(hs=_STACKS)
+@settings(max_examples=100, deadline=None)
+def test_lq_stack_conventions_property(hs):
+    f = lq_decompose(hs)
+    assert np.all(np.triu(f.l, k=1) == 0.0)
+    d = np.diagonal(f.l, axis1=1, axis2=2)
+    assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
+    _assert_unitary(f.q)
+    for h, l, q in zip(hs, f.l, f.q):
+        assert np.linalg.norm(l @ q - h) <= EPS_LIN * np.linalg.norm(h)
+
+
+@given(hs=_STACKS)
+@settings(max_examples=100, deadline=None)
+def test_svd_stack_conventions_property(hs):
+    f = svd_decompose(hs)
+    assert np.all(np.diff(f.sigma, axis=1) <= 0.0) and np.all(f.sigma >= 0.0)
+    _assert_unitary(f.u)
+    _assert_unitary(f.v)
+    for h, rec in zip(hs, f.reconstruct()):
+        assert np.linalg.norm(rec - h) <= EPS_LIN * np.linalg.norm(h)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,14 @@ def test_hard_decisions_property_matches_full_search(order, y):
     assert_matches_full_search(np.array(y, dtype=np.complex128), make_constellation(order))
 
 
+@given(order=st.sampled_from(QAM_ORDERS), seed=st.integers(0, 2**32), count=st.integers(1, 256))
+@settings(max_examples=100, deadline=None)
+def test_modem_round_trip_property(order, seed, count):
+    c = make_constellation(order)
+    bits = np.random.default_rng(seed).integers(0, 2, count * c.bits_per_symbol, dtype=np.uint8)
+    np.testing.assert_array_equal(hard_decisions(qam_modulate(bits, c), c)[0], bits)
+
+
 # ---------------------------------------------------------------------------
 # AWGN
 # ---------------------------------------------------------------------------
@@ -360,6 +368,14 @@ def test_wilson_interval_brackets_estimate():
         lo, hi = wilson_interval(errors, total)
         p = errors / total
         assert 0.0 <= lo <= p <= hi <= 1.0
+
+
+@given(data=st.data(), total=st.integers(1, 10**15))
+@settings(max_examples=300, deadline=None)
+def test_wilson_interval_brackets_estimate_property(data, total):
+    errors = data.draw(st.integers(0, total))
+    lo, hi = wilson_interval(errors, total)
+    assert 0.0 <= lo <= errors / total <= hi <= 1.0
 
 
 def test_wilson_interval_zero_errors_value():

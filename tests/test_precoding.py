@@ -411,46 +411,23 @@ def test_thp_modulo_base_for_qpsk():
 
 def test_bd_singletons_equals_zf_up_to_scaling():
     h = random_channel(31, 4)
-    w_bd = bd_precode(h, [[0], [1], [2], [3]])
+    w_bd = bd_precode(h)
     w_zf = zf_precode(h)
     # both invert the channel: h @ w is diagonal for each, and the
-    # columns differ only by per-group scalars
+    # columns differ only by per-user scalars
     np.testing.assert_allclose(h @ w_bd, np.eye(4), atol=1e-9)
     ratios = np.array([w_bd[:, j] @ np.conj(w_zf[:, j]) / np.vdot(w_zf[:, j], w_zf[:, j]) for j in range(4)])
     for j in range(4):
         np.testing.assert_allclose(w_bd[:, j], ratios[j] * w_zf[:, j], atol=1e-9)
 
 
-def test_bd_single_group_inverts_whole_channel():
-    h = random_channel(32, 3)
-    w = bd_precode(h, [[0, 1, 2]])
-    np.testing.assert_allclose(h @ w, np.eye(3), atol=1e-9)
-
-
-def test_bd_two_pairs_zero_interblock_interference():
-    h = random_channel(33, 4)
-    groups = [[0, 1], [2, 3]]
-    w = bd_precode(h, groups)
-    hw = h @ w
-    assert np.max(np.abs(hw[:2, 2:])) <= 1e-9
-    assert np.max(np.abs(hw[2:, :2])) <= 1e-9
-
-
-def test_bd_partition_validation():
-    h = random_channel(34, 3)
-    with pytest.raises(ValueError):
-        bd_precode(h, [[0, 1]])  # user 2 uncovered
-    with pytest.raises(ValueError):
-        bd_precode(h, [[0, 1], [1, 2]])  # overlap
-
-
 def test_bd_infeasible_blocking():
     # Identical rows: the null space of user 1's row contains user 0's
-    # row direction, so the projected channel for group {0} is zero (and
+    # row direction, so the projected channel for user 0 is zero (and
     # the channel has no inverse).
     h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    with pytest.raises(InfeasibleBlocking):
-        bd_precode(h, [[0], [1]])
+    with pytest.raises(InfeasibleBlocking, match="channel is singular"):
+        bd_precode(h)
 
 
 def test_bd_nearly_singular_projection_is_infeasible():
@@ -459,24 +436,21 @@ def test_bd_nearly_singular_projection_is_infeasible():
     # rejects it, as the null-space construction does.
     h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]], dtype=complex)
     assert np.all(np.isfinite(np.linalg.inv(h)))
-    with pytest.raises(InfeasibleBlocking, match="group"):
-        bd_precode(h, [[0], [1]])
+    with pytest.raises(InfeasibleBlocking, match="user 0"):
+        bd_precode(h)
     with pytest.raises(InfeasibleBlocking):
         bd_null_space_oracle(h, [[0], [1]])
 
 
 def test_bd_group_check_uses_the_whole_group():
-    # Badly scaled but well-separated users: each singleton's projected
-    # channel is a nonzero scalar, while the group {0, 1} has a projected
-    # channel with condition number 1e13.
+    # Badly scaled but well-separated users: each user's projected
+    # channel is a nonzero scalar, so BD's per-user rule accepts the
+    # channel that ZF's whole-channel condition bound (1e13) rejects.
     h = np.diag([1e6, 1e-7]).astype(complex)
-    np.testing.assert_allclose(bd_precode(h, [[0], [1]]), np.diag([1e-6, 1e7]))
+    np.testing.assert_allclose(bd_precode(h), np.diag([1e-6, 1e7]))
     np.testing.assert_allclose(bd_null_space_oracle(h, [[0], [1]]), np.diag([1e-6, 1e7]))
-    hs = np.stack([random_channel(60, 2), h])
-    with pytest.raises(InfeasibleBlocking, match=r"group \[0, 1\]"):
-        bd_precode(hs, [[0, 1]])
-    with pytest.raises(InfeasibleBlocking):
-        bd_null_space_oracle(h, [[0, 1]])
+    with pytest.raises(NumericallySingular):
+        zf_precode(h)
 
 
 def bd_null_space_oracle(h, groups):
@@ -484,7 +458,8 @@ def bd_null_space_oracle(h, groups):
 
     Each group's columns are an orthonormal basis of the null space of
     the other groups' rows times the inverse of the projected in-group
-    channel. The library computes the same matrix as one channel inverse.
+    channel. The library's BD is the partition into singletons, which it
+    computes as one channel inverse.
     """
     n = h.shape[0]
     w = np.zeros((n, n), dtype=np.complex128)
@@ -508,21 +483,14 @@ def bd_null_space_oracle(h, groups):
     return w
 
 
-@pytest.mark.parametrize(
-    "groups",
-    [
-        [[0], [1], [2], [3], [4]],
-        [[0, 1], [2, 3], [4]],
-        [[3, 1], [0, 4, 2]],
-        [[0, 1, 2, 3, 4]],
-    ],
-)
+# The oracle's partition: one block per single-antenna user.
+@pytest.mark.parametrize("groups", [[[0], [1], [2], [3], [4]]])
 @pytest.mark.parametrize("power", [None, 2.5])
 def test_bd_stack_matches_slices_and_null_space_oracle(groups, power):
     hs = np.stack([random_channel(40 + t, 5) for t in range(6)])
 
     def bd(h):
-        w = bd_precode(h, groups)
+        w = bd_precode(h)
         return w if power is None else to_power(w, power)
 
     ws = bd(hs)
@@ -541,17 +509,15 @@ def test_bd_stack_with_one_singular_slice_raises():
     hs = np.stack([random_channel(50 + t, 4) for t in range(5)])
     hs[3, 1] = hs[3, 0]  # identical rows: channel 3 of the stack is singular
     with pytest.raises(InfeasibleBlocking):
-        bd_precode(hs, [[0], [1], [2], [3]])
-    with pytest.raises(InfeasibleBlocking):
-        bd_precode(hs, [[0, 1], [2, 3]])
-    bd_precode(np.delete(hs, 3, axis=0), [[0], [1], [2], [3]])
+        bd_precode(hs)
+    bd_precode(np.delete(hs, 3, axis=0))
 
 
 def test_bd_rejects_bad_stack_shapes():
     with pytest.raises(ValueError):
-        bd_precode(np.ones((2, 3, 4)), [[0], [1], [2]])
+        bd_precode(np.ones((2, 3, 4)))
     with pytest.raises(ValueError):
-        bd_precode(np.ones((2, 2, 3, 3)), [[0], [1], [2]])
+        bd_precode(np.ones((2, 2, 3, 3)))
 
 
 # ---------------------------------------------------------------------------

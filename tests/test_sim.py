@@ -166,6 +166,20 @@ def test_python_built_config_is_checked_like_json(field, value):
         run_ber_sweep(small_cfg(**{field: value}))
 
 
+@pytest.mark.parametrize("precoder", ["zf", "mmse", "thp", "bd"])
+def test_waterfill_outside_the_dpc_family_is_refused(precoder):
+    # The sweep would run diag-L while the config hash and CSV claim
+    # water-filling. A bad power budget is still the field named first.
+    raw = {"n_users": 4, "snr_grid_db": [6], "trials_per_point": 10}
+    raw.update(precoder=precoder, gain_mode="waterfill")
+    with pytest.raises(ConfigError, match="gain_mode"):
+        SweepConfig(**raw).validate()
+    with pytest.raises(ConfigError, match="gain_mode"):
+        SweepConfig.from_dict(json.loads(json.dumps(raw)))
+    with pytest.raises(ConfigError, match="power_budget"):
+        SweepConfig(**raw, power_budget=0).validate()
+
+
 def test_validate_normalizes_fields_in_place():
     cfg = small_cfg(n_users=4.0, snr_grid_db=[0, "inf"], seed=3.0, power_budget=2)
     assert cfg.validate() is cfg
@@ -189,6 +203,13 @@ def _int_field(lo: int, hi: int):
 _SNR_POINT = (
     st.floats(-50, 50) | st.integers(-50, 50) | st.just(math.inf) | st.sampled_from(["inf", "Infinity"])
 )
+
+
+def _waterfill_only_with_dpc(raw: dict) -> bool:
+    # Water-filling is a gain design of the DPC family (dpc-linear by default).
+    return raw.get("gain_mode") != "waterfill" or raw.get("precoder", "dpc-linear") in sim._DPC_FAMILY
+
+
 _VALID_RAW = st.fixed_dictionaries(
     {
         "n_users": _int_field(1, 64),
@@ -203,7 +224,7 @@ _VALID_RAW = st.fixed_dictionaries(
         "power_budget": st.none() | st.floats(1e-6, 1e6) | st.integers(1, 10**6),
         "seed": _int_field(0, 2**64),
     },
-)
+).filter(_waterfill_only_with_dpc)
 _NOT_A_NUMBER = st.booleans() | st.none() | st.text(max_size=4) | st.lists(st.integers(), max_size=1)
 _NOT_AN_INT = _NOT_A_NUMBER | st.floats().filter(lambda v: not v.is_integer())
 _NOT_FINITE = st.sampled_from([math.nan, -math.inf, 10**400, -(10**400)])
