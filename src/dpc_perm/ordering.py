@@ -11,11 +11,12 @@ precoded signal by permuting a diagonal gain matrix inside
 
 so its factorization count stays at one while the naive count grows as
 n factorial. After that one factorization nothing is done per order in
-Python: the lexicographic table of all n! orders is built once per n,
-the permuted gains of every order are scattered into one array, and all
-signals come from one matrix product, evaluated in chunks of orders so
-that memory stays bounded; the objectives are reductions along axes.
-``min-power`` needs no signals at all.
+Python: the lexicographic table of all n! orders and its inverse are
+built once per n, each order's permuted gains are gathered through the
+inverse from a per-user, per-slot table, and all signals come from one
+matrix product, evaluated in chunks of orders so that memory stays
+bounded; the objectives are reductions along axes, sharing one power
+pass. ``min-power`` needs no signals at all.
 
 Both engines score orders with the same reductions and pick the winner
 with the same array rule (:func:`_select`): among the orders whose value
@@ -61,19 +62,21 @@ OBJECTIVES = ("average-power", "papr", "min-power")
 _TIE_RTOL = 1e-12
 
 # Signals are built for as many orders at a time as fit in this many
-# complex entries (128 KiB), and for at least one order. Larger chunks
-# save no time at n <= 8 and add their size to peak memory.
+# complex entries (128 KiB), and for at least one order: n entries an
+# order in the diagonal search, n * n in the naive oracle, whose chunks
+# are stacks of (n, n) channels and encoders. Larger chunks save no time
+# at n <= 8 and add their size to peak memory.
 _CHUNK_ENTRIES = 1 << 13
 
 
 def objective_ap(x: np.ndarray) -> float:
     """Average power of a precoded vector: mean of |x[i]|**2."""
-    return float(_signal_values("average-power", _as_signal_block(x))[0])
+    return float(_signal_values(("average-power",), _as_signal_block(x))[0][0])
 
 
 def objective_papr(x: np.ndarray) -> float:
     """Peak-to-average power ratio: max |x[i]|**2 over mean |x[i]|**2."""
-    return float(_signal_values("papr", _as_signal_block(x))[0])
+    return float(_signal_values(("papr",), _as_signal_block(x))[0][0])
 
 
 def _as_signal_block(x: np.ndarray) -> np.ndarray:
@@ -81,21 +84,15 @@ def _as_signal_block(x: np.ndarray) -> np.ndarray:
     return x.reshape(1, x.size)
 
 
-def _signal_values(kind: str, signals: np.ndarray) -> np.ndarray:
-    """Objective of each order's signal, one per row of ``(orders, n)``."""
+def _signal_values(kinds: tuple[str, ...], signals: np.ndarray) -> list[np.ndarray]:
+    """Each objective in ``kinds``, one per row of ``(orders, n)``, from one power pass."""
     if not np.all(np.isfinite(signals)):
         raise ValueError("signal must be finite")
     power = signals.real**2 + signals.imag**2
     mean = power.mean(axis=1)
-    if kind == "average-power":
-        return mean
-    if np.any(mean == 0.0):
+    if "papr" in kinds and np.any(mean == 0.0):
         raise DegenerateGain("PAPR is undefined for the all-zero signal")
-    return power.max(axis=1) / mean
-
-
-def _min_power_values(k_perm: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return np.sum(k_perm**2 / lam, axis=1)
+    return [mean if kind == "average-power" else power.max(axis=1) / mean for kind in kinds]
 
 
 def _select(values: np.ndarray) -> int:
@@ -134,32 +131,45 @@ def _lex_orders(n: int) -> np.ndarray:
     return orders
 
 
-def _permuted_gains(k: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Row j is the diagonal permutation of ``k`` by ``orders[j]``,
-    ``k_perm[j, orders[j, i]] = k[i]`` (see ``linalg.diagonal_permute``)."""
-    k_perm = np.empty(orders.shape)
-    np.put_along_axis(k_perm, orders, k[np.newaxis, :], axis=1)
-    return k_perm
+@lru_cache(maxsize=None)
+def _inverse_orders(n: int) -> np.ndarray:
+    """The inverse of each order in ``_lex_orders(n)``, ``inv[j, orders[j, i]] = i``:
+    ``inv[j, slot]`` is the user that order j puts in ``slot``. Cached read-only."""
+    inv = np.argsort(_lex_orders(n), axis=1)
+    inv.setflags(write=False)
+    return inv
+
+
+@lru_cache(maxsize=None)
+def _lex_order_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    """``_lex_orders(n)`` as tuples of ints, the ``order`` of each table row."""
+    return tuple(map(tuple, _lex_orders(n).tolist()))
+
+
+def _by_order(table: np.ndarray, chunk: slice = slice(None)) -> np.ndarray:
+    """``out[j, slot] = table[inv[j, slot], slot]`` for the orders of ``chunk``: from
+    a per-user, per-slot table, each slot's entry for the user order j puts there."""
+    return table[_inverse_orders(len(table))[chunk], np.arange(len(table))]
 
 
 def _order_values(
-    kinds: tuple[str, ...], b: np.ndarray, k_perm: np.ndarray, s: np.ndarray
+    kinds: tuple[str, ...], b: np.ndarray, k: np.ndarray, s: np.ndarray
 ) -> list[np.ndarray]:
     """Values of each objective in ``kinds`` for every order's signal.
 
-    Order j's signal is ``(k_perm[j] * s) @ b.T``; orders are taken in
-    chunks (:func:`_chunks`), each chunk one matrix product.
+    Order j's signal is ``(k[inv[j]] * s) @ b.T``, its left factor gathered
+    from ``k[i] * s[slot]``; orders are taken in chunks, one product each.
     """
-    m, n = k_perm.shape
-    parts = []
-    for chunk in _chunks(m, n):
-        x = (k_perm[chunk] * s) @ b.T
-        parts.append([_signal_values(kind, x) for kind in kinds])
+    ks = k[:, np.newaxis] * s[np.newaxis, :]
+    parts = [
+        _signal_values(kinds, _by_order(ks, chunk) @ b.T)
+        for chunk in _chunks(len(_lex_orders(k.size)), k.size)
+    ]
     return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _chunks(orders: int, entries_per_order: int) -> Iterator[slice]:
-    """Slices of ``range(orders)`` whose signals fit in ``_CHUNK_ENTRIES``."""
+    """Slices of ``range(orders)``, each at most ``_CHUNK_ENTRIES`` entries (or one order)."""
     step = max(1, _CHUNK_ENTRIES // entries_per_order)
     return (slice(start, start + step) for start in range(0, orders, step))
 
@@ -225,16 +235,16 @@ def naive_order_search(
     signals = np.empty(orders.shape, dtype=np.complex128)
     values = np.empty(orders.shape[0])
     with count_decompositions() as counter:
-        for chunk in _chunks(orders.shape[0], n):
+        for chunk in _chunks(orders.shape[0], n * n):
             block = orders[chunk]
             # One LQ per order: the rows of h permuted by each order, stacked.
             w = successive_encoder(lq_decompose(h[block]), k)
             signals[chunk] = np.einsum("mij,mj->mi", w, s[block])
             if objective != "min-power":
-                values[chunk] = _signal_values(objective, signals[chunk])
+                (values[chunk],) = _signal_values((objective,), signals[chunk])
     if objective == "min-power":
         lam = np.linalg.svd(h, compute_uv=False) ** 2
-        values = _min_power_values(_permuted_gains(k, orders), lam)
+        values = _by_order(k[:, np.newaxis] ** 2 / lam).sum(axis=1)
     best = _select(values)
     return OrderSearchResult(
         best_order=orders[best].copy(),
@@ -270,16 +280,15 @@ def diagonal_order_search(
     with count_decompositions() as counter:
         b, sigma = svd_inverse(h)
     orders = _lex_orders(h.shape[0])
-    k_perm = _permuted_gains(k, orders)
     if objective == "min-power":
-        values = _min_power_values(k_perm, sigma**2)
+        values = _by_order(k[:, np.newaxis] ** 2 / sigma**2).sum(axis=1)
     else:
-        (values,) = _order_values((objective,), b, k_perm, s)
+        (values,) = _order_values((objective,), b, k, s)
     best = _select(values)
     return OrderSearchResult(
         best_order=orders[best].copy(),
         best_value=float(values[best]),
-        best_signal=b @ (k_perm[best] * s),
+        best_signal=b @ (k[_inverse_orders(h.shape[0])[best]] * s),
         decompositions_performed=counter.total,
         permutations_evaluated=orders.shape[0],
         objective=objective,
@@ -295,11 +304,10 @@ def order_table(h: np.ndarray, s: np.ndarray, gains: np.ndarray) -> list[dict]:
     """
     h, k, s = _search_inputs(h, s, gains, "average-power")
     b, _ = svd_inverse(h)
-    orders = _lex_orders(h.shape[0])
-    ap, papr = _order_values(("average-power", "papr"), b, _permuted_gains(k, orders), s)
+    ap, papr = _order_values(("average-power", "papr"), b, k, s)
     return [
-        {"order": tuple(order), "ap": a, "papr": r}
-        for order, a, r in zip(orders.tolist(), ap.tolist(), papr.tolist())
+        {"order": order, "ap": a, "papr": r}
+        for order, a, r in zip(_lex_order_tuples(h.shape[0]), ap.tolist(), papr.tolist())
     ]
 
 

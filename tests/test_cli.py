@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -238,6 +239,23 @@ def test_complexity_table(tmp_path):
     n5 = rows[4].split(",")
     assert float(n5[3]) == pytest.approx(17.8693, abs=1e-3)
     assert n5[4] == "120" and n5[5] == "1"
+
+
+def test_complexity_prints_wall_time_ratios_and_keeps_them_out_of_the_csv(tmp_path):
+    runs = [run_cli("complexity", "--n-max", "4", "--out", str(tmp_path / d)) for d in "ab"]
+    for res in runs:
+        assert res.returncode == 0, res.stderr
+        lines = [ln for ln in res.stdout.splitlines() if ln.startswith("n=")]
+        assert len(lines) == 4
+        for n, line in enumerate(lines, start=1):
+            model, measured = line.split(", measured ")
+            assert model.startswith(f"n={n}: model ratio ")
+            counts, wall = measured.split(", wall-time ratio ")
+            assert counts == f"{math.factorial(n)} vs 1"
+            assert wall.endswith(" dB") and math.isfinite(float(wall[: -len(" dB")]))
+    # The printed timings vary from run to run; the CSVs must not.
+    csv_a, csv_b = ((tmp_path / d / "complexity.csv").read_bytes() for d in "ab")
+    assert csv_a == csv_b
 
 
 def test_order_search_and_complexity_hash_their_configs_like_sweeps(tmp_path):

@@ -2,16 +2,26 @@
 
 import math
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpc_perm import ordering
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import DegenerateGain, OrderSpaceTooLarge
-from dpc_perm.linalg import count_decompositions, diagonal_permute, lq_decompose, svd_decompose
+from dpc_perm.linalg import (
+    count_decompositions,
+    diagonal_permute,
+    lq_decompose,
+    svd_decompose,
+    svd_inverse,
+)
 from dpc_perm.modem import make_constellation, qam_modulate
 from dpc_perm.ordering import (
+    OBJECTIVES,
     complexity_model,
     diagonal_order_search,
     min_power_order_closed_form,
@@ -139,12 +149,72 @@ def test_exact_tie_breaks_lexicographically():
 def test_cached_orders_are_lexicographic_read_only_and_permute_like_the_loop():
     for n in range(1, 9):
         orders = ordering._lex_orders(n)
+        inv = ordering._inverse_orders(n)
         assert orders.tolist() == [list(p) for p in permutations(range(n))]
         assert not orders.flags.writeable
+        assert not inv.flags.writeable
+        # inv[j, orders[j, i]] == i for every order j and user i.
+        inverted = np.take_along_axis(inv, orders, axis=1)
+        np.testing.assert_array_equal(inverted, np.broadcast_to(np.arange(n), orders.shape))
     k = np.array([0.3, 1.7, 0.0, 2.2])
-    orders = ordering._lex_orders(4)
-    for p, k_p in zip(orders, ordering._permuted_gains(k, orders)):
+    gathered = ordering._by_order(np.repeat(k[:, np.newaxis], 4, axis=1))
+    for p, k_p in zip(ordering._lex_orders(4), gathered):
         np.testing.assert_array_equal(k_p, diagonal_permute(k, p))
+
+
+def scatter_reference(h, s, k):
+    """Every order's AP, PAPR and min-power value, computed as the search
+    did before it gathered: each order's gains scattered with
+    ``put_along_axis`` into one (n!, n) array, then the same products and
+    reductions on the same chunks."""
+    b, sigma = svd_inverse(h)
+    orders = ordering._lex_orders(k.size)
+    k_perm = np.empty(orders.shape)
+    np.put_along_axis(k_perm, orders, k[np.newaxis, :], axis=1)
+    ap, papr = [], []
+    for chunk in ordering._chunks(len(orders), k.size):
+        x = (k_perm[chunk] * s) @ b.T
+        power = x.real**2 + x.imag**2
+        ap.append(power.mean(axis=1))
+        papr.append(power.max(axis=1) / power.mean(axis=1))
+    lam = np.linalg.svd(h, compute_uv=False) ** 2
+    return {
+        "average-power": np.concatenate(ap),
+        "papr": np.concatenate(papr),
+        "min-power": np.sum(k_perm**2 / sigma**2, axis=1),
+        "naive min-power": np.sum(k_perm**2 / lam, axis=1),
+    }
+
+
+def values_seen_by_the_tie_rule(search, *args):
+    with mock.patch.object(ordering, "_select", wraps=ordering._select) as select:
+        search(*args)
+    return select.call_args.args[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    gains=st.integers(1, 6)
+    .flatmap(lambda n: st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]), min_size=n, max_size=n))
+    .filter(any),
+)
+def test_gathered_values_and_table_equal_the_scatter_reference_bit_for_bit(seed, gains):
+    # Zero gains mute users and repeated gains make whole groups of orders
+    # tie exactly; every value must still be the scatter route's, bit for bit.
+    n = len(gains)
+    h = random_channel(seed, n)
+    s = qpsk(np.random.default_rng(seed), n)
+    k = np.array(gains)
+    ref = scatter_reference(h, s, k)
+    for objective in OBJECTIVES:
+        values = values_seen_by_the_tie_rule(diagonal_order_search, h, s, k, objective)
+        np.testing.assert_array_equal(values, ref[objective])
+    naive = values_seen_by_the_tie_rule(naive_order_search, h, s, k, "min-power")
+    np.testing.assert_array_equal(naive, ref["naive min-power"])
+    rows = [(row["order"], row["ap"], row["papr"]) for row in order_table(h, s, k)]
+    orders = [tuple(p) for p in permutations(range(n))]
+    assert rows == list(zip(orders, ref["average-power"].tolist(), ref["papr"].tolist()))
 
 
 def first_within_tie(values):
