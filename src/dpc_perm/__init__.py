@@ -9,12 +9,11 @@ harness comparing both against ZF, MMSE, THP, and BD baselines.
 
 __version__ = "0.1.0"
 
-from .channel import ChannelSpec, generate_channel, load_channel, save_channel
+from .channel import ChannelSpec, generate_channel
 from .exceptions import (
     ConfigError,
     DegenerateGain,
     DpcPermError,
-    FormatError,
     InfeasibleBlocking,
     InvalidPermutation,
     LengthMismatch,
@@ -67,8 +66,6 @@ __all__ = [
     "__version__",
     "ChannelSpec",
     "generate_channel",
-    "save_channel",
-    "load_channel",
     "DpcPermError",
     "NumericallySingular",
     "InvalidPermutation",
@@ -76,7 +73,6 @@ __all__ = [
     "DegenerateGain",
     "InfeasibleBlocking",
     "LengthMismatch",
-    "FormatError",
     "ConfigError",
     "WorkerCrashed",
     "EPS_LIN",

@@ -1,4 +1,4 @@
-"""Seeded broadcast-channel generation and binary persistence.
+"""Seeded broadcast-channel generation.
 
 Channels are square complex Gaussian matrices with unit variance per
 entry (1/2 per real component), drawn from counter-based Philox streams
@@ -8,34 +8,19 @@ spawn_key=...)`` feeding a Philox generator (:func:`stream`).
 
 :func:`sample_channel` draws one channel, or a stack of ``m`` channels
 with the channel on the leading axis. The single draw is the one of
-scheme ``philox-ss-v1``, unchanged, so :func:`generate_channel`, saved
-channels and every order-search input stay as they were. The stacked
-draw is the channel kind of the BER sweep's scheme ``philox-ss-v2``
-(one stream per chunk of trials; see :mod:`dpc_perm.sim`).
+scheme ``philox-ss-v1``, unchanged, so :func:`generate_channel` and
+every order-search input stay as they were. The stacked draw is the
+channel kind of the BER sweep's scheme ``philox-ss-v2`` (one stream per
+chunk of trials; see :mod:`dpc_perm.sim`).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FormatError
-from .linalg import as_channel_matrix
-
-__all__ = [
-    "ChannelSpec",
-    "stream",
-    "sample_channel",
-    "generate_channel",
-    "save_channel",
-    "load_channel",
-]
-
-_MAGIC = b"DPCM"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHI")
+__all__ = ["ChannelSpec", "stream", "sample_channel", "generate_channel"]
 
 
 @dataclass(frozen=True)
@@ -73,47 +58,4 @@ def sample_channel(rng: np.random.Generator, n: int, m: int | None = None) -> np
 def generate_channel(spec: ChannelSpec) -> np.ndarray:
     """Deterministically generate the channel described by ``spec``."""
     return sample_channel(stream(spec.seed), spec.n_users)
-
-
-def save_channel(h: np.ndarray, path) -> None:
-    """Write a channel to the DPCM container (bit-exact round trip).
-
-    Layout: magic ``DPCM``, format version u16, dimension n as u32, then
-    the n*n entries row-major as little-endian (re, im) float64 pairs.
-    """
-    h = as_channel_matrix(h)
-    n = h.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n))
-        fh.write(np.ascontiguousarray(h, dtype=np.dtype("<c16")).tobytes())
-
-
-def load_channel(path) -> np.ndarray:
-    """Read a channel written by :func:`save_channel`.
-
-    Raises
-    ------
-    FormatError
-        On bad magic, unknown version, or a payload whose size does not
-        match the declared dimension (truncated or oversized file).
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError("file too short for a DPCM header")
-    magic, version, n = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _FORMAT_VERSION:
-        raise FormatError(f"unsupported DPCM format version {version}")
-    if n < 1:
-        raise FormatError(f"declared dimension {n} is not positive")
-    payload = raw[_HEADER.size :]
-    expected = 16 * n * n
-    if len(payload) != expected:
-        raise FormatError(
-            f"payload holds {len(payload)} bytes but dimension {n} requires {expected}"
-        )
-    h = np.frombuffer(payload, dtype=np.dtype("<c16")).reshape(n, n)
-    return h.astype(np.complex128)
 

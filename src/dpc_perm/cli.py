@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -58,6 +59,9 @@ _EXIT_VERIFY = 1
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_WORKER = 4
+
+# Calls of each search per n behind the wall-time ratio of `complexity`.
+_TIMED_RUNS = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,6 +253,16 @@ def _cmd_order_search(args) -> int:
     return _EXIT_OK
 
 
+def _median_seconds(search, args: tuple):
+    """Median seconds of ``_TIMED_RUNS`` calls of ``search(*args)``, and the last result."""
+    seconds = []
+    for _ in range(_TIMED_RUNS):
+        start = time.perf_counter()
+        res = search(*args)
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), res
+
+
 def _cmd_complexity(args) -> int:
     if args.n_max < 1 or args.n_max > 12:
         raise ConfigError("n-max must be between 1 and 12")
@@ -268,12 +282,10 @@ def _cmd_complexity(args) -> int:
             rng = np.random.default_rng(seed + n)
             s = (rng.choice([-1.0, 1.0], n) + 1j * rng.choice([-1.0, 1.0], n)) / np.sqrt(2)
             search = (h, s, lq_decompose(h).diag, "average-power")
-            res_diag = diagonal_order_search(*search)  # untimed: fills the per-n order tables
-            start = time.perf_counter()
-            res_naive = naive_order_search(*search)
-            middle = time.perf_counter()
-            diagonal_order_search(*search)
-            wall_db = 10.0 * math.log10((middle - start) / (time.perf_counter() - middle))
+            diagonal_order_search(*search)  # untimed: fills the per-n order tables
+            naive_s, res_naive = _median_seconds(naive_order_search, search)
+            diag_s, res_diag = _median_seconds(diagonal_order_search, search)
+            wall_db = 10.0 * math.log10(naive_s / diag_s)
             measured_naive = str(res_naive.decompositions_performed)
             measured_proposed = str(res_diag.decompositions_performed)
             measured = (f", measured {measured_naive} vs {measured_proposed},"

@@ -29,10 +29,6 @@ class LengthMismatch(DpcPermError):
     """Two sequences that must have compatible lengths do not."""
 
 
-class FormatError(DpcPermError):
-    """A serialized file is malformed or declares inconsistent sizes."""
-
-
 class ConfigError(DpcPermError):
     """An experiment configuration is missing fields or holds bad values."""
 

@@ -99,10 +99,6 @@ class Constellation:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    @property
-    def name(self) -> str:
-        return modulation_name(self.order)
-
     @cached_property
     def _table(self) -> "_CandidateTable | None":
         return _candidate_table(self.points)

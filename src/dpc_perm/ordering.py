@@ -183,7 +183,6 @@ class OrderSearchResult:
     best_signal: np.ndarray
     decompositions_performed: int
     permutations_evaluated: int
-    objective: str
 
 
 def _search_inputs(
@@ -252,7 +251,6 @@ def naive_order_search(
         best_signal=signals[best].copy(),
         decompositions_performed=counter.total,
         permutations_evaluated=orders.shape[0],
-        objective=objective,
     )
 
 
@@ -291,7 +289,6 @@ def diagonal_order_search(
         best_signal=b @ (k[_inverse_orders(h.shape[0])[best]] * s),
         decompositions_performed=counter.total,
         permutations_evaluated=orders.shape[0],
-        objective=objective,
     )
 
 

@@ -520,14 +520,14 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     :class:`WorkerCrashed` with the same context.
     """
     cfg.validate()
-    n_workers = resolve_workers(workers)
-    fixed_h = fixed_channel_for(cfg) if cfg.channel_mode == "fixed-channel" else None
-
     tasks = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         for t0 in range(0, cfg.trials_per_point, _CHUNK):
             t1 = min(t0 + _CHUNK, cfg.trials_per_point)
             tasks.append((snr_idx, snr_db, t0, t1))
+    # A pool starts all its workers on the first submit; start no idle ones.
+    n_workers = min(resolve_workers(workers), len(tasks))
+    fixed_h = fixed_channel_for(cfg) if cfg.channel_mode == "fixed-channel" else None
 
     # Both paths collect chunks in task order, so each point's float sums
     # add up in the same order for any worker count.

@@ -1,19 +1,9 @@
-"""Tests for channel generation and the DPCM container."""
+"""Tests for seeded channel generation."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from dpc_perm.channel import (
-    ChannelSpec,
-    generate_channel,
-    load_channel,
-    sample_channel,
-    save_channel,
-    stream,
-)
-from dpc_perm.exceptions import FormatError
+from dpc_perm.channel import ChannelSpec, generate_channel, sample_channel, stream
 
 
 def test_same_spec_is_bit_identical():
@@ -75,81 +65,3 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(n_users=0, seed=1)
 
-
-def test_save_load_roundtrip(tmp_path):
-    h = generate_channel(ChannelSpec(n_users=4, seed=77))
-    path = tmp_path / "h.dpcm"
-    save_channel(h, path)
-    back = load_channel(path)
-    np.testing.assert_array_equal(h, back)
-
-
-def test_load_truncated_file(tmp_path):
-    h = generate_channel(ChannelSpec(n_users=4, seed=77))
-    path = tmp_path / "h.dpcm"
-    save_channel(h, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(FormatError):
-        load_channel(path)
-
-
-def test_load_oversized_payload(tmp_path):
-    h = generate_channel(ChannelSpec(n_users=3, seed=5))
-    path = tmp_path / "h.dpcm"
-    save_channel(h, path)
-    path.write_bytes(path.read_bytes() + b"\x00" * 16)
-    with pytest.raises(FormatError):
-        load_channel(path)
-
-
-
-_ENTRY = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@given(data=st.data(), extra=st.binary(min_size=1, max_size=40))
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_dpcm_round_trip_is_bit_exact_and_any_other_size_is_refused(tmp_path, data, extra):
-    n = data.draw(st.integers(1, 4))
-    parts = data.draw(st.lists(_ENTRY, min_size=2 * n * n, max_size=2 * n * n))
-    h = np.array(parts).view(np.complex128).reshape(n, n)
-    path = tmp_path / "h.dpcm"
-    save_channel(h, path)
-    raw = path.read_bytes()
-    assert load_channel(path).tobytes() == h.tobytes()
-    for size in range(len(raw)):
-        path.write_bytes(raw[:size])
-        with pytest.raises(FormatError):
-            load_channel(path)
-    path.write_bytes(raw + extra)
-    with pytest.raises(FormatError):
-        load_channel(path)
-
-def test_load_bad_magic(tmp_path):
-    path = tmp_path / "h.dpcm"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(FormatError):
-        load_channel(path)
-
-
-def test_load_bad_version(tmp_path):
-    h = generate_channel(ChannelSpec(n_users=2, seed=5))
-    path = tmp_path / "h.dpcm"
-    save_channel(h, path)
-    raw = bytearray(path.read_bytes())
-    raw[4] = 99
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        load_channel(path)
-
-
-def test_load_header_only(tmp_path):
-    path = tmp_path / "h.dpcm"
-    path.write_bytes(b"DPC")
-    with pytest.raises(FormatError):
-        load_channel(path)
-
-
-def test_missing_file_raises_oserror(tmp_path):
-    with pytest.raises(OSError):
-        load_channel(tmp_path / "missing.dpcm")

@@ -258,6 +258,25 @@ def test_complexity_prints_wall_time_ratios_and_keeps_them_out_of_the_csv(tmp_pa
     assert csv_a == csv_b
 
 
+def test_complexity_times_each_search_five_times_per_measured_n(tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in ("naive_order_search", "diagonal_order_search"):
+        real = getattr(cli, name)
+
+        def counted(h, *args, _name=name, _real=real):
+            calls.append((_name, h.shape[0]))
+            return _real(h, *args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["complexity", "--n-max", "3", "--out", str(tmp_path)]) == 0
+    for n in (1, 2, 3):
+        assert calls.count(("naive_order_search", n)) == 5
+        # One untimed call fills the order tables before the five timed ones.
+        assert calls.count(("diagonal_order_search", n)) == 6
+    assert len(calls) == 33
+    assert "wall-time ratio" in capsys.readouterr().out
+
+
 def test_order_search_and_complexity_hash_their_configs_like_sweeps(tmp_path):
     from dpc_perm.sim import config_hash
 

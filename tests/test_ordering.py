@@ -21,6 +21,7 @@ from dpc_perm.linalg import (
 )
 from dpc_perm.modem import make_constellation, qam_modulate
 from dpc_perm.ordering import (
+    MAX_ENUM_USERS,
     OBJECTIVES,
     complexity_model,
     diagonal_order_search,
@@ -308,6 +309,21 @@ def test_naive_and_diagonal_agree(objective):
     assert res_n.best_order.tolist() == res_d.best_order.tolist()
     assert res_n.best_value == pytest.approx(res_d.best_value, rel=1e-9)
     np.testing.assert_allclose(res_n.best_signal, res_d.best_signal, atol=1e-10)
+
+
+@pytest.mark.parametrize("objective", ["average-power", "papr", "min-power"])
+def test_naive_and_diagonal_agree_at_the_enumeration_guard(objective):
+    n = MAX_ENUM_USERS
+    h = random_channel(88, n)
+    s = qpsk(np.random.default_rng(8), n)
+    k = lq_decompose(h).diag
+    res_n = naive_order_search(h, s, k, objective)
+    res_d = diagonal_order_search(h, s, k, objective)
+    assert res_n.best_order.tolist() == res_d.best_order.tolist()
+    assert (res_n.decompositions_performed, res_d.decompositions_performed) == (40320, 1)
+    assert res_n.permutations_evaluated == res_d.permutations_evaluated == math.factorial(n)
+    rel = np.linalg.norm(res_n.best_signal - res_d.best_signal) / np.linalg.norm(res_d.best_signal)
+    assert rel <= 1e-8
 
 
 def test_per_order_signals_match_through_public_api():

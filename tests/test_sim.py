@@ -605,6 +605,26 @@ def test_broken_worker_pool_is_a_worker_crash_with_context(monkeypatch):
     assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 
+@pytest.mark.parametrize("workers,expected", [(10**6, 2), (2, 2)])
+def test_parallel_sweep_starts_no_more_workers_than_chunks(monkeypatch, workers, expected):
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return InlinePool(max_workers)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool)
+    cfg = small_cfg(precoder="zf", snr_grid_db=(0.0, 6.0), trials_per_point=8)
+    assert run_ber_sweep(cfg, workers=workers) == run_ber_sweep(cfg, workers=1)
+    assert sizes == [expected]
+
+
+def test_single_chunk_sweep_runs_serially(monkeypatch):
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", BrokenPool)
+    cfg = small_cfg(precoder="zf", snr_grid_db=(6.0,), trials_per_point=8)
+    assert run_ber_sweep(cfg, workers=8) == run_ber_sweep(cfg, workers=1)
+
+
 @pytest.mark.parametrize("n_users", [10, 32])
 def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users):
     cfg = small_cfg(n_users=n_users, precoder="thp", snr_grid_db=(10.0,), trials_per_point=512)
