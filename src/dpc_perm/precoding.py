@@ -292,7 +292,9 @@ def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     return x if np.ndim(h) == 3 else x[0]
 
 
-def thp_feedback(l: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
+def thp_feedback(
+    l: np.ndarray, s: np.ndarray, modulo_base: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Successive modulo feedback ``x~`` of THP, before the ``q^H`` rotation.
 
     ``l`` is a stack of LQ lower factors ``(m, n, n)``, or one factor
@@ -304,13 +306,24 @@ def thp_feedback(l: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray
 
     ``l`` is divided by its diagonal once; each user is then one batched
     matmul over its contiguous row ``[:, i, :]`` of every draw.
+
+    The result goes to ``out`` when given (a complex128 array of the shape
+    of ``s``, else ``ValueError``), and ``out`` is returned. ``out`` may be
+    ``s`` itself: user ``i`` reads row ``i`` of ``s`` before writing it, and
+    rows ``j < i`` already hold feedback outputs, so the in-place result
+    is exactly the one a fresh array gets.
     """
+    if out is None:
+        out = np.empty(s.shape, dtype=np.complex128)
+    elif out.shape != s.shape or out.dtype != np.complex128:
+        raise ValueError(
+            f"out must be complex128 of shape {s.shape}, got {out.dtype} of shape {out.shape}"
+        )
     b = l / np.diagonal(l, axis1=1, axis2=2)[:, :, np.newaxis]
-    xt = np.empty(s.shape, dtype=np.complex128)
     for i in range(s.shape[1]):
-        row = s[:, i : i + 1] - b[:, i : i + 1, :i] @ xt[:, :i]
-        xt[:, i : i + 1] = modulo_lattice(row, modulo_base)
-    return xt
+        row = s[:, i : i + 1] - b[:, i : i + 1, :i] @ out[:, :i]
+        out[:, i : i + 1] = modulo_lattice(row, modulo_base)
+    return out
 
 
 def bd_precode(h: np.ndarray) -> np.ndarray:

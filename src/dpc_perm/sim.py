@@ -146,8 +146,9 @@ _THP_PILOTS = 128
 # config is refused by SweepConfig.validate instead of failing to allocate.
 # The precoders' own temporaries bring the real peak to about 1.5-3.5 times
 # the estimate (n = 64, 512 trials, growth of the peak resident set: zf
-# 99 MB, dpc-linear 230 MB, thp 267 MB against estimates of 67, 67 and
-# 135 MB), so at most about 1 GB.
+# 99 MB, dpc-linear 230 MB, thp 264 MB against estimates of 67, 67 and
+# 135 MB), so at most about 1 GB. THP's feedback runs in its draw buffer,
+# so its peak there is the LQ of the channel stack, with that buffer live.
 _MAX_CHUNK_BYTES = 2**28
 
 _DPC_FAMILY = ("dpc-conventional", "dpc-linear")
@@ -392,10 +393,12 @@ def _simulate_chunk(
     is_thp = labels is not None
     if is_thp:
         # User-major: column 0 of each trial is its data vector, columns
-        # 1.. its pilots.
+        # 1.. its pilots. One user at a time, so the uint8 labels are
+        # widened to an index array of one user's pilots, not the chunk's.
         draws = np.empty((m, cfg.n_users, 1 + _THP_PILOTS), dtype=np.complex128)
         draws[:, :, 0] = s
-        np.take(c.points, labels.transpose(0, 2, 1), out=draws[:, :, 1:])
+        for i in range(cfg.n_users):
+            np.take(c.points, labels[:, :, i], out=draws[:, i, 1:])
         x, g = _thp_transmit(cfg, hs, draws, c)
     else:
         x, g = _linear_transmit(cfg, hs, s, nv)
@@ -477,13 +480,15 @@ def _thp_transmit(
 
     ``draws`` is user-major, ``(m, n, 1 + _THP_PILOTS)``: column 0 holds
     each trial's data vector, the other columns its pilots. They share
-    one LQ and one feedback pass. A shared channel ``(1, n, n)`` is
-    factored once and its factor broadcast inside the feedback; the
-    feedback and the power still run per trial. The pilot power is one
-    sum of squares over the float64 view of the pilot columns.
+    one LQ and one feedback pass, which runs in place: on return
+    ``draws`` holds the feedback outputs, so the chunk needs no second
+    buffer of that size. A shared channel ``(1, n, n)`` is factored once
+    and its factor broadcast inside the feedback; the feedback and the
+    power still run per trial. The pilot power is one sum of squares over
+    the float64 view of the pilot columns.
     """
     factors = lq_decompose(hs)
-    xt = thp_feedback(factors.l, draws, _thp_base(c.order))
+    xt = thp_feedback(factors.l, draws, _thp_base(c.order), out=draws)
     pilots = xt[:, :, 1:].view(np.float64)
     mean_power = np.einsum("mij,mij->m", pilots, pilots) / _THP_PILOTS
     alpha = np.sqrt(cfg.power_budget / mean_power)

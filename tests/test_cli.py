@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -111,6 +112,22 @@ def test_order_search_table_and_verify(tmp_path):
         assert entry["agrees_with_naive"] is True
         assert entry["decompositions"] == 1
         assert entry["naive_decompositions"] == 24
+
+
+def test_order_search_verify_disagreement_exits_1(tmp_path, monkeypatch, capsys):
+    real = cli.naive_order_search
+
+    def reversed_best(*args):
+        res = real(*args)
+        return dataclasses.replace(res, best_order=res.best_order[::-1].copy())
+
+    monkeypatch.setattr(cli, "naive_order_search", reversed_best)
+    cfg = tmp_path / "os.json"
+    cfg.write_text(json.dumps({"n_users": 4, "seed": 3}))
+    out = tmp_path / "o"
+    assert cli.main(["order-search", "--config", str(cfg), "--out", str(out), "--verify"]) == 1
+    assert "verification failure: " in capsys.readouterr().err
+    assert not (out / "order_search.json").exists()
 
 
 def test_order_search_too_many_users_exits_2(tmp_path):

@@ -347,6 +347,41 @@ def test_thp_feedback_divides_by_a_complex_diagonal():
     )
 
 
+@pytest.mark.parametrize(
+    "m, n, draws, shared",
+    [
+        pytest.param(4, 6, 1, False, id="stack-draws-1"),
+        pytest.param(3, 5, 129, False, id="stack-draws-129"),
+        pytest.param(4, 6, 1, True, id="shared-factor-draws-1"),
+        pytest.param(3, 5, 129, True, id="shared-factor-draws-129"),
+        pytest.param(5, 1, 129, False, id="n-1"),
+    ],
+)
+def test_thp_feedback_in_place_equals_a_fresh_output(m, n, draws, shared):
+    rng = np.random.default_rng(200 + 7 * n + draws)
+    l = random_lq_stack(rng, 1 if shared else m, n)
+    s0 = 3.0 * (rng.standard_normal((m, n, draws)) + 1j * rng.standard_normal((m, n, draws)))
+    s = s0.copy()
+    got = thp_feedback(l, s, QPSK_BASE, out=s)
+    assert got is s
+    assert np.array_equal(got, thp_feedback(l, s0, QPSK_BASE))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        pytest.param(np.empty((2, 3, 4), dtype=np.complex128), id="shape"),
+        pytest.param(np.empty((2, 3, 5), dtype=np.complex64), id="dtype"),
+    ],
+)
+def test_thp_feedback_rejects_a_wrong_out(out):
+    rng = np.random.default_rng(5)
+    l = random_lq_stack(rng, 2, 3)
+    s = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+    with pytest.raises(ValueError, match="out must be complex128"):
+        thp_feedback(l, s, QPSK_BASE, out=out)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

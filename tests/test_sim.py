@@ -625,17 +625,77 @@ def test_single_chunk_sweep_runs_serially(monkeypatch):
     assert run_ber_sweep(cfg, workers=8) == run_ber_sweep(cfg, workers=1)
 
 
-@pytest.mark.parametrize("n_users", [10, 32])
-def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users):
-    cfg = small_cfg(n_users=n_users, precoder="thp", snr_grid_db=(10.0,), trials_per_point=512)
-    sim._simulate_chunk(cfg, 0, 10.0, 0, 512, None)  # fill the per-order caches first
+@pytest.mark.parametrize(
+    "n_users, channel_mode",
+    [
+        pytest.param(10, "per-trial-channel", id="10"),
+        pytest.param(32, "per-trial-channel", id="32"),
+        pytest.param(10, "fixed-channel", id="10-fixed-channel"),
+        pytest.param(32, "fixed-channel", id="32-fixed-channel"),
+    ],
+)
+def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
+    # The feedback runs in place in the draw buffer, so that buffer is the
+    # chunk's only array of its size.
+    cfg = small_cfg(
+        n_users=n_users,
+        precoder="thp",
+        channel_mode=channel_mode,
+        snr_grid_db=(10.0,),
+        trials_per_point=512,
+    )
+    fixed_h = fixed_channel_for(cfg) if channel_mode == "fixed-channel" else None
+    sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed_h)  # fill the per-order caches first
     tracemalloc.start()
     try:
-        sim._simulate_chunk(cfg, 0, 10.0, 0, 512, None)
+        sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed_h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * sim._chunk_bytes(cfg)
+    assert peak < 2 * sim._chunk_bytes(cfg)
+
+
+# THP records at n = 10, 700 trials (one full chunk and one short one),
+# seed 0, over 0, 10, 20 and inf dB: (bits_sent, bit_errors,
+# measured_tx_power.hex(), min_decision_margin.hex()) per point.
+THP_PINNED_RECORDS = {
+    (4, "per-trial-channel"): [
+        (14000, 1608, "0x1.420625cd3f83bp+3", "0x1.d62b1a477e000p-13"),
+        (14000, 173, "0x1.3f7aefdf0a9b3p+3", "0x1.21bf2e2864700p-10"),
+        (14000, 20, "0x1.40cb204513cc0p+3", "0x1.17a4b360662c0p-8"),
+        (14000, 0, "0x1.3f8aae1c0f69fp+3", "0x1.6a09e667f3a9bp-1"),
+    ],
+    (16, "per-trial-channel"): [
+        (28000, 5646, "0x1.3fe39789436dap+3", "0x1.e0c10a9bba000p-16"),
+        (28000, 790, "0x1.451e034af340cp+3", "0x1.266220205ec00p-13"),
+        (28000, 84, "0x1.3e6b5cad07b7ep+3", "0x1.8b7d0bccd9000p-14"),
+        (28000, 0, "0x1.4115bca633665p+3", "0x1.43d136248475bp-2"),
+    ],
+    (128, "fixed-channel"): [
+        (49000, 17875, "0x1.40c8fe0dca23bp+3", "0x1.5fc68a8f2b000p-17"),
+        (49000, 6596, "0x1.3ce48563c6ec0p+3", "0x1.f12d41a1b9000p-16"),
+        (49000, 447, "0x1.3dad33bde0317p+3", "0x1.19f6edcb4c000p-16"),
+        (49000, 0, "0x1.41d7be675565cp+3", "0x1.c453d90f056fep-4"),
+    ],
+}
+
+
+@pytest.mark.parametrize("order, channel_mode", list(THP_PINNED_RECORDS))
+def test_thp_sweep_records_are_pinned(order, channel_mode):
+    cfg = SweepConfig(
+        n_users=10,
+        snr_grid_db=(0.0, 10.0, 20.0, math.inf),
+        trials_per_point=700,
+        constellation_order=order,
+        channel_mode=channel_mode,
+        precoder="thp",
+        seed=0,
+    )
+    got = [
+        (r.bits_sent, r.bit_errors, r.measured_tx_power.hex(), r.min_decision_margin.hex())
+        for r in run_ber_sweep(cfg)
+    ]
+    assert got == THP_PINNED_RECORDS[(order, channel_mode)]
 
 
 def test_ber_monotone_within_ci():
