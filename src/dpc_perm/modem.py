@@ -226,7 +226,11 @@ def _nearest_two(y: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Index of the nearest of ``points`` (per sample ``(N, K)``, or one set
     ``(K,)``) and the decision margin, for each sample of ``y`` ``(N,)``."""
     d = np.abs(y[:, np.newaxis] - points)
-    nearest = np.argmin(d**2, axis=1)
+    # Past about 1.3e154 every point's squared distance rounds to the same
+    # value (inf), and argmin's tie rule then picks the smallest label, as
+    # the full search does; so the overflow is harmless and not reported.
+    with np.errstate(over="ignore"):
+        nearest = np.argmin(d**2, axis=1)
     d.partition(1, axis=1)
     return nearest, (d[:, 1] - d[:, 0]) / 2.0
 

@@ -287,43 +287,33 @@ def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     hs = as_channel_stack(h)
     s = _as_symbols(s, h)
     factors = lq_decompose(hs)
-    xt = thp_feedback(factors.l, s[:, :, np.newaxis], modulo_base)[:, :, 0]
+    xt = thp_feedback(factors.l, s[:, :, np.newaxis].copy(), modulo_base)[:, :, 0]
     x = np.einsum("mji,mj->mi", factors.q.conj(), xt)
     return x if np.ndim(h) == 3 else x[0]
 
 
-def thp_feedback(
-    l: np.ndarray, s: np.ndarray, modulo_base: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Successive modulo feedback ``x~`` of THP, before the ``q^H`` rotation.
+def thp_feedback(l: np.ndarray, xt: np.ndarray, modulo_base: float) -> np.ndarray:
+    """Successive modulo feedback ``x~`` of THP, before the ``q^H`` rotation,
+    computed in place: ``xt`` is overwritten and returned.
 
     ``l`` is a stack of LQ lower factors ``(m, n, n)``, or one factor
-    ``(1, n, n)`` shared by every channel (broadcast, never copied). ``s``
-    holds any number of symbol vectors per channel in a user-major layout,
-    ``(m, n, draws)``, and the result has the same shape:
+    ``(1, n, n)`` shared by every channel (broadcast, never copied). On
+    entry ``xt`` holds the symbols, any number of vectors per channel in a
+    user-major complex128 layout ``(m, n, draws)``; on return it holds
 
         x~[i] = mod(s[i] - sum_{j<i} l[i, j] * x~[j] / l[i, i])
 
     ``l`` is divided by its diagonal once; each user is then one batched
-    matmul over its contiguous row ``[:, i, :]`` of every draw.
-
-    The result goes to ``out`` when given (a complex128 array of the shape
-    of ``s``, else ``ValueError``), and ``out`` is returned. ``out`` may be
-    ``s`` itself: user ``i`` reads row ``i`` of ``s`` before writing it, and
-    rows ``j < i`` already hold feedback outputs, so the in-place result
-    is exactly the one a fresh array gets.
+    matmul over its contiguous row ``[:, i, :]`` of every draw. User ``i``
+    reads its symbol row before writing it, and rows ``j < i`` already
+    hold feedback outputs, so the result is exact. Pass a copy to keep
+    the symbols.
     """
-    if out is None:
-        out = np.empty(s.shape, dtype=np.complex128)
-    elif out.shape != s.shape or out.dtype != np.complex128:
-        raise ValueError(
-            f"out must be complex128 of shape {s.shape}, got {out.dtype} of shape {out.shape}"
-        )
     b = l / np.diagonal(l, axis1=1, axis2=2)[:, :, np.newaxis]
-    for i in range(s.shape[1]):
-        row = s[:, i : i + 1] - b[:, i : i + 1, :i] @ out[:, :i]
-        out[:, i : i + 1] = modulo_lattice(row, modulo_base)
-    return out
+    for i in range(xt.shape[1]):
+        row = xt[:, i : i + 1] - b[:, i : i + 1, :i] @ xt[:, :i]
+        xt[:, i : i + 1] = modulo_lattice(row, modulo_base)
+    return xt
 
 
 def bd_precode(h: np.ndarray) -> np.ndarray:

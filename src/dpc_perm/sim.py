@@ -146,9 +146,9 @@ _THP_PILOTS = 128
 # config is refused by SweepConfig.validate instead of failing to allocate.
 # The precoders' own temporaries bring the real peak to about 1.5-3.5 times
 # the estimate (n = 64, 512 trials, growth of the peak resident set: zf
-# 99 MB, dpc-linear 230 MB, thp 264 MB against estimates of 67, 67 and
-# 135 MB), so at most about 1 GB. THP's feedback runs in its draw buffer,
-# so its peak there is the LQ of the channel stack, with that buffer live.
+# 104 MB, dpc-linear 238 MB, thp 210 MB against estimates of 67, 67 and
+# 135 MB), so at most about 1 GB. THP factors the channel stack before it
+# allocates its draw buffer, and its feedback runs in that buffer.
 _MAX_CHUNK_BYTES = 2**28
 
 _DPC_FAMILY = ("dpc-conventional", "dpc-linear")
@@ -391,17 +391,7 @@ def _simulate_chunk(
     s = qam_modulate(bits.ravel(), c).reshape(m, cfg.n_users)
 
     is_thp = labels is not None
-    if is_thp:
-        # User-major: column 0 of each trial is its data vector, columns
-        # 1.. its pilots. One user at a time, so the uint8 labels are
-        # widened to an index array of one user's pilots, not the chunk's.
-        draws = np.empty((m, cfg.n_users, 1 + _THP_PILOTS), dtype=np.complex128)
-        draws[:, :, 0] = s
-        for i in range(cfg.n_users):
-            np.take(c.points, labels[:, :, i], out=draws[:, i, 1:])
-        x, g = _thp_transmit(cfg, hs, draws, c)
-    else:
-        x, g = _linear_transmit(cfg, hs, s, nv)
+    x, g = _thp_transmit(cfg, hs, s, labels, c) if is_thp else _linear_transmit(cfg, hs, s, nv)
 
     y = _apply(hs, x)
     if nv > 0.0:
@@ -474,21 +464,27 @@ def _thp_base(order: int) -> float:
 
 
 def _thp_transmit(
-    cfg: SweepConfig, hs: np.ndarray, draws: np.ndarray, c: Constellation
+    cfg: SweepConfig, hs: np.ndarray, s: np.ndarray, labels: np.ndarray, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
     """THP for one chunk; transmit power calibrated from the pilot batch.
 
-    ``draws`` is user-major, ``(m, n, 1 + _THP_PILOTS)``: column 0 holds
-    each trial's data vector, the other columns its pilots. They share
-    one LQ and one feedback pass, which runs in place: on return
-    ``draws`` holds the feedback outputs, so the chunk needs no second
-    buffer of that size. A shared channel ``(1, n, n)`` is factored once
-    and its factor broadcast inside the feedback; the feedback and the
-    power still run per trial. The pilot power is one sum of squares over
-    the float64 view of the pilot columns.
+    The channel stack is factored first, so the LQ's temporaries are freed
+    before the chunk's one draw buffer is allocated. That buffer is
+    user-major, ``(m, n, 1 + _THP_PILOTS)``: column 0 holds each trial's
+    data vector ``s``, the other columns the points of its pilot
+    ``labels`` ``(m, _THP_PILOTS, n)``, gathered one user at a time so
+    only one user's uint8 labels are widened to an index array. Data and
+    pilots share one feedback pass, in place in the buffer. A shared
+    channel ``(1, n, n)`` is factored once and its factor broadcast inside
+    the feedback; the feedback and the power still run per trial.
     """
     factors = lq_decompose(hs)
-    xt = thp_feedback(factors.l, draws, _thp_base(c.order), out=draws)
+    m, n = s.shape
+    xt = np.empty((m, n, 1 + _THP_PILOTS), dtype=np.complex128)
+    xt[:, :, 0] = s
+    for i in range(n):
+        np.take(c.points, labels[:, :, i], out=xt[:, i, 1:])
+    thp_feedback(factors.l, xt, _thp_base(c.order))
     pilots = xt[:, :, 1:].view(np.float64)
     mean_power = np.einsum("mij,mij->m", pilots, pilots) / _THP_PILOTS
     alpha = np.sqrt(cfg.power_budget / mean_power)

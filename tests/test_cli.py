@@ -229,6 +229,22 @@ def test_ber_sweep_non_object_config_exits_2(tmp_path, config):
     assert "JSON object" in res.stderr or "sweeps" in res.stderr
     assert "Traceback" not in res.stderr
 
+
+@pytest.mark.parametrize("command", ["ber-sweep", "order-search"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b'\xff\xfe{"n_users": 4}', "not UTF-8"), (b"[" * 200000, "nested too deeply")],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_unparseable_config_file_exits_2(tmp_path, command, content, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    res = run_cli(command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert reason in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_ber_sweep_worker_crash_exits_4(tmp_path, sweep_config, monkeypatch, capsys):
     # sim turns a BrokenProcessPool into WorkerCrashed (tests/test_sim.py);
     # here only the exit code and the message are checked.

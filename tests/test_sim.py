@@ -630,13 +630,15 @@ def test_single_chunk_sweep_runs_serially(monkeypatch):
     [
         pytest.param(10, "per-trial-channel", id="10"),
         pytest.param(32, "per-trial-channel", id="32"),
+        pytest.param(64, "per-trial-channel", id="64"),
         pytest.param(10, "fixed-channel", id="10-fixed-channel"),
         pytest.param(32, "fixed-channel", id="32-fixed-channel"),
     ],
 )
 def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
     # The feedback runs in place in the draw buffer, so that buffer is the
-    # chunk's only array of its size.
+    # chunk's only array of its size, and it is allocated after the LQ, so
+    # the LQ's stack-sized temporaries are not live next to it (n = 64).
     cfg = small_cfg(
         n_users=n_users,
         precoder="thp",
