@@ -36,8 +36,9 @@ closest-point search of Agrell, Eriksson, Vardy & Zeger, IEEE TIT 2002):
   full point set.
 * Candidates and full sets use the same arithmetic: ``d = |y - p|``, the
   label from ``argmin(d**2)`` in label order and the margin from the two
-  smallest ``d``. The minimizers of the computed distances are always
-  candidates, so labels and margins equal the full search's bit for bit.
+  smallest ``d`` (0 when both are inf: every point ties). The minimizers
+  of the computed distances are always candidates, so labels and margins
+  equal the full search's bit for bit.
 * When the widest candidate list is more than half the constellation
   (QPSK keeps all 4 points), one pass over all points is cheaper, and
   the table is not used.
@@ -232,7 +233,10 @@ def _nearest_two(y: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     with np.errstate(over="ignore"):
         nearest = np.argmin(d**2, axis=1)
     d.partition(1, axis=1)
-    return nearest, (d[:, 1] - d[:, 0]) / 2.0
+    # Past about 1e308 every distance itself is inf: every point ties, so
+    # the margin is 0 (inf - inf is never computed).
+    gap = np.subtract(d[:, 1], d[:, 0], out=np.zeros(y.size), where=d[:, 0] != np.inf)
+    return nearest, gap / 2.0
 
 
 def _table_pass(
@@ -250,9 +254,10 @@ def hard_decisions(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndar
     Each sample goes to its nearest constellation point in Euclidean
     distance, an exact tie to the smaller bit label; its margin is half
     the gap between the nearest and second-nearest point distances, zero
-    on a decision boundary. One pass over the constellation's candidate
-    table gives both, bit-identical to a search over all points (see the
-    module docstring).
+    on a decision boundary. A sample so far out that every distance
+    overflows to inf ties with every point: label 0, margin 0. One pass
+    over the constellation's candidate table gives both, bit-identical to
+    a search over all points (see the module docstring).
     """
     y = np.asarray(y, dtype=np.complex128).ravel()
     table = c._table

@@ -36,7 +36,7 @@ import numpy as np
 
 from .exceptions import DegenerateGain, OrderSpaceTooLarge
 from .linalg import as_channel_matrix, as_order, count_decompositions, lq_decompose, svd_inverse
-from .precoding import as_gains, successive_encoder
+from .precoding import as_gains, successive_encode
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -237,8 +237,7 @@ def naive_order_search(
         for chunk in _chunks(orders.shape[0], n * n):
             block = orders[chunk]
             # One LQ per order: the rows of h permuted by each order, stacked.
-            w = successive_encoder(lq_decompose(h[block]), k)
-            signals[chunk] = np.einsum("mij,mj->mi", w, s[block])
+            signals[chunk] = successive_encode(lq_decompose(h[block]), k, s[block])
             if objective != "min-power":
                 (values[chunk],) = _signal_values((objective,), signals[chunk])
     if objective == "min-power":

@@ -24,14 +24,14 @@ from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_decompose, svd_inv
 __all__ = [
     "as_gains",
     "dpc_conventional",
-    "successive_encoder",
+    "successive_encode",
+    "successive_feedback",
     "dpc_linear",
     "waterfill",
     "waterfill_powers",
     "zf_precode",
     "mmse_precode",
     "thp_precode",
-    "thp_feedback",
     "thp_modulo_base",
     "modulo_lattice",
     "bd_precode",
@@ -65,8 +65,9 @@ def dpc_conventional(h: np.ndarray, s: np.ndarray, gains: np.ndarray | None = No
 
         x~[i] = (k[i] * s[i] - sum_{j<i} l[i, j] * x~[j]) / l[i, i]
 
-    and transmits ``x = q^H @ x~`` (see :func:`successive_encoder`). With
-    the default gains ``k = diag(l)`` this is the textbook recursion
+    and transmits ``x = q^H @ x~`` (see :func:`successive_encode`): one LQ
+    and O(n^2) feedback work per channel. With the default gains
+    ``k = diag(l)`` this is the textbook recursion
     ``x~[i] = s[i] - sum_{j<i} (l[i,j]/l[i,i]) x~[j]``; on a noise-free
     channel the receive side then sees ``h @ x = diag(l) @ s`` exactly,
     one interference-free gain per user.
@@ -86,23 +87,33 @@ def dpc_conventional(h: np.ndarray, s: np.ndarray, gains: np.ndarray | None = No
     s = _as_symbols(s, h)
     factors = lq_decompose(hs)
     k = factors.diag if gains is None else _as_stack_gains(gains, hs)
-    x = np.einsum("mij,mj->mi", successive_encoder(factors, k), s)
+    x = successive_encode(factors, k, s)
     return x if np.ndim(h) == 3 else x[0]
 
 
-def successive_encoder(factors: LqFactors, gains: np.ndarray) -> np.ndarray:
-    """The successive encode against given LQ factors, as a matrix.
+def successive_encode(factors: LqFactors, gains: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The successive encode ``x = q^H @ x~`` of symbols ``s`` ``(m, n)``
+    against given LQ factors, with the feedback of :func:`dpc_conventional`.
 
-    The feedback recursion of :func:`dpc_conventional` is linear in the
-    symbols: ``x = w @ s`` with ``w = q^H @ l^{-1} @ diag(gains)``, where
-    ``l^{-1} diag(gains)`` is one batched triangular solve. ``factors``
-    holds stacks ``(m, n, n)``; ``gains`` has shape ``(n,)`` or ``(m, n)``.
+    The symbols are scaled by ``gains / diag(l)`` and run through
+    :func:`successive_feedback` without a modulo, so each channel costs
+    O(n^2) feedback and one ``q^H`` product, never a solve. ``factors``
+    holds a stack ``(m, n, n)``, one factor per symbol vector, or one
+    channel ``(1, n, n)`` shared by all ``m`` vectors; ``gains`` has shape
+    ``(n,)`` or ``(len(factors.l), n)``. A stack is encoded in the layout
+    ``(m, n, 1)``, a shared channel as one channel with ``m`` draws,
+    ``(1, n, m)``: each user is then one matrix-vector product over all
+    draws and ``q^H`` one matrix product. Returns ``x`` ``(m, n)``.
     """
-    l = factors.l
-    idx = np.arange(l.shape[-1])
-    rhs = np.zeros(l.shape, dtype=np.complex128)
-    rhs[:, idx, idx] = gains
-    return factors.q.conj().transpose(0, 2, 1) @ np.linalg.solve(l, rhs)
+    l, q = factors.l, factors.q
+    scale = gains / factors.diag
+    if l.shape[0] == s.shape[0]:
+        xt = (s * scale)[:, :, np.newaxis]
+        successive_feedback(l, xt)
+        return (q.conj().transpose(0, 2, 1) @ xt)[:, :, 0]
+    xt = np.ascontiguousarray((s * scale).T)[np.newaxis]
+    successive_feedback(l, xt)
+    return (q[0].conj().T @ xt[0]).T
 
 
 def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -278,7 +289,7 @@ def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     """Tomlinson-Harashima precoding: the DPC feedback loop with a modulo.
 
     Each feedback output is lattice-reduced into ``[-base, base)`` per
-    real dimension before it feeds later users (:func:`thp_feedback`),
+    real dimension before it feeds later users (:func:`successive_feedback`),
     bounding the transmit power at the cost of a receiver-side modulo. On
     a noise-free channel ``mod(h @ x / diag(l)) == s`` after the receiver
     divides by the per-user gain and wraps. ``h`` is a channel ``(n, n)``
@@ -287,32 +298,41 @@ def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     hs = as_channel_stack(h)
     s = _as_symbols(s, h)
     factors = lq_decompose(hs)
-    xt = thp_feedback(factors.l, s[:, :, np.newaxis].copy(), modulo_base)[:, :, 0]
+    xt = successive_feedback(factors.l, s[:, :, np.newaxis].copy(), modulo_base)[:, :, 0]
     x = np.einsum("mji,mj->mi", factors.q.conj(), xt)
     return x if np.ndim(h) == 3 else x[0]
 
 
-def thp_feedback(l: np.ndarray, xt: np.ndarray, modulo_base: float) -> np.ndarray:
-    """Successive modulo feedback ``x~`` of THP, before the ``q^H`` rotation,
-    computed in place: ``xt`` is overwritten and returned.
+def successive_feedback(
+    l: np.ndarray, xt: np.ndarray, modulo_base: float | None = None
+) -> np.ndarray:
+    """Successive feedback ``x~``, before the ``q^H`` rotation, computed in
+    place: ``xt`` is overwritten and returned.
 
-    ``l`` is a stack of LQ lower factors ``(m, n, n)``, or one factor
-    ``(1, n, n)`` shared by every channel (broadcast, never copied). On
-    entry ``xt`` holds the symbols, any number of vectors per channel in a
-    user-major complex128 layout ``(m, n, draws)``; on return it holds
+    The one feedback loop of both successive precoders: conventional DPC
+    (:func:`successive_encode`, no modulo) and THP (:func:`thp_precode`,
+    with a modulo). ``l`` is a stack of LQ lower factors ``(m, n, n)``, or
+    one factor ``(1, n, n)`` shared by every channel (broadcast, never
+    copied). On entry ``xt`` holds the inputs, any number of vectors per
+    channel in a user-major complex128 layout ``(m, n, draws)``; on return
+    it holds
 
         x~[i] = mod(s[i] - sum_{j<i} l[i, j] * x~[j] / l[i, i])
 
-    ``l`` is divided by its diagonal once; each user is then one batched
-    matmul over its contiguous row ``[:, i, :]`` of every draw. User ``i``
-    reads its symbol row before writing it, and rows ``j < i`` already
-    hold feedback outputs, so the result is exact. Pass a copy to keep
-    the symbols.
+    where ``mod`` is :func:`modulo_lattice` with ``modulo_base``, or the
+    identity when ``modulo_base`` is None. ``l`` is divided by its
+    diagonal once; each user is then one batched matmul over its
+    contiguous row ``[:, i, :]`` of every draw. User ``i`` reads its input
+    row before writing it, and rows ``j < i`` already hold feedback
+    outputs, so the result is exact. Pass a copy to keep the inputs.
     """
     b = l / np.diagonal(l, axis1=1, axis2=2)[:, :, np.newaxis]
     for i in range(xt.shape[1]):
-        row = xt[:, i : i + 1] - b[:, i : i + 1, :i] @ xt[:, :i]
-        xt[:, i : i + 1] = modulo_lattice(row, modulo_base)
+        feedback = b[:, i : i + 1, :i] @ xt[:, :i]
+        if modulo_base is None:
+            xt[:, i : i + 1] -= feedback
+        else:
+            xt[:, i : i + 1] = modulo_lattice(xt[:, i : i + 1] - feedback, modulo_base)
     return xt
 
 

@@ -86,8 +86,8 @@ from .precoding import (
     mmse_precode,
     modulo_lattice,
     power_scale,
-    successive_encoder,
-    thp_feedback,
+    successive_encode,
+    successive_feedback,
     thp_modulo_base,
     waterfill,
     zf_precode,
@@ -179,10 +179,10 @@ class SweepConfig:
         alike (:meth:`from_dict` ends here, and :func:`run_ber_sweep`
         starts here): integer fields go through :func:`config_int`,
         a chunk of trials must fit the memory bound, ``power_budget`` goes
-        through :func:`config_float` and each SNR point is a finite number
-        or ``+inf`` (``"inf"`` in JSON), and ``waterfill`` gains need a
-        DPC-family precoder. A bad value raises :class:`ConfigError`
-        naming its field.
+        through :func:`config_float` and each SNR point is ``+inf``
+        (``"inf"`` in JSON) or a finite number whose noise variance is
+        finite and positive, and ``waterfill`` gains need a DPC-family
+        precoder. A bad value raises :class:`ConfigError` naming its field.
         """
         self.n_users = config_int(self.n_users, "n_users", 1)
         self.trials_per_point = config_int(self.trials_per_point, "trials_per_point", 1)
@@ -211,6 +211,16 @@ class SweepConfig:
         for ok, field_name in checks:
             if not ok:
                 raise ConfigError(f"invalid value for field {field_name!r}")
+        for snr_db in filter(math.isfinite, self.snr_grid_db):
+            try:
+                nv = noise_variance(self, snr_db)
+            except (OverflowError, ZeroDivisionError):
+                nv = math.nan
+            if not 0.0 < nv < math.inf:
+                raise ConfigError(
+                    f"invalid value for field 'snr_grid_db': {snr_db!r} dB gives a noise "
+                    f"variance that is not finite and positive"
+                )
         return self
 
     @classmethod
@@ -422,7 +432,7 @@ def _linear_transmit(
     """Precode one chunk with a linear method; returns (x, effective gains).
 
     ``hs`` is the chunk's channel stack, or one shared channel ``(1, n, n)``
-    that is precoded once; the gains then have shape ``(1, n)``.
+    that is factored once; the gains then have shape ``(1, n)``.
     """
     precoder = cfg.precoder
 
@@ -439,8 +449,9 @@ def _linear_transmit(
         else:
             sv = np.linalg.svd(hs, compute_uv=False)
             k = np.vstack([waterfill(row, cfg.power_budget) for row in sv])
-        w = successive_encoder(factors, k) if precoder == "dpc-conventional" else dpc_linear(hs, k)
-        return _apply(w, s), k
+        if precoder == "dpc-conventional":
+            return successive_encode(factors, k, s), k
+        return _apply(dpc_linear(hs, k), s), k
 
     if precoder == "zf":
         w = zf_precode(hs)
@@ -484,7 +495,7 @@ def _thp_transmit(
     xt[:, :, 0] = s
     for i in range(n):
         np.take(c.points, labels[:, :, i], out=xt[:, i, 1:])
-    thp_feedback(factors.l, xt, _thp_base(c.order))
+    successive_feedback(factors.l, xt, _thp_base(c.order))
     pilots = xt[:, :, 1:].view(np.float64)
     mean_power = np.einsum("mij,mij->m", pilots, pilots) / _THP_PILOTS
     alpha = np.sqrt(cfg.power_budget / mean_power)

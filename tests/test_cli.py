@@ -220,6 +220,15 @@ def test_ber_sweep_bad_snr_point_exits_2(tmp_path, point):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("point", [4000, -4000])
+def test_ber_sweep_snr_point_without_a_finite_noise_variance_exits_2(tmp_path, capsys, point):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n_users": 2, "snr_grid_db": [point], "trials_per_point": 10}))
+    assert cli.main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "snr_grid_db" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("config", [[1], {"sweeps": [1]}, {"sweeps": [[]]}])
 def test_ber_sweep_non_object_config_exits_2(tmp_path, config):
     path = tmp_path / "bad.json"

@@ -35,11 +35,14 @@ def full_search_demodulate(y, c):
 
 def full_search_margins(y, c):
     """Reference margins: half the gap between the nearest and
-    second-nearest of all point distances, from a full sort."""
+    second-nearest of all point distances, from a full sort; 0 when every
+    distance is inf, since every point then ties."""
     y = np.asarray(y, dtype=np.complex128).ravel()
     d = np.abs(y[:, np.newaxis] - c.points[np.newaxis, :])
     d.sort(axis=1)
-    return (d[:, 1] - d[:, 0]) / 2.0
+    with np.errstate(invalid="ignore"):  # inf - inf where every distance is inf
+        gap = d[:, 1] - d[:, 0]
+    return np.where(d[:, 0] == np.inf, 0.0, gap) / 2.0
 
 
 def add_awgn(x, snr_db, signal_power, rng):
@@ -240,8 +243,10 @@ def test_hard_decisions_match_at_table_edges(order):
     assert_matches_full_search(np.concatenate(samples), c)
 
 
+# The last sample is so far out that every distance overflows to inf.
 FAR_OUTSIDE = np.array([1e8 + 0.5j, -1e8 + 0j, 0.5 - 1e8j, 1e8 + 1e8j, -3e5 + 7e4j,
-                        1e150 + 1e150j, 1e200 - 1e100j, 1e-300 + 0j, -0.0 - 0.0j])
+                        1e150 + 1e150j, 1e200 - 1e100j, 1e-300 + 0j, -0.0 - 0.0j,
+                        1.2711610061536462e308 + 1.2711610061536462e308j])
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)
@@ -258,12 +263,18 @@ def test_hard_decisions_far_outside_raise_no_warning(order):
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)
+def test_sample_whose_every_distance_overflows_has_label_0_and_margin_0(order):
+    bits, margins = hard_decisions(FAR_OUTSIDE[-1:], make_constellation(order))
+    assert margins.tolist() == [0.0]
+    assert not bits.any()
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
 def test_hard_decisions_match_on_non_finite_samples(order):
     c = make_constellation(order)
     y = np.array([np.inf, -np.inf, complex(np.inf, 1.0), complex(0.3, -np.inf),
                   complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.inf), 0.1 + 0.2j])
-    with np.errstate(invalid="ignore"):  # inf - inf in the margins
-        assert_matches_full_search(y, c)
+    assert_matches_full_search(y, c)
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)

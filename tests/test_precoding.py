@@ -16,7 +16,8 @@ from dpc_perm.precoding import (
     mmse_precode,
     modulo_lattice,
     power_scale,
-    thp_feedback,
+    successive_encode,
+    successive_feedback,
     thp_modulo_base,
     thp_precode,
     waterfill,
@@ -69,6 +70,71 @@ def test_dpc_conventional_singular_propagates():
     h = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(NumericallySingular):
         dpc_conventional(h, np.array([1.0, 1.0]))
+
+
+def matrix_route_encode(factors, gains, s):
+    """The encode as a matrix, ``q^H solve(l, diag(k)) s``: one LU solve with
+    n right-hand sides per channel, which ``successive_encode`` replaces."""
+    l = factors.l
+    idx = np.arange(l.shape[-1])
+    rhs = np.zeros(l.shape, dtype=np.complex128)
+    rhs[:, idx, idx] = gains
+    w = factors.q.conj().transpose(0, 2, 1) @ np.linalg.solve(l, rhs)
+    return (w @ s[:, :, np.newaxis])[:, :, 0]
+
+
+def assert_close_relative(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "channels, m, n, muted",
+    [
+        pytest.param(9, 9, 6, False, id="stack"),
+        pytest.param(1, 9, 6, False, id="shared-channel"),
+        pytest.param(9, 9, 6, True, id="stack-muted"),
+        pytest.param(1, 9, 6, True, id="shared-channel-muted"),
+        pytest.param(4, 4, 1, False, id="n-1"),
+        pytest.param(1, 4, 1, False, id="n-1-shared-channel"),
+        pytest.param(1, 1, 5, False, id="one-channel"),
+    ],
+)
+def test_successive_encode_matches_the_matrix_route(channels, m, n, muted):
+    rng = np.random.default_rng(31 + channels + n)
+    h = rng.standard_normal((channels, n, n)) + 1j * rng.standard_normal((channels, n, n))
+    s = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    factors = lq_decompose(h)
+    gains = rng.uniform(0.5, 2.0, size=(channels, n))
+    if muted:
+        gains[:, ::2] = 0.0
+    x = successive_encode(factors, gains, s)
+    assert_close_relative(x, matrix_route_encode(factors, gains, s), 1e-12)
+    shared_gains = gains[0]
+    x = successive_encode(factors, shared_gains, s)
+    assert_close_relative(x, matrix_route_encode(factors, shared_gains, s), 1e-12)
+
+
+def test_successive_encode_shared_layout_matches_the_per_trial_layout():
+    # One channel (1, n, n) with m draws against the same channel repeated
+    # as a stack (m, n, n): two buffer layouts of one recursion.
+    rng = np.random.default_rng(37)
+    h = rng.standard_normal((1, 7, 7)) + 1j * rng.standard_normal((1, 7, 7))
+    s = rng.standard_normal((50, 7)) + 1j * rng.standard_normal((50, 7))
+    gains = rng.uniform(0.0, 2.0, size=7)
+    shared = successive_encode(lq_decompose(h), gains, s)
+    per_trial = successive_encode(lq_decompose(np.repeat(h, 50, axis=0)), gains, s)
+    assert_close_relative(shared, per_trial, 1e-12)
+
+
+def test_successive_encode_leaves_its_symbols_unchanged():
+    rng = np.random.default_rng(38)
+    h = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    s = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    s0 = s.copy()
+    for factors in (lq_decompose(h), lq_decompose(h[:1])):
+        successive_encode(factors, np.ones(4), s)
+        assert np.array_equal(s, s0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +360,12 @@ def thp_receive(y, gains, modulo_base):
     return modulo_lattice(np.asarray(y, dtype=np.complex128) / gains, modulo_base)
 
 
-def thp_feedback_reference(l, s, base):
+def feedback_reference(l, s, base):
     """Plain per-vector scalar recursion over a user-major ``s`` ``(m, n, draws)``:
 
     x~[i] = mod(s[i] - sum_{j<i} l[i, j] * x~[j] / l[i, i])
+
+    with no ``mod`` when ``base`` is None.
     """
     m, n, draws = s.shape
     l = np.broadcast_to(l, (m, n, n))
@@ -306,7 +374,8 @@ def thp_feedback_reference(l, s, base):
         for d in range(draws):
             for i in range(n):
                 acc = sum(l[t, i, j] * xt[t, j, d] for j in range(i))
-                xt[t, i, d] = modulo_lattice(s[t, i, d] - acc / l[t, i, i], base)
+                row = s[t, i, d] - acc / l[t, i, i]
+                xt[t, i, d] = row if base is None else modulo_lattice(row, base)
     return xt
 
 
@@ -331,9 +400,25 @@ def test_thp_feedback_matches_scalar_recursion(m, n, draws, shared):
     rng = np.random.default_rng(100 + 7 * n + draws)
     l = random_lq_stack(rng, 1 if shared else m, n)
     s = 3.0 * (rng.standard_normal((m, n, draws)) + 1j * rng.standard_normal((m, n, draws)))
-    got = thp_feedback(l, s.copy(), QPSK_BASE)
+    got = successive_feedback(l, s.copy(), QPSK_BASE)
     assert got.shape == (m, n, draws)
-    np.testing.assert_allclose(got, thp_feedback_reference(l, s, QPSK_BASE), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, feedback_reference(l, s, QPSK_BASE), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, n, draws, shared",
+    [
+        pytest.param(4, 6, 1, False, id="stack"),
+        pytest.param(1, 6, 40, True, id="shared-factor"),
+        pytest.param(5, 1, 3, False, id="n-1"),
+    ],
+)
+def test_successive_feedback_without_modulo_matches_scalar_recursion(m, n, draws, shared):
+    rng = np.random.default_rng(300 + 7 * n + draws)
+    l = random_lq_stack(rng, 1 if shared else m, n)
+    s = 3.0 * (rng.standard_normal((m, n, draws)) + 1j * rng.standard_normal((m, n, draws)))
+    got = successive_feedback(l, s.copy())
+    np.testing.assert_allclose(got, feedback_reference(l, s, None), rtol=1e-12, atol=1e-12)
 
 
 def test_thp_feedback_divides_by_a_complex_diagonal():
@@ -343,7 +428,7 @@ def test_thp_feedback_divides_by_a_complex_diagonal():
     l[:, np.arange(4), np.arange(4)] += 2.0 + 1.0j
     s = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
     np.testing.assert_allclose(
-        thp_feedback(l, s.copy(), 1.0), thp_feedback_reference(l, s, 1.0), rtol=1e-12, atol=1e-12
+        successive_feedback(l, s.copy(), 1.0), feedback_reference(l, s, 1.0), rtol=1e-12, atol=1e-12
     )
 
 
@@ -362,9 +447,9 @@ def test_thp_feedback_in_place_equals_a_fresh_output(m, n, draws, shared):
     l = random_lq_stack(rng, 1 if shared else m, n)
     s0 = 3.0 * (rng.standard_normal((m, n, draws)) + 1j * rng.standard_normal((m, n, draws)))
     s = s0.copy()
-    got = thp_feedback(l, s, QPSK_BASE)
+    got = successive_feedback(l, s, QPSK_BASE)
     assert got is s
-    np.testing.assert_allclose(got, thp_feedback_reference(l, s0, QPSK_BASE), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, feedback_reference(l, s0, QPSK_BASE), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,7 +465,7 @@ def test_thp_feedback_output_lies_in_the_modulo_region(seed, m, n, draws, base, 
     rng = np.random.default_rng(seed)
     l = random_lq_stack(rng, m, n)
     s = scale * (rng.standard_normal((m, n, draws)) + 1j * rng.standard_normal((m, n, draws)))
-    parts = thp_feedback(l, s, base).view(np.float64)
+    parts = successive_feedback(l, s, base).view(np.float64)
     assert np.all((parts >= -base) & (parts < base))
 
 

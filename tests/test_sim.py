@@ -23,7 +23,8 @@ from dpc_perm.exceptions import (
     WorkerCrashed,
 )
 from dpc_perm.modem import QAM_ORDERS, make_constellation
-from dpc_perm.precoding import waterfill
+from dpc_perm.ordering import naive_order_search
+from dpc_perm.precoding import dpc_conventional, waterfill
 from dpc_perm.sim import (
     BerRecord,
     SweepConfig,
@@ -164,6 +165,33 @@ def test_python_built_config_is_checked_like_json(field, value):
         small_cfg(**{field: value}).validate()
     with pytest.raises(ConfigError, match=field):
         run_ber_sweep(small_cfg(**{field: value}))
+
+
+@pytest.mark.parametrize(
+    "snr_db, power_budget",
+    [
+        pytest.param(4000.0, None, id="4000-dB-overflows"),
+        pytest.param(-4000.0, None, id="minus-4000-dB-divides-by-0"),
+        pytest.param(-100.0, 1e300, id="noise-variance-inf"),
+    ],
+)
+def test_snr_point_without_a_finite_positive_noise_variance_is_refused(snr_db, power_budget):
+    raw = {"n_users": 4, "snr_grid_db": [0, snr_db], "trials_per_point": 10}
+    if power_budget is not None:
+        raw["power_budget"] = power_budget
+    with pytest.raises(ConfigError, match="snr_grid_db"):
+        SweepConfig(**raw).validate()
+    with pytest.raises(ConfigError, match="snr_grid_db"):
+        SweepConfig.from_dict(json.loads(json.dumps(raw)))
+    with pytest.raises(ConfigError, match="snr_grid_db"):
+        run_ber_sweep(SweepConfig(**raw))
+
+
+def test_extreme_snr_points_with_a_finite_noise_variance_run():
+    cfg = small_cfg(snr_grid_db=(-3000.0, 3000.0), trials_per_point=10).validate()
+    assert 0.0 < noise_variance(cfg, 3000.0) < noise_variance(cfg, -3000.0) < math.inf
+    records = run_ber_sweep(cfg)
+    assert [r.bits_sent for r in records] == [80, 80]
 
 
 @pytest.mark.parametrize("precoder", ["zf", "mmse", "thp", "bd"])
@@ -379,6 +407,30 @@ def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     ]
     for a, b in zip(fixed, per_trial):
         assert a.measured_tx_power == pytest.approx(b.measured_tx_power, rel=1e-12)
+
+
+def test_dpc_conventional_encode_never_solves(monkeypatch):
+    # The successive encode is feedback plus a q^H product; an LU solve on
+    # any of its three callers is the matrix route it replaced.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called on the DPC encode path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for channel_mode in sim.CHANNEL_MODES:
+        for gain_mode in sim.GAIN_MODES:
+            cfg = small_cfg(
+                precoder="dpc-conventional",
+                channel_mode=channel_mode,
+                gain_mode=gain_mode,
+                trials_per_point=20,
+            )
+            assert sum(r.bits_sent for r in run_ber_sweep(cfg, workers=1)) > 0
+    h = sample_channel(np.random.default_rng(4), 4)
+    s = np.exp(0.25j * np.pi * np.arange(1, 8, 2))
+    dpc_conventional(h, s)
+    dpc_conventional(np.stack([h, h.T]), np.stack([s, s]), gains=np.arange(4.0))
+    result = naive_order_search(h, s, np.arange(1.0, 5.0))
+    assert (result.decompositions_performed, result.permutations_evaluated) == (24, 24)
 
 
 # ---------------------------------------------------------------------------
