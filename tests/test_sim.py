@@ -752,6 +752,201 @@ def test_thp_sweep_records_are_pinned(order, channel_mode):
     assert got == THP_PINNED_RECORDS[(order, channel_mode)]
 
 
+# Records of every other sweep path, in the setup of THP_PINNED_RECORDS:
+# zf, mmse and bd, and the DPC pair with diag-L and water-filled gains,
+# each in both channel modes at QPSK and 128-QAM. Keyed by (precoder,
+# gain_mode, constellation_order, channel_mode).
+SWEEP_PINNED_RECORDS = {
+    ("zf", "diag-L", 4, "per-trial-channel"): [
+        (14000, 3406, "0x1.4185a5423da39p+3", "0x1.bd4152d708000p-17"),
+        (14000, 618, "0x1.4818ecd7c3994p+3", "0x1.045ca7d616800p-11"),
+        (14000, 77, "0x1.392b446f2e4b2p+3", "0x1.b27dad73fa100p-10"),
+        (14000, 0, "0x1.3c6c0cf6d952bp+3", "0x1.6a09e667f3a89p-1"),
+    ],
+    ("zf", "diag-L", 4, "fixed-channel"): [
+        (14000, 1683, "0x1.37fc914426c63p+3", "0x1.899bb7f5ae000p-15"),
+        (14000, 1, "0x1.3dccdb54b475bp+3", "0x1.2fc1ec9352700p-5"),
+        (14000, 0, "0x1.496ef0f2c6c03p+3", "0x1.e2078e5a6f786p-2"),
+        (14000, 0, "0x1.3b9b98f8c39a0p+3", "0x1.6a09e667f3bb4p-1"),
+    ],
+    ("zf", "diag-L", 128, "per-trial-channel"): [
+        (49000, 21798, "0x1.541ef23c1913dp+3", "0x1.f01b973980000p-19"),
+        (49000, 15471, "0x1.428ac426c7c56p+3", "0x1.4350724a88000p-19"),
+        (49000, 5769, "0x1.542e9fa0c0c7bp+3", "0x1.1bd9f63168000p-18"),
+        (49000, 0, "0x1.42cbf34f0490fp+3", "0x1.c453d90f04fb1p-4"),
+    ],
+    ("zf", "diag-L", 128, "fixed-channel"): [
+        (49000, 20044, "0x1.3bbde652a8ac5p+3", "0x1.5451bdf348000p-19"),
+        (49000, 11011, "0x1.396d1a30fa806p+3", "0x1.976d4bf0e8000p-18"),
+        (49000, 1224, "0x1.42adb3c6ba46bp+3", "0x1.b220e81bb6000p-17"),
+        (49000, 0, "0x1.3ac3e92336fd3p+3", "0x1.c453d90f056dfp-4"),
+    ],
+    ("mmse", "diag-L", 4, "per-trial-channel"): [
+        (14000, 1282, "0x1.3f5daba478e41p+3", "0x1.82b85e006cc00p-12"),
+        (14000, 219, "0x1.4410439b43806p+3", "0x1.1df69f0fa3000p-11"),
+        (14000, 19, "0x1.3765afcc26684p+3", "0x1.2ed0270e8f400p-10"),
+        (14000, 0, "0x1.3c6c0cf6d952bp+3", "0x1.6a09e667f3a89p-1"),
+    ],
+    ("mmse", "diag-L", 4, "fixed-channel"): [
+        (14000, 1212, "0x1.42418bf5c783cp+3", "0x1.01cd743efe000p-14"),
+        (14000, 88, "0x1.401d80c4e4983p+3", "0x1.df43d1fd3e400p-11"),
+        (14000, 0, "0x1.485c713c21085p+3", "0x1.860e1d12f3012p-2"),
+        (14000, 0, "0x1.3b9b98f8c39a0p+3", "0x1.6a09e667f3bb4p-1"),
+    ],
+    ("mmse", "diag-L", 128, "per-trial-channel"): [
+        (49000, 19196, "0x1.3b5a332094c98p+3", "0x1.63bb773c40000p-21"),
+        (49000, 14259, "0x1.419f59ee29ef4p+3", "0x1.d1f9dfebc0000p-22"),
+        (49000, 7424, "0x1.4f94c8f7c6168p+3", "0x1.88c97dfc00000p-20"),
+        (49000, 0, "0x1.42cbf34f0490fp+3", "0x1.c453d90f04fb1p-4"),
+    ],
+    ("mmse", "diag-L", 128, "fixed-channel"): [
+        (49000, 19223, "0x1.3fb528815c29bp+3", "0x1.e66f77c3da000p-17"),
+        (49000, 13685, "0x1.41c1f3374581ep+3", "0x1.f0b9bcc800000p-21"),
+        (49000, 3361, "0x1.41f4cdf04f07fp+3", "0x1.8aeac27664000p-19"),
+        (49000, 0, "0x1.3ac3e92336fd3p+3", "0x1.c453d90f056dfp-4"),
+    ],
+    ("bd", "diag-L", 4, "per-trial-channel"): [
+        (14000, 3406, "0x1.4185a5423da39p+3", "0x1.bd4152d708000p-17"),
+        (14000, 618, "0x1.4818ecd7c3994p+3", "0x1.045ca7d616800p-11"),
+        (14000, 77, "0x1.392b446f2e4b2p+3", "0x1.b27dad73fa100p-10"),
+        (14000, 0, "0x1.3c6c0cf6d952bp+3", "0x1.6a09e667f3a89p-1"),
+    ],
+    ("bd", "diag-L", 4, "fixed-channel"): [
+        (14000, 1683, "0x1.37fc914426c63p+3", "0x1.899bb7f5ae000p-15"),
+        (14000, 1, "0x1.3dccdb54b475bp+3", "0x1.2fc1ec9352700p-5"),
+        (14000, 0, "0x1.496ef0f2c6c03p+3", "0x1.e2078e5a6f786p-2"),
+        (14000, 0, "0x1.3b9b98f8c39a0p+3", "0x1.6a09e667f3bb4p-1"),
+    ],
+    ("bd", "diag-L", 128, "per-trial-channel"): [
+        (49000, 21798, "0x1.541ef23c1913dp+3", "0x1.f01b973980000p-19"),
+        (49000, 15471, "0x1.428ac426c7c56p+3", "0x1.4350724a88000p-19"),
+        (49000, 5769, "0x1.542e9fa0c0c7bp+3", "0x1.1bd9f63168000p-18"),
+        (49000, 0, "0x1.42cbf34f0490fp+3", "0x1.c453d90f04fb1p-4"),
+    ],
+    ("bd", "diag-L", 128, "fixed-channel"): [
+        (49000, 20044, "0x1.3bbde652a8ac5p+3", "0x1.5451bdf348000p-19"),
+        (49000, 11011, "0x1.396d1a30fa806p+3", "0x1.976d4bf0e8000p-18"),
+        (49000, 1224, "0x1.42adb3c6ba46bp+3", "0x1.b220e81bb6000p-17"),
+        (49000, 0, "0x1.3ac3e92336fd3p+3", "0x1.c453d90f056dfp-4"),
+    ],
+    ("dpc-conventional", "diag-L", 4, "per-trial-channel"): [
+        (14000, 683, "0x1.da63636a0283dp+9", "0x1.8e3a9b0952000p-12"),
+        (14000, 55, "0x1.6f7de94d0017bp+8", "0x1.05a48b096cc00p-10"),
+        (14000, 6, "0x1.529cac04a0712p+8", "0x1.baef7dbacef40p-7"),
+        (14000, 0, "0x1.cb5d6abdfeaa8p+8", "0x1.6a09e667f0e3ap-1"),
+    ],
+    ("dpc-conventional", "diag-L", 4, "fixed-channel"): [
+        (14000, 439, "0x1.2ed7f1dfc5d4ap+5", "0x1.1317821708000p-15"),
+        (14000, 0, "0x1.3268ba3be1432p+5", "0x1.534ec74277f00p-8"),
+        (14000, 0, "0x1.3c594989f367fp+5", "0x1.a88355ea86334p-2"),
+        (14000, 0, "0x1.32822526aa1fdp+5", "0x1.6a09e667f3ba8p-1"),
+    ],
+    ("dpc-conventional", "diag-L", 128, "per-trial-channel"): [
+        (49000, 16136, "0x1.607366a9315f1p+11", "0x1.145c59a200000p-21"),
+        (49000, 6126, "0x1.526c2bfb910a7p+8", "0x1.8351b49d63c00p-15"),
+        (49000, 770, "0x1.114b1f4a23271p+8", "0x1.1bb5443532000p-16"),
+        (49000, 0, "0x1.3f38faa03baf1p+8", "0x1.c453d90efbe99p-4"),
+    ],
+    ("dpc-conventional", "diag-L", 128, "fixed-channel"): [
+        (49000, 15968, "0x1.2ffa0726682bdp+5", "0x1.ee148ca300000p-22"),
+        (49000, 5563, "0x1.3260d47e422a5p+5", "0x1.44a715dc6a000p-17"),
+        (49000, 354, "0x1.36352a7fb508fp+5", "0x1.1d15cd5c21400p-14"),
+        (49000, 0, "0x1.3285d76a50a7dp+5", "0x1.c453d90f05659p-4"),
+    ],
+    ("dpc-linear", "diag-L", 4, "per-trial-channel"): [
+        (14000, 683, "0x1.da63636a0292dp+9", "0x1.8e3a9b094ac00p-12"),
+        (14000, 55, "0x1.6f7de94d001a2p+8", "0x1.05a48b0976a00p-10"),
+        (14000, 6, "0x1.529cac04a06d3p+8", "0x1.baef7dbae6640p-7"),
+        (14000, 0, "0x1.cb5d6abdfeb22p+8", "0x1.6a09e667f0003p-1"),
+    ],
+    ("dpc-linear", "diag-L", 4, "fixed-channel"): [
+        (14000, 439, "0x1.2ed7f1dfc5d44p+5", "0x1.1317821710000p-15"),
+        (14000, 0, "0x1.3268ba3be142cp+5", "0x1.534ec74277680p-8"),
+        (14000, 0, "0x1.3c594989f3679p+5", "0x1.a88355ea86331p-2"),
+        (14000, 0, "0x1.32822526aa1f7p+5", "0x1.6a09e667f3b84p-1"),
+    ],
+    ("dpc-linear", "diag-L", 128, "per-trial-channel"): [
+        (49000, 16136, "0x1.607366a9316c7p+11", "0x1.145c599c80000p-21"),
+        (49000, 6126, "0x1.526c2bfb910e6p+8", "0x1.8351b49d81000p-15"),
+        (49000, 770, "0x1.114b1f4a23266p+8", "0x1.1bb54437cd800p-16"),
+        (49000, 0, "0x1.3f38faa03bb32p+8", "0x1.c453d90ed9d0cp-4"),
+    ],
+    ("dpc-linear", "diag-L", 128, "fixed-channel"): [
+        (49000, 15968, "0x1.2ffa0726682b8p+5", "0x1.ee148c9c00000p-22"),
+        (49000, 5563, "0x1.3260d47e4229ep+5", "0x1.44a715dcf1000p-17"),
+        (49000, 354, "0x1.36352a7fb5089p+5", "0x1.1d15cd5c54400p-14"),
+        (49000, 0, "0x1.3285d76a50a78p+5", "0x1.c453d90f05531p-4"),
+    ],
+    ("dpc-conventional", "waterfill", 4, "per-trial-channel"): [
+        (11682, 395, "0x1.3379d6750b625p+11", "0x1.d47e5e9dd0000p-18"),
+        (11654, 56, "0x1.1594cf6ce539ep+10", "0x1.9d5de51efcae0p-7"),
+        (11650, 7, "0x1.f7cd05e10aa82p+9", "0x1.770662e837340p-6"),
+        (11644, 0, "0x1.480b60ea1f8b6p+10", "0x1.6a09e667f2ff1p-1"),
+    ],
+    ("dpc-conventional", "waterfill", 4, "fixed-channel"): [
+        (11200, 174, "0x1.9abd17cebc572p+6", "0x1.01f9336a2c000p-14"),
+        (11200, 0, "0x1.a0fe006f8174fp+6", "0x1.4d7e551c789a6p-3"),
+        (11200, 0, "0x1.a716041af1127p+6", "0x1.16a0157a52266p-1"),
+        (11200, 0, "0x1.9e7ff4b8c259bp+6", "0x1.6a09e667f3b8dp-1"),
+    ],
+    ("dpc-conventional", "waterfill", 128, "per-trial-channel"): [
+        (40887, 10437, "0x1.96662976d579fp+12", "0x1.f4d16a0e00000p-20"),
+        (40789, 3181, "0x1.e945e9ec19f56p+9", "0x1.e40f49984d000p-17"),
+        (40775, 572, "0x1.7f56f86577774p+9", "0x1.9e859f8828000p-17"),
+        (40754, 0, "0x1.e7b19a2d8a826p+9", "0x1.c453d90efc873p-4"),
+    ],
+    ("dpc-conventional", "waterfill", 128, "fixed-channel"): [
+        (39200, 9841, "0x1.98279e3fc3a4cp+6", "0x1.15348a5340000p-22"),
+        (39200, 2451, "0x1.a2096570c572ap+6", "0x1.b5877c71b3800p-16"),
+        (39200, 71, "0x1.a6da9a23a881cp+6", "0x1.207d13e4e0800p-14"),
+        (39200, 0, "0x1.a1f5cc11d6ae7p+6", "0x1.c453d90f0558ap-4"),
+    ],
+    ("dpc-linear", "waterfill", 4, "per-trial-channel"): [
+        (11682, 395, "0x1.3379d6750b6bfp+11", "0x1.d47e5e9af0000p-18"),
+        (11654, 56, "0x1.1594cf6ce53aep+10", "0x1.9d5de51efe820p-7"),
+        (11650, 7, "0x1.f7cd05e10a9f3p+9", "0x1.770662e83b7f0p-6"),
+        (11644, 0, "0x1.480b60ea1f8e1p+10", "0x1.6a09e667f1094p-1"),
+    ],
+    ("dpc-linear", "waterfill", 4, "fixed-channel"): [
+        (11200, 174, "0x1.9abd17cebc569p+6", "0x1.01f9336a07000p-14"),
+        (11200, 0, "0x1.a0fe006f81746p+6", "0x1.4d7e551c789b8p-3"),
+        (11200, 0, "0x1.a716041af111fp+6", "0x1.16a0157a52271p-1"),
+        (11200, 0, "0x1.9e7ff4b8c2592p+6", "0x1.6a09e667f3b8bp-1"),
+    ],
+    ("dpc-linear", "waterfill", 128, "per-trial-channel"): [
+        (40887, 10437, "0x1.96662976d5891p+12", "0x1.f4d16a0bc0000p-20"),
+        (40789, 3181, "0x1.e945e9ec19faap+9", "0x1.e40f499949000p-17"),
+        (40775, 572, "0x1.7f56f86577758p+9", "0x1.9e859f8238000p-17"),
+        (40754, 0, "0x1.e7b19a2d8a868p+9", "0x1.c453d90ee2345p-4"),
+    ],
+    ("dpc-linear", "waterfill", 128, "fixed-channel"): [
+        (39200, 9841, "0x1.98279e3fc3a43p+6", "0x1.15348a3080000p-22"),
+        (39200, 2451, "0x1.a2096570c5722p+6", "0x1.b5877c7156800p-16"),
+        (39200, 71, "0x1.a6da9a23a8812p+6", "0x1.207d13e4f4c00p-14"),
+        (39200, 0, "0x1.a1f5cc11d6adep+6", "0x1.c453d90f055ebp-4"),
+    ],
+}
+
+
+@pytest.mark.parametrize("precoder, gain_mode, order, channel_mode", list(SWEEP_PINNED_RECORDS))
+def test_sweep_records_are_pinned(precoder, gain_mode, order, channel_mode):
+    cfg = SweepConfig(
+        n_users=10,
+        snr_grid_db=(0.0, 10.0, 20.0, math.inf),
+        trials_per_point=700,
+        constellation_order=order,
+        channel_mode=channel_mode,
+        precoder=precoder,
+        gain_mode=gain_mode,
+        seed=0,
+    )
+    got = [
+        (r.bits_sent, r.bit_errors, r.measured_tx_power.hex(), r.min_decision_margin.hex())
+        for r in run_ber_sweep(cfg)
+    ]
+    assert got == SWEEP_PINNED_RECORDS[(precoder, gain_mode, order, channel_mode)]
+
+
 def test_ber_monotone_within_ci():
     cfg = small_cfg(
         n_users=6,
