@@ -83,37 +83,28 @@ def dpc_conventional(h: np.ndarray, s: np.ndarray, gains: np.ndarray | None = No
         Propagated from the LQ factorization when a feedback division
         would blow up.
     """
-    hs = as_channel_stack(h)
-    s = _as_symbols(s, h)
-    factors = lq_decompose(hs)
-    k = factors.diag if gains is None else _as_stack_gains(gains, hs)
-    x = successive_encode(factors, k, s)
-    return x if np.ndim(h) == 3 else x[0]
+    return _successive_precode(h, s, gains)
 
 
-def successive_encode(factors: LqFactors, gains: np.ndarray, s: np.ndarray) -> np.ndarray:
+def successive_encode(
+    factors: LqFactors, gains: np.ndarray, s: np.ndarray, modulo_base: float | None = None
+) -> np.ndarray:
     """The successive encode ``x = q^H @ x~`` of symbols ``s`` ``(m, n)``
-    against given LQ factors, with the feedback of :func:`dpc_conventional`.
+    against LQ factors, the one encode of :func:`dpc_conventional` and
+    :func:`thp_precode`: the symbols, scaled by ``gains / diag(l)`` (exactly
+    1 for THP's gains ``diag(l)``), run through :func:`successive_feedback`
+    with ``modulo_base``, so a channel costs O(n^2) and one ``q^H`` product.
 
-    The symbols are scaled by ``gains / diag(l)`` and run through
-    :func:`successive_feedback` without a modulo, so each channel costs
-    O(n^2) feedback and one ``q^H`` product, never a solve. ``factors``
-    holds a stack ``(m, n, n)``, one factor per symbol vector, or one
-    channel ``(1, n, n)`` shared by all ``m`` vectors; ``gains`` has shape
-    ``(n,)`` or ``(len(factors.l), n)``. A stack is encoded in the layout
-    ``(m, n, 1)``, a shared channel as one channel with ``m`` draws,
-    ``(1, n, m)``: each user is then one matrix-vector product over all
-    draws and ``q^H`` one matrix product. Returns ``x`` ``(m, n)``.
+    ``factors`` holds ``k`` channels, ``m`` a multiple of ``k``: channel ``c``
+    encodes rows ``[c * m/k, (c + 1) * m/k)`` of ``s``, with gains ``(n,)`` or
+    ``(k, n)``, in the buffer layout ``(k, n, m/k)``. A stack (``k = m``) is
+    ``(m, n, 1)``; one shared channel (``k = 1``) is ``(1, n, m)``, each user
+    one matrix-vector product over all draws.
     """
-    l, q = factors.l, factors.q
-    scale = gains / factors.diag
-    if l.shape[0] == s.shape[0]:
-        xt = (s * scale)[:, :, np.newaxis]
-        successive_feedback(l, xt)
-        return (q.conj().transpose(0, 2, 1) @ xt)[:, :, 0]
-    xt = np.ascontiguousarray((s * scale).T)[np.newaxis]
-    successive_feedback(l, xt)
-    return (q[0].conj().T @ xt[0]).T
+    k, n = factors.l.shape[:2]
+    xt = (s.reshape(k, -1, n) * (gains / factors.diag)[:, np.newaxis]).transpose(0, 2, 1).copy()
+    successive_feedback(factors.l, xt, modulo_base)
+    return (factors.q.conj().transpose(0, 2, 1) @ xt).transpose(0, 2, 1).reshape(-1, n)
 
 
 def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -288,19 +279,14 @@ def thp_modulo_base(points: np.ndarray) -> float:
 def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     """Tomlinson-Harashima precoding: the DPC feedback loop with a modulo.
 
-    Each feedback output is lattice-reduced into ``[-base, base)`` per
-    real dimension before it feeds later users (:func:`successive_feedback`),
-    bounding the transmit power at the cost of a receiver-side modulo. On
-    a noise-free channel ``mod(h @ x / diag(l)) == s`` after the receiver
-    divides by the per-user gain and wraps. ``h`` is a channel ``(n, n)``
-    or a stack ``(m, n, n)``, and ``s`` has shape ``h.shape[:-1]``.
+    Each feedback output is lattice-reduced into ``[-base, base)`` per real
+    dimension before it feeds later users (:func:`successive_encode` with
+    gains ``diag(l)``), bounding the transmit power at the cost of a
+    receiver-side modulo. On a noise-free channel ``mod(h @ x / diag(l)) == s``
+    after the receiver divides by the per-user gain and wraps. ``h`` is a
+    channel ``(n, n)`` or a stack ``(m, n, n)``, ``s`` of shape ``h.shape[:-1]``.
     """
-    hs = as_channel_stack(h)
-    s = _as_symbols(s, h)
-    factors = lq_decompose(hs)
-    xt = successive_feedback(factors.l, s[:, :, np.newaxis].copy(), modulo_base)[:, :, 0]
-    x = np.einsum("mji,mj->mi", factors.q.conj(), xt)
-    return x if np.ndim(h) == 3 else x[0]
+    return _successive_precode(h, s, None, modulo_base)
 
 
 def successive_feedback(
@@ -309,13 +295,13 @@ def successive_feedback(
     """Successive feedback ``x~``, before the ``q^H`` rotation, computed in
     place: ``xt`` is overwritten and returned.
 
-    The one feedback loop of both successive precoders: conventional DPC
-    (:func:`successive_encode`, no modulo) and THP (:func:`thp_precode`,
-    with a modulo). ``l`` is a stack of LQ lower factors ``(m, n, n)``, or
-    one factor ``(1, n, n)`` shared by every channel (broadcast, never
-    copied). On entry ``xt`` holds the inputs, any number of vectors per
-    channel in a user-major complex128 layout ``(m, n, draws)``; on return
-    it holds
+    The one feedback loop of both successive precoders, run by
+    :func:`successive_encode` (conventional DPC without a modulo, THP with
+    one) and by the sweep's THP over its data and pilot buffer. ``l`` is a
+    stack of LQ lower factors ``(m, n, n)``, or one factor ``(1, n, n)``
+    shared by every channel (broadcast, never copied). On entry ``xt``
+    holds the inputs, any number of vectors per channel in a user-major
+    complex128 layout ``(m, n, draws)``; on return it holds
 
         x~[i] = mod(s[i] - sum_{j<i} l[i, j] * x~[j] / l[i, i])
 
@@ -375,6 +361,16 @@ def bd_precode(h: np.ndarray) -> np.ndarray:
         user = int(np.nonzero(~ok)[1][0])
         raise InfeasibleBlocking(f"projected channel for user {user} is singular")
     return w if np.ndim(h) == 3 else w[0]
+
+
+def _successive_precode(h: np.ndarray, s: np.ndarray, gains, modulo_base=None) -> np.ndarray:
+    """Validate, factor, encode and unstack: both successive precoders."""
+    hs = as_channel_stack(h)
+    s = _as_symbols(s, h)
+    factors = lq_decompose(hs)
+    k = factors.diag if gains is None else _as_stack_gains(gains, hs)
+    x = successive_encode(factors, k, s, modulo_base)
+    return x if np.ndim(h) == 3 else x[0]
 
 
 def _as_symbols(s: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -80,6 +80,7 @@ def matrix_route_encode(factors, gains, s):
     rhs = np.zeros(l.shape, dtype=np.complex128)
     rhs[:, idx, idx] = gains
     w = factors.q.conj().transpose(0, 2, 1) @ np.linalg.solve(l, rhs)
+    w = np.repeat(w, s.shape[0] // w.shape[0], axis=0)  # channel c: rows c*m/k to (c+1)*m/k
     return (w @ s[:, :, np.newaxis])[:, :, 0]
 
 
@@ -98,6 +99,7 @@ def assert_close_relative(got, want, rtol):
         pytest.param(4, 4, 1, False, id="n-1"),
         pytest.param(1, 4, 1, False, id="n-1-shared-channel"),
         pytest.param(1, 1, 5, False, id="one-channel"),
+        pytest.param(3, 12, 5, True, id="channels-3-draws-4"),
     ],
 )
 def test_successive_encode_matches_the_matrix_route(channels, m, n, muted):
@@ -125,6 +127,21 @@ def test_successive_encode_shared_layout_matches_the_per_trial_layout():
     shared = successive_encode(lq_decompose(h), gains, s)
     per_trial = successive_encode(lq_decompose(np.repeat(h, 50, axis=0)), gains, s)
     assert_close_relative(shared, per_trial, 1e-12)
+
+
+@pytest.mark.parametrize("base", [None, QPSK_BASE], ids=["dpc", "thp"])
+def test_successive_encode_blocks_of_draws_equal_per_channel_calls(base):
+    # k channels with m/k draws each, (k, n, m/k), against one call per
+    # channel, (1, n, m/k): channel c encodes symbol rows [c*m/k, (c+1)*m/k).
+    rng = np.random.default_rng(39)
+    h = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    s = 3.0 * (rng.standard_normal((24, 5)) + 1j * rng.standard_normal((24, 5)))
+    gains = rng.uniform(0.5, 2.0, size=(4, 5))
+    x = successive_encode(lq_decompose(h), gains, s, base)
+    for c in range(4):
+        rows = slice(6 * c, 6 * c + 6)
+        want = successive_encode(lq_decompose(h[c : c + 1]), gains[c], s[rows], base)
+        np.testing.assert_array_equal(x[rows], want)
 
 
 def test_successive_encode_leaves_its_symbols_unchanged():
@@ -484,6 +501,27 @@ def test_thp_precode_leaves_its_symbols_unchanged(stacked):
     s0 = s.copy()
     thp_precode(h, s, QPSK_BASE)
     assert np.array_equal(s, s0)
+
+
+def einsum_route_thp(factors, s, base):
+    """THP as it was written before it encoded through ``successive_encode``:
+    the feedback on a copy of the symbols, then ``q^H x~`` as an einsum."""
+    xt = successive_feedback(factors.l, s[:, :, np.newaxis].copy(), base)[:, :, 0]
+    return np.einsum("mji,mj->mi", factors.q.conj(), xt)
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one-channel"])
+def test_thp_precode_is_the_successive_encode_with_a_modulo(stacked):
+    rng = np.random.default_rng(10)
+    h = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    s = 3.0 * (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)))
+    factors = lq_decompose(h)
+    if stacked:
+        x = thp_precode(h, s, QPSK_BASE)
+    else:
+        x = np.stack([thp_precode(h[t], s[t], QPSK_BASE) for t in range(5)])
+    np.testing.assert_array_equal(x, successive_encode(factors, factors.diag, s, QPSK_BASE))
+    assert_close_relative(x, einsum_route_thp(factors, s, QPSK_BASE), 1e-15)
 
 
 def test_thp_wrap_and_recovery():
