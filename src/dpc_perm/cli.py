@@ -254,7 +254,7 @@ def _cmd_order_search(args) -> int:
 
     out = _out_dir(args) / "order_search.json"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"wrote {out} ({len(table)} orders)")
     return _EXIT_OK

@@ -7,14 +7,14 @@ error counts are identical for any worker count, and two sweeps that
 share a seed see identical channels, bits, and noise regardless of the
 precoder under test (which makes precoder comparisons paired).
 
-Trials are simulated in chunks, each one channel stack ``(m, n, n)``
-(a fixed-channel sweep precodes its one channel once per chunk)
-precoded by one call into :mod:`precoding` (``zf_precode``,
-``mmse_precode``, ``bd_precode``, ``dpc_linear``, and the successive
-encoder and THP feedback behind ``dpc_conventional`` and
-``thp_precode``), so the tested precoders are the ones that make the BER
-curves. This module picks the precoder, designs the gains and calibrates
-the transmit power.
+Trials are simulated in chunks, each one channel stack ``(m, n, n)`` (a
+fixed-channel sweep precodes its one channel once per chunk) precoded by
+one call into :mod:`precoding`: ``zf_precode``, ``mmse_precode``,
+``bd_precode``, ``dpc_linear``, ``successive_encode`` (the one encode of
+``dpc_conventional`` and ``thp_precode``), or its feedback kernel for
+THP's buffer of data and pilots. So the tested precoders are the ones
+that make the BER curves; this module picks the precoder, designs the
+gains and calibrates the transmit power.
 
 Conventions, since the source figures never define them:
 
@@ -151,6 +151,9 @@ _THP_PILOTS = 128
 # allocates its draw buffer, and its feedback runs in that buffer.
 _MAX_CHUNK_BYTES = 2**28
 
+# Largest power budget, about 1.3e154: a product of two powers stays finite.
+_MAX_POWER_BUDGET = math.sqrt(np.finfo(np.float64).max)
+
 _DPC_FAMILY = ("dpc-conventional", "dpc-linear")
 
 
@@ -177,11 +180,11 @@ class SweepConfig:
 
         The one check for configs built in Python and read from JSON
         alike (:meth:`from_dict` ends here, and :func:`run_ber_sweep`
-        starts here): integer fields go through :func:`config_int`,
-        a chunk of trials must fit the memory bound, ``power_budget`` goes
-        through :func:`config_float` and each SNR point is ``+inf``
-        (``"inf"`` in JSON) or a finite number whose noise variance is
-        finite and positive, and ``waterfill`` gains need a DPC-family
+        starts here): integer fields go through :func:`config_int`, a
+        chunk of trials must fit the memory bound, ``power_budget`` is a
+        :func:`config_float` up to ``_MAX_POWER_BUDGET``, each SNR point is
+        ``+inf`` (``"inf"`` in JSON) or a finite number whose noise variance
+        is finite and positive, and ``waterfill`` gains need a DPC-family
         precoder. A bad value raises :class:`ConfigError` naming its field.
         """
         self.n_users = config_int(self.n_users, "n_users", 1)
@@ -221,6 +224,8 @@ class SweepConfig:
                     f"invalid value for field 'snr_grid_db': {snr_db!r} dB gives a noise "
                     f"variance that is not finite and positive"
                 )
+        if self.power_budget > _MAX_POWER_BUDGET:
+            raise ConfigError(f"invalid value for field 'power_budget': over {_MAX_POWER_BUDGET:g}")
         return self
 
     @classmethod
@@ -601,9 +606,7 @@ def sweep_csv_name(cfg: SweepConfig) -> str:
 
 
 def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
-    return format(v, ".12g")
+    return format(v, ".12g")  # inf is "inf"
 
 
 def write_ber_csv(records: Sequence[BerRecord], cfg: SweepConfig, path) -> None:
@@ -674,5 +677,5 @@ def write_manifest(
         ],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

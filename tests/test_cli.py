@@ -229,6 +229,15 @@ def test_ber_sweep_snr_point_without_a_finite_noise_variance_exits_2(tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+def test_ber_sweep_power_budget_above_its_bound_exits_2(tmp_path, capsys):
+    config = {"n_users": 2, "snr_grid_db": [10], "trials_per_point": 4, "precoder": "zf"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**config, "power_budget": 1e308}))
+    assert cli.main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "power_budget" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("config", [[1], {"sweeps": [1]}, {"sweeps": [[]]}])
 def test_ber_sweep_non_object_config_exits_2(tmp_path, config):
     path = tmp_path / "bad.json"

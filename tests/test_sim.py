@@ -22,9 +22,21 @@ from dpc_perm.exceptions import (
     NumericallySingular,
     WorkerCrashed,
 )
-from dpc_perm.modem import QAM_ORDERS, make_constellation
+from dpc_perm.linalg import lq_decompose
+from dpc_perm.modem import QAM_ORDERS, hard_decisions, make_constellation, qam_modulate
 from dpc_perm.ordering import naive_order_search
-from dpc_perm.precoding import dpc_conventional, waterfill
+from dpc_perm.precoding import (
+    bd_precode,
+    dpc_conventional,
+    dpc_linear,
+    mmse_precode,
+    modulo_lattice,
+    power_scale,
+    thp_modulo_base,
+    thp_precode,
+    waterfill,
+    zf_precode,
+)
 from dpc_perm.sim import (
     BerRecord,
     SweepConfig,
@@ -118,6 +130,31 @@ def test_power_budget_accepts_json_numbers(budget, expected):
     cfg = SweepConfig.from_dict(raw)
     assert cfg.power_budget == expected
     assert isinstance(cfg.power_budget, float)
+
+
+@pytest.mark.parametrize("budget", [1e308, 2.0**512])
+def test_power_budget_above_its_bound_is_refused(budget):
+    # At 1e308 the four trials' transmit powers overflowed their sum, and
+    # manifest.json got "measured_tx_power": Infinity, which is not JSON.
+    raw = {"n_users": 2, "snr_grid_db": [10], "trials_per_point": 4, "precoder": "zf"}
+    raw["power_budget"] = budget
+    with pytest.raises(ConfigError, match="power_budget"):
+        SweepConfig(**raw).validate()
+    with pytest.raises(ConfigError, match="power_budget"):
+        SweepConfig.from_dict(json.loads(json.dumps(raw)))
+
+
+def test_power_budget_at_its_bound_gives_a_finite_zf_power():
+    # The zf transmit power is linear in the budget.
+    powers = [
+        run_ber_sweep(
+            SweepConfig(
+                n_users=2, snr_grid_db=(10.0,), trials_per_point=4, precoder="zf", power_budget=p
+            )
+        )[0].measured_tx_power
+        for p in (1.0, sim._MAX_POWER_BUDGET)
+    ]
+    assert powers[1] == pytest.approx(sim._MAX_POWER_BUDGET * powers[0], rel=1e-12)
 
 
 def test_resolve_workers_env_fallback(monkeypatch):
@@ -407,6 +444,74 @@ def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     ]
     for a, b in zip(fixed, per_trial):
         assert a.measured_tx_power == pytest.approx(b.measured_tx_power, rel=1e-12)
+
+
+def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
+    """One trial the textbook way: the public single-channel precoder for
+    ``h`` and symbols ``s``; returns (x, effective gains)."""
+    budget = cfg.power_budget
+    if cfg.precoder in sim._DPC_FAMILY:
+        if cfg.gain_mode == "diag-L":
+            k = lq_decompose(h).diag
+        else:
+            k = waterfill(np.linalg.svd(h, compute_uv=False), budget)
+        if cfg.precoder == "dpc-conventional":
+            return dpc_conventional(h, s, gains=k), k
+        return dpc_linear(h, k) @ s, k
+    if cfg.precoder == "thp":
+        # Power from the trial's pilots, each precoded on the trial's channel.
+        base = thp_modulo_base(c.points)
+        xp = thp_precode(np.repeat(h[np.newaxis], len(pilots), axis=0), pilots, base)
+        alpha = math.sqrt(budget / np.mean(np.sum(np.abs(xp) ** 2, axis=1)))
+        return alpha * thp_precode(h, s, base), alpha * lq_decompose(h).diag
+    w = {"zf": zf_precode, "bd": bd_precode}.get(cfg.precoder, lambda h: mmse_precode(h, nv))(h)
+    alpha = power_scale(w, budget)
+    return alpha * (w @ s), alpha * np.real(np.diag(h @ w))
+
+
+@pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
+@pytest.mark.parametrize(
+    "precoder,gain_mode",
+    [(p, "diag-L") for p in sim.PRECODERS] + [(p, "waterfill") for p in sim._DPC_FAMILY],
+)
+def test_sweep_matches_a_scalar_reference_trial_by_trial(precoder, gain_mode, channel_mode):
+    # The chunk's draws, then per trial: the public precoder on one
+    # channel, the channel, the noise and a hard decision. This checks the
+    # batched layouts (stacked or shared factors, broadcast gains, the
+    # muting mask of water-filled gains) against the one-channel path.
+    cfg = SweepConfig(
+        n_users=6,
+        snr_grid_db=(4.0, 12.0, math.inf),
+        trials_per_point=64,
+        constellation_order=16,
+        channel_mode=channel_mode,
+        precoder=precoder,
+        gain_mode=gain_mode,
+        power_budget=2.0,
+        seed=11,
+    )
+    c = make_constellation(cfg.constellation_order)
+    for snr_idx, record in enumerate(run_ber_sweep(cfg)):
+        nv = noise_variance(cfg, cfg.snr_grid_db[snr_idx])
+        hs, bits, noise, labels = chunk_draws(cfg, snr_idx, 0, cfg.trials_per_point)
+        errors = sent = 0
+        power = 0.0
+        for t in range(cfg.trials_per_point):
+            h = hs[t if len(hs) > 1 else 0]
+            pilots = None if labels is None else c.points[labels[t]]
+            x, g = scalar_reference_transmit(cfg, h, qam_modulate(bits[t], c), nv, pilots, c)
+            y = h @ x + math.sqrt(nv / 2.0) * noise[t]
+            active = g > 0
+            y_hat = y[active] / g[active]
+            if precoder == "thp":
+                y_hat = modulo_lattice(y_hat, thp_modulo_base(c.points))
+            rx_bits, _ = hard_decisions(y_hat, c)
+            tx_bits = bits[t].reshape(cfg.n_users, c.bits_per_symbol)[active].ravel()
+            errors += int(np.count_nonzero(tx_bits != rx_bits))
+            sent += tx_bits.size
+            power += float(np.sum(np.abs(x) ** 2))
+        assert (record.bit_errors, record.bits_sent) == (errors, sent)
+        assert record.measured_tx_power == pytest.approx(power / cfg.trials_per_point, rel=1e-12)
 
 
 def test_dpc_conventional_encode_never_solves(monkeypatch):
@@ -1030,6 +1135,13 @@ def test_manifest_mirrors_config(tmp_path):
     assert sweep["csv"] == sweep_csv_name(cfg)
     assert len(sweep["records"]) == 2
     assert sweep["records"][1]["snr_db"] == "inf"
+
+
+def test_manifest_refuses_a_non_finite_value(tmp_path):
+    cfg = small_cfg()
+    record = BerRecord(0.0, 8, 0, 0.0, 0.0, 0.3, math.inf, 0.5)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_manifest([(cfg, [record])], tmp_path / "manifest.json")
 
 
 def test_csv_name():
