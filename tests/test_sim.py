@@ -464,7 +464,10 @@ def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
         xp = thp_precode(np.repeat(h[np.newaxis], len(pilots), axis=0), pilots, base)
         alpha = math.sqrt(budget / np.mean(np.sum(np.abs(xp) ** 2, axis=1)))
         return alpha * thp_precode(h, s, base), alpha * lq_decompose(h).diag
-    w = {"zf": zf_precode, "bd": bd_precode}.get(cfg.precoder, lambda h: mmse_precode(h, nv))(h)
+    if cfg.precoder == "mmse":
+        w = mmse_precode(h, nv)
+    else:
+        w = zf_precode(h) if cfg.precoder == "zf" else bd_precode(h)
     alpha = power_scale(w, budget)
     return alpha * (w @ s), alpha * np.real(np.diag(h @ w))
 
