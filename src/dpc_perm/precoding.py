@@ -187,12 +187,19 @@ def waterfill(sigma: np.ndarray, p_total: float) -> np.ndarray:
 
 def power_scale(w: np.ndarray, power: float) -> np.ndarray:
     """Factor ``sqrt(power / tr(w w^H))`` that scales a precoding matrix, or
-    each matrix of a stack ``(m, n, n)``, to ``tr(w w^H) == power``."""
+    each matrix of a stack ``(m, n, n)``, to ``tr(w w^H) == power``.
+
+    Raises :class:`DegenerateGain` for an all-zero matrix, and for one so
+    small that ``power / tr(w w^H)`` would overflow (an MMSE matrix at a
+    huge noise variance); the check runs before the division.
+    """
     if not power > 0:
         raise ValueError(f"power must be positive, got {power}")
     total = np.sum(np.abs(w) ** 2, axis=(-2, -1))
     if np.any(total == 0.0):
         raise DegenerateGain("cannot power-scale an all-zero precoder")
+    if np.any(total <= power / np.finfo(np.float64).max):
+        raise DegenerateGain(f"cannot power-scale to {power:g}: the precoder is too small")
     return np.sqrt(power / total)
 
 

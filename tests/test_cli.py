@@ -238,6 +238,27 @@ def test_ber_sweep_power_budget_above_its_bound_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "snr_db, budget", [(-1600, None), (0, 1e110)], ids=["snr--1600", "budget-1e110"]
+)
+def test_ber_sweep_mmse_scale_overflow_exits_3(tmp_path, snr_db, budget):
+    # The MMSE matrix shrinks as 1/noise_var, so its power scale would
+    # overflow: a numeric failure with the sweep's context, not an inf power.
+    config = {"n_users": 4, "snr_grid_db": [snr_db], "trials_per_point": 4, "precoder": "mmse"}
+    if budget is not None:
+        config["power_budget"] = budget
+    path = tmp_path / "mmse.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    warnings = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+    res = run_cli("ber-sweep", "--config", str(path), "--out", str(out), env_extra=warnings)
+    assert res.returncode == 3, res.stderr
+    assert f"sweep aborted (mmse, seed 0) at {snr_db} dB, trials [0, 4)" in res.stderr
+    assert "power-scale" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("config", [[1], {"sweeps": [1]}, {"sweeps": [[]]}])
 def test_ber_sweep_non_object_config_exits_2(tmp_path, config):
     path = tmp_path / "bad.json"

@@ -290,6 +290,16 @@ def test_power_scale_rejects_zero_precoder_and_bad_power():
             power_scale(np.eye(3), power)
 
 
+def test_power_scale_refuses_a_factor_that_would_overflow():
+    # tr(w w^H) = 2e-320 (subnormal): 4 / 2e-320 is beyond the float range.
+    # The check runs before the division, so no overflow is ever raised.
+    with np.errstate(over="raise", divide="raise"):
+        with pytest.raises(DegenerateGain, match="too small"):
+            power_scale(np.stack([np.eye(2), 1e-160 * np.eye(2)]), 4.0)
+        alpha = power_scale(1e-150 * np.eye(2), 4.0)
+    assert alpha == pytest.approx(np.sqrt(2.0) * 1e150, rel=1e-12)
+
+
 def test_zf_identity_and_scaling():
     np.testing.assert_allclose(zf_precode(np.eye(3)), np.eye(3), atol=1e-14)
     np.testing.assert_allclose(zf_precode(2.0 * np.eye(3)), 0.5 * np.eye(3), atol=1e-14)
