@@ -10,8 +10,8 @@ spawn_key=...)`` feeding a Philox generator (:func:`stream`).
 with the channel on the leading axis. The single draw is the one of
 scheme ``philox-ss-v1``, unchanged, so :func:`generate_channel` and
 every order-search input stay as they were. The stacked draw is the
-channel kind of the BER sweep's scheme ``philox-ss-v2`` (one stream per
-chunk of trials; see :mod:`dpc_perm.sim`).
+channel kind of the BER sweep's schemes ``philox-ss-v2`` and ``-v3``
+(one stream per chunk of trials; see :mod:`dpc_perm.sim`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ Conventions, since the source figures never define them:
   as a nominal per-user symbol SNR shared by every method.
 * Baseline transmit power: ZF, MMSE, and BD are scaled so
   ``tr(w w^H) = power_budget``; THP, being nonlinear, is scaled per
-  channel from a deterministic pilot batch instead.
+  channel from a pilot batch of ``_THP_PILOTS`` draws instead: one batch
+  per trial with per-trial channels, one per chunk of trials for the
+  fixed channel, so every trial of that chunk shares one scale.
 * The gain-controlled DPC family transmits its designed signal
   unrescaled: user n's effective gain is exactly the designed ``k[n]``
   (``diag(l)`` or the water-filled gains), which is what defines
@@ -36,20 +38,24 @@ Conventions, since the source figures never define them:
 * Water-filled sweeps may mute users (zero gain); muted users transmit
   nothing and their bits are excluded from the error accounting.
 
-Random draws (scheme ``philox-ss-v2``, named in every CSV header and
+Random draws (scheme ``philox-ss-v3``, named in every CSV header and
 manifest): trials are grouped in chunks of ``_CHUNK = 512``, and chunk
 ``t // 512`` of SNR point ``snr_index`` draws from four Philox streams,
 one per kind, keyed ``(seed, snr_index, chunk, kind)``: 0 the channels
 (``sample_channel(rng, n, m)``, per-trial mode only), 1 the data bits
 (``(m, n * bits_per_symbol)`` uint8), 2 the noise (``(m, 2, n)``
 standard normals, real then imaginary parts) and 3 the THP pilot labels
-(``(m, _THP_PILOTS, n)`` uint8, THP only). Each kind is one array with the
-trial on the leading axis, so trial t's draws are row ``t % 512`` and
-depend only on ``(seed, snr_index, t)``: not on ``trials_per_point``,
-the worker count, the precoder or the channel mode. A fixed-channel
-sweep and a per-trial sweep see the same bits and noise, and THP's
-pilots shift nobody's draws. The chunk size and this layout are part of
-the reproducibility contract.
+(``(k, _THP_PILOTS, n)`` uint8, THP only), one pilot batch per channel of
+the chunk: ``k = m`` with per-trial channels, ``k = 1`` for the fixed
+channel. Kinds 0-2 are one array each with the trial on the leading axis,
+so trial t's draws are row ``t % 512`` and depend only on
+``(seed, snr_index, t)``: not on ``trials_per_point``, the worker count,
+the precoder or the channel mode. A fixed-channel sweep and a per-trial
+sweep see the same bits and noise, and THP's pilots shift nobody's draws;
+the fixed channel's batch is row 0 of the per-trial one. The chunk size
+and this layout are part of the reproducibility contract. (Scheme
+``philox-ss-v2`` drew ``(m, _THP_PILOTS, n)`` labels in both modes, so only
+fixed-channel THP sweeps differ between the two.)
 """
 
 from __future__ import annotations
@@ -124,10 +130,10 @@ GRAY_LABELING_NOTE = (
 )
 
 # Name of the random-draw contract; a change to it gets a new name.
-RNG_SCHEME = "philox-ss-v2"
+RNG_SCHEME = "philox-ss-v3"
 
 # Stream namespaces (first spawn_key element). Namespace 0, the per-trial
-# streams of philox-ss-v1, is not reused, so no v2 stream repeats a v1 one.
+# streams of philox-ss-v1, is not reused, so no later stream repeats a v1 one.
 _NS_FIXED_CHANNEL = 1
 _NS_CHUNK = 2
 
@@ -320,13 +326,14 @@ class BerRecord:
 
 def _chunk_bytes(cfg: SweepConfig) -> int:
     """Estimated bytes of a sweep's largest chunk: the channel stack and the
-    draw temporaries, 16 B per complex entry each, plus THP's data and
-    pilot vectors."""
+    draw temporaries, 16 B per complex entry each, plus THP's buffer of
+    ``m`` data vectors and ``_THP_PILOTS`` pilots per channel."""
     m = min(cfg.trials_per_point, _CHUNK)
     n = cfg.n_users
     need = 2 * m * n * n * 16
     if cfg.precoder == "thp":
-        need += m * (1 + _THP_PILOTS) * n * 16
+        channels = 1 if cfg.channel_mode == "fixed-channel" else m
+        need += (m + channels * _THP_PILOTS) * n * 16
     return need
 
 
@@ -365,12 +372,12 @@ def _chunk_draws(
     cfg: SweepConfig, snr_idx: int, t0: int, t1: int, c: Constellation, fixed_h: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Random inputs of trials [t0, t1) of one SNR point, ``t0`` a multiple
-    of ``_CHUNK`` (scheme philox-ss-v2, see the module docstring).
+    of ``_CHUNK`` (scheme philox-ss-v3, see the module docstring).
 
     Returns the channel stack ``(m, n, n)`` (the fixed channel as
     ``(1, n, n)``), the data bits ``(m, n * bits_per_symbol)``, unit-variance
-    per-component complex noise ``(m, n)`` and, for THP, the pilot labels
-    ``(m, _THP_PILOTS, n)`` (else None).
+    per-component complex noise ``(m, n)`` and, for THP, one batch of pilot
+    labels per channel, ``(len(hs), _THP_PILOTS, n)`` (else None).
     """
     n, m, chunk = cfg.n_users, t1 - t0, t0 // _CHUNK
 
@@ -385,7 +392,8 @@ def _chunk_draws(
     z = rng(_KIND_NOISE).standard_normal((m, 2, n))
     labels = None
     if cfg.precoder == "thp":
-        labels = rng(_KIND_PILOTS).integers(0, c.order, size=(m, _THP_PILOTS, n), dtype=np.uint8)
+        size = (len(hs), _THP_PILOTS, n)
+        labels = rng(_KIND_PILOTS).integers(0, c.order, size=size, dtype=np.uint8)
     return hs, bits, z[:, 0] + 1j * z[:, 1], labels
 
 
@@ -482,30 +490,35 @@ def _thp_base(order: int) -> float:
 def _thp_transmit(
     cfg: SweepConfig, hs: np.ndarray, s: np.ndarray, labels: np.ndarray, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
-    """THP for one chunk; transmit power calibrated from the pilot batch.
+    """THP for one chunk; transmit power calibrated per channel from its
+    pilot batch.
 
-    The channel stack is factored first, so the LQ's temporaries are freed
-    before the chunk's one draw buffer is allocated. That buffer is
-    user-major, ``(m, n, 1 + _THP_PILOTS)``: column 0 holds each trial's
-    data vector ``s``, the other columns the points of its pilot
-    ``labels`` ``(m, _THP_PILOTS, n)``, gathered one user at a time so
-    only one user's uint8 labels are widened to an index array. Data and
-    pilots share one feedback pass, in place in the buffer. A shared
-    channel ``(1, n, n)`` is factored once and its factor broadcast inside
-    the feedback; the feedback and the power still run per trial.
+    The chunk's ``k`` channels (``hs`` is a stack, ``k = m``, or one shared
+    channel, ``k = 1``) are factored first, so the LQ's temporaries are
+    freed before the chunk's one buffer is allocated. That buffer is
+    user-major, ``(k, n, m/k + _THP_PILOTS)``: first each channel's
+    ``m/k`` data vectors, in the layout of :func:`successive_encode`, then
+    the points of its pilot ``labels`` ``(k, _THP_PILOTS, n)``, gathered
+    one user at a time so only one user's uint8 labels are widened to an
+    index array. Data and pilots share one feedback pass, in place in the
+    buffer; each channel's factor ``alpha`` comes from its pilot columns,
+    so a fixed-channel chunk is calibrated once. Returns ``x`` ``(m, n)``
+    and the gains ``(k, n)``.
     """
     factors = lq_decompose(hs)
     m, n = s.shape
-    xt = np.empty((m, n, 1 + _THP_PILOTS), dtype=np.complex128)
-    xt[:, :, 0] = s
+    k = len(factors.l)
+    d = m // k
+    xt = np.empty((k, n, d + _THP_PILOTS), dtype=np.complex128)
+    xt[:, :, :d] = s.reshape(k, d, n).transpose(0, 2, 1)
     for i in range(n):
-        np.take(c.points, labels[:, :, i], out=xt[:, i, 1:])
+        np.take(c.points, labels[:, :, i], out=xt[:, i, d:])
     successive_feedback(factors.l, xt, _thp_base(c.order))
-    pilots = xt[:, :, 1:].view(np.float64)
-    mean_power = np.einsum("mij,mij->m", pilots, pilots) / _THP_PILOTS
+    pilots = xt[:, :, d:].view(np.float64)
+    mean_power = np.einsum("kij,kij->k", pilots, pilots) / _THP_PILOTS
     alpha = np.sqrt(cfg.power_budget / mean_power)
-    x = alpha[:, np.newaxis] * _apply(factors.q.conj().transpose(0, 2, 1), xt[:, :, 0])
-    return x, alpha[:, np.newaxis] * factors.diag
+    x = (factors.q.conj().transpose(0, 2, 1) @ xt[:, :, :d]).transpose(0, 2, 1)
+    return (alpha[:, np.newaxis, np.newaxis] * x).reshape(m, n), alpha[:, np.newaxis] * factors.diag
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from dpc_perm.precoding import (
     mmse_precode,
     modulo_lattice,
     power_scale,
+    successive_encode,
     thp_modulo_base,
     thp_precode,
     waterfill,
@@ -376,7 +377,7 @@ def test_worker_count_does_not_change_results():
 
 
 # ---------------------------------------------------------------------------
-# Random-draw contract (philox-ss-v2)
+# Random-draw contract (philox-ss-v3)
 # ---------------------------------------------------------------------------
 
 
@@ -417,9 +418,39 @@ def test_draws_differ_between_snr_points_and_chunks():
             assert not np.array_equal(a, b)
 
 
+def test_fixed_channel_pilot_labels_are_row_0_of_the_per_trial_draw():
+    # One pilot batch per channel: the fixed channel's (1, 128, n) labels
+    # are the first row of the per-trial draw of the same chunk.
+    fixed = chunk_draws(small_cfg(precoder="thp", channel_mode="fixed-channel"), 1, 512, 812)[3]
+    per_trial = chunk_draws(small_cfg(precoder="thp"), 1, 512, 812)[3]
+    assert fixed.shape == (1, sim._THP_PILOTS, 4)
+    assert per_trial.shape == (300, sim._THP_PILOTS, 4)
+    assert np.array_equal(fixed, per_trial[:1])
+
+
+def test_fixed_channel_thp_chunk_is_calibrated_once():
+    cfg = small_cfg(precoder="thp", channel_mode="fixed-channel", constellation_order=16)
+    c = make_constellation(cfg.constellation_order)
+    hs, bits, _, labels = chunk_draws(cfg, 0, 0, 300)
+    s = qam_modulate(bits.ravel(), c).reshape(300, cfg.n_users)
+    x, g = sim._thp_transmit(cfg, hs, s, labels, c)
+    assert x.shape == (300, cfg.n_users)
+    assert g.shape == (1, cfg.n_users)  # one alpha for the chunk
+    # Every trial is that one alpha times the channel's unscaled THP.
+    factors = lq_decompose(hs)
+    alpha = g[0] / factors.diag[0]
+    np.testing.assert_allclose(alpha, alpha[0], rtol=1e-15)
+    unscaled = successive_encode(factors, factors.diag, s, thp_modulo_base(c.points))
+    np.testing.assert_allclose(x, alpha[0] * unscaled, rtol=1e-12, atol=1e-12)
+
+
+# THP is left out: a per-trial sweep calibrates each trial's power from
+# that trial's own pilot batch, while the fixed channel's chunk shares one
+# batch, so their transmit powers (and error counts) differ by design.
 @pytest.mark.parametrize(
     "precoder,gain_mode",
-    [(p, "diag-L") for p in sim.PRECODERS] + [(p, "waterfill") for p in sim._DPC_FAMILY],
+    [(p, "diag-L") for p in sim.PRECODERS if p != "thp"]
+    + [(p, "waterfill") for p in sim._DPC_FAMILY],
 )
 def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     monkeypatch, precoder, gain_mode
@@ -459,7 +490,7 @@ def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
             return dpc_conventional(h, s, gains=k), k
         return dpc_linear(h, k) @ s, k
     if cfg.precoder == "thp":
-        # Power from the trial's pilots, each precoded on the trial's channel.
+        # Power from the channel's pilots, each precoded on that channel.
         base = thp_modulo_base(c.points)
         xp = thp_precode(np.repeat(h[np.newaxis], len(pilots), axis=0), pilots, base)
         alpha = math.sqrt(budget / np.mean(np.sum(np.abs(xp) ** 2, axis=1)))
@@ -500,8 +531,10 @@ def test_sweep_matches_a_scalar_reference_trial_by_trial(precoder, gain_mode, ch
         errors = sent = 0
         power = 0.0
         for t in range(cfg.trials_per_point):
-            h = hs[t if len(hs) > 1 else 0]
-            pilots = None if labels is None else c.points[labels[t]]
+            # The fixed channel, and THP's one pilot batch for it, are row 0.
+            i = t if len(hs) > 1 else 0
+            h = hs[i]
+            pilots = None if labels is None else c.points[labels[i]]
             x, g = scalar_reference_transmit(cfg, h, qam_modulate(bits[t], c), nv, pilots, c)
             y = h @ x + math.sqrt(nv / 2.0) * noise[t]
             active = g > 0
@@ -552,18 +585,34 @@ def test_huge_n_users_is_a_config_error():
         SweepConfig.from_dict(raw)
 
 
+PER_TRIAL = "per-trial-channel"
+
+
 @pytest.mark.parametrize(
-    "n_users,precoder,trials,ok",
+    "n_users,precoder,trials,channel_mode,ok",
     [
-        (128, "zf", 10_000, True),  # 2 * 512 * 128**2 * 16 B: exactly the limit
-        (129, "zf", 10_000, False),
-        (128, "thp", 10_000, False),  # plus 512 * 129 * 128 * 16 B of THP draws
-        (128, "thp", 100, True),  # a chunk holds only the trials of a point
-        (300, "zf", 1, True),
+        # 2 * 512 * 128**2 * 16 B: exactly the limit
+        pytest.param(128, "zf", 10_000, PER_TRIAL, True, id="128-zf-10000-True"),
+        pytest.param(129, "zf", 10_000, PER_TRIAL, False, id="129-zf-10000-False"),
+        # plus THP's buffer, 512 * (1 + 128) * 128 * 16 B per-trial
+        pytest.param(128, "thp", 10_000, PER_TRIAL, False, id="128-thp-10000-False"),
+        # and (512 + 128) * 128 * 16 B on the fixed channel
+        pytest.param(
+            128, "thp", 10_000, "fixed-channel", False, id="128-thp-10000-fixed-channel-False"
+        ),
+        # a chunk holds only the trials of a point
+        pytest.param(128, "thp", 100, PER_TRIAL, True, id="128-thp-100-True"),
+        pytest.param(300, "zf", 1, PER_TRIAL, True, id="300-zf-1-True"),
+        # The noise-free 100-user case: about 257 MiB with a pilot batch
+        # per trial, 157 MiB with one batch per chunk.
+        pytest.param(100, "thp", 512, PER_TRIAL, False, id="100-thp-512-False"),
+        pytest.param(100, "thp", 512, "fixed-channel", True, id="100-thp-512-fixed-channel-True"),
     ],
 )
-def test_chunk_memory_estimate_bounds_the_config(n_users, precoder, trials, ok):
-    cfg = small_cfg(n_users=n_users, precoder=precoder, trials_per_point=trials)
+def test_chunk_memory_estimate_bounds_the_config(n_users, precoder, trials, channel_mode, ok):
+    cfg = small_cfg(
+        n_users=n_users, precoder=precoder, trials_per_point=trials, channel_mode=channel_mode
+    )
     if ok:
         cfg.validate()
     else:
@@ -833,11 +882,13 @@ THP_PINNED_RECORDS = {
         (28000, 84, "0x1.3e6b5cad07b7ep+3", "0x1.8b7d0bccd9000p-14"),
         (28000, 0, "0x1.4115bca633665p+3", "0x1.43d136248475bp-2"),
     ],
+    # One pilot batch per chunk (philox-ss-v3), so alpha is one number per
+    # chunk of trials.
     (128, "fixed-channel"): [
-        (49000, 17875, "0x1.40c8fe0dca23bp+3", "0x1.5fc68a8f2b000p-17"),
-        (49000, 6596, "0x1.3ce48563c6ec0p+3", "0x1.f12d41a1b9000p-16"),
-        (49000, 447, "0x1.3dad33bde0317p+3", "0x1.19f6edcb4c000p-16"),
-        (49000, 0, "0x1.41d7be675565cp+3", "0x1.c453d90f056fep-4"),
+        (49000, 17814, "0x1.464b00fc97be7p+3", "0x1.11e9356d88000p-19"),
+        (49000, 6507, "0x1.438330ba0def6p+3", "0x1.3c3f268628000p-19"),
+        (49000, 447, "0x1.406cadf053712p+3", "0x1.86b3327759000p-15"),
+        (49000, 0, "0x1.3f2f5d089f13fp+3", "0x1.c453d90f056f9p-4"),
     ],
 }
 
@@ -1114,7 +1165,7 @@ def test_csv_deterministic_and_schema(tmp_path):
     assert any("config_hash=" in ln for ln in provenance)
     assert any(f"seed={cfg.seed}" in ln for ln in provenance)
     assert any("gray_labeling=" in ln for ln in provenance)
-    assert "# rng_scheme=philox-ss-v2" in provenance
+    assert "# rng_scheme=philox-ss-v3" in provenance
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header == "snr_db,bits,errors,ber,ci_lo,ci_hi,precoder,modulation,n_users,seed"
     data = [ln for ln in lines if not ln.startswith("#")][1:]
@@ -1130,7 +1181,7 @@ def test_manifest_mirrors_config(tmp_path):
     write_manifest([(cfg, records)], path)
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == 1
-    assert payload["rng_scheme"] == "philox-ss-v2"
+    assert payload["rng_scheme"] == "philox-ss-v3"
     sweep = payload["sweeps"][0]
     assert sweep["config"]["n_users"] == 4
     assert sweep["config"]["snr_grid_db"] == [0.0, "inf"]
