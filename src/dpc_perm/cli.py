@@ -145,7 +145,10 @@ def _out_dir(args) -> Path:
 
 def _cmd_ber_sweep(args) -> int:
     raw = _load_json(args.config)
-    sweeps = raw["sweeps"] if isinstance(raw, dict) and "sweeps" in raw else [raw]
+    sweeps = [raw]
+    if isinstance(raw, dict) and "sweeps" in raw:
+        config_object(raw, "ber-sweep config", ("sweeps",), ("sweeps",))
+        sweeps = raw["sweeps"]
     if not isinstance(sweeps, list) or not sweeps:
         raise ConfigError("config must be a sweep object or {'sweeps': [...]}")
     configs = []
@@ -153,6 +156,13 @@ def _cmd_ber_sweep(args) -> int:
         if args.seed is not None and isinstance(entry, dict):
             entry = {**entry, "seed": args.seed}
         configs.append(SweepConfig.from_dict(entry))
+    csv_names = [sweep_csv_name(cfg) for cfg in configs]
+    for name in csv_names:
+        if csv_names.count(name) > 1:
+            raise ConfigError(
+                f"two sweeps would write {name}: each sweep needs its own "
+                "(precoder, modulation) pair"
+            )
     workers = resolve_workers(args.workers)
     out = _out_dir(args)
     results = []
@@ -217,9 +227,7 @@ def _cmd_order_search(args) -> int:
         "version": __version__,
         "config": cfg,
         "config_hash": config_hash(cfg),
-        "orders": [
-            {"order": list(row["order"]), "ap": row["ap"], "papr": row["papr"]} for row in table
-        ],
+        "orders": table,
     }
     for objective in ("average-power", "papr"):
         res = diagonal_order_search(h, s, gains, objective)

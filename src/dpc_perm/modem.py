@@ -81,24 +81,13 @@ _CANDIDATE_SLACK = 1e-9
 class Constellation:
     """Unit-energy constellation with ``points[label]`` indexed by bit label.
 
-    Equality and hashing go by value: the order, the bits per symbol and
-    the bytes of ``points``.
+    Equality and hashing go by identity; :func:`make_constellation` keeps
+    one object per order.
     """
 
     order: int
     bits_per_symbol: int
     points: np.ndarray
-
-    def _key(self) -> tuple[int, int, bytes]:
-        return (self.order, self.bits_per_symbol, self.points.tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Constellation):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @cached_property
     def _table(self) -> "_CandidateTable | None":

@@ -27,6 +27,7 @@ equal to rounding; the counters expose the work difference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -110,23 +111,18 @@ def _select(values: np.ndarray) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lex_orders(n: int) -> np.ndarray:
-    """All n! orders of 0..n-1, one per row, in lexicographic order.
+def _lex_order_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    """All n! orders of 0..n-1 in lexicographic order, as ``itertools.permutations``
+    yields them: the ``order`` of each ``order_table`` row."""
+    return tuple(itertools.permutations(range(n)))
 
-    Block ``f`` holds the orders starting with ``f``: the (n-1)! orders
-    of the remaining values, taken from the table for n-1 by mapping
-    ``v -> v + (v >= f)``, which keeps their lexicographic order. Built
-    once per n (n <= MAX_ENUM_USERS keeps the cache small) and read-only,
-    since every caller shares it.
-    """
-    if n == 1:
-        orders = np.zeros((1, 1), dtype=np.intp)
-    else:
-        rest = _lex_orders(n - 1)
-        orders = np.empty((n * rest.shape[0], n), dtype=np.intp)
-        for f, block in enumerate(np.split(orders, n)):
-            block[:, 0] = f
-            block[:, 1:] = rest + (rest >= f)
+
+@lru_cache(maxsize=None)
+def _lex_orders(n: int) -> np.ndarray:
+    """``_lex_order_tuples(n)`` as an ``(n!, n)`` array, one order per row. Built
+    once per n (n <= MAX_ENUM_USERS keeps the cache small) and read-only, since
+    every caller shares it."""
+    orders = np.array(_lex_order_tuples(n), dtype=np.intp)
     orders.setflags(write=False)
     return orders
 
@@ -138,12 +134,6 @@ def _inverse_orders(n: int) -> np.ndarray:
     inv = np.argsort(_lex_orders(n), axis=1)
     inv.setflags(write=False)
     return inv
-
-
-@lru_cache(maxsize=None)
-def _lex_order_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """``_lex_orders(n)`` as tuples of ints, the ``order`` of each table row."""
-    return tuple(map(tuple, _lex_orders(n).tolist()))
 
 
 def _by_order(table: np.ndarray, chunk: slice = slice(None)) -> np.ndarray:

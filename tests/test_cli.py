@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -112,6 +113,17 @@ def test_order_search_table_and_verify(tmp_path):
         assert entry["agrees_with_naive"] is True
         assert entry["decompositions"] == 1
         assert entry["naive_decompositions"] == 24
+
+
+def test_order_search_report_bytes_are_pinned(tmp_path):
+    # The sha256 of the whole report at n = 5, seed 3: its order rows (in the
+    # lexicographic order of the tie rule), values, winners and counters.
+    cfg = tmp_path / "os.json"
+    cfg.write_text(json.dumps({"n_users": 5, "seed": 3}))
+    out = tmp_path / "o"
+    assert cli.main(["order-search", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "order_search.json").read_bytes()).hexdigest()
+    assert digest == "9ac9e5b31813f5daef8703fcbd2d15b8f5874c68a402eeb466be6bb87fd0bdd5"
 
 
 def test_order_search_verify_disagreement_exits_1(tmp_path, monkeypatch, capsys):
@@ -267,6 +279,31 @@ def test_ber_sweep_non_object_config_exits_2(tmp_path, config):
     assert res.returncode == 2, res.stderr
     assert "JSON object" in res.stderr or "sweeps" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("extra", [{"seed": 7}, {"n_user": 3}], ids=["seed", "misspelt"])
+def test_ber_sweep_sweeps_wrapper_takes_no_other_field_exits_2(tmp_path, capsys, extra):
+    # A field beside "sweeps" would be silently dropped, not applied to the sweeps.
+    sweep = {"n_users": 2, "snr_grid_db": [10], "trials_per_point": 4, "precoder": "zf"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"sweeps": [sweep], **extra}))
+    assert cli.main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown config fields: {list(extra)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ber_sweep_two_sweeps_writing_one_csv_exits_2(tmp_path, monkeypatch, capsys):
+    # Both sweeps would write ber_zf_qpsk.csv, and the second would overwrite the first.
+    def no_sweep(cfg, workers=None):
+        raise AssertionError("no sweep may run")
+
+    monkeypatch.setattr(cli, "run_ber_sweep", no_sweep)
+    sweep = {"n_users": 2, "snr_grid_db": [10], "trials_per_point": 4, "precoder": "zf"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"sweeps": [{**sweep, "seed": 1}, {**sweep, "seed": 2}]}))
+    assert cli.main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "two sweeps would write ber_zf_qpsk.csv" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["ber-sweep", "order-search"])

@@ -12,7 +12,6 @@ from dpc_perm.channel import stream
 from dpc_perm.exceptions import LengthMismatch
 from dpc_perm.modem import (
     QAM_ORDERS,
-    Constellation,
     hard_decisions,
     make_constellation,
     modulation_name,
@@ -150,16 +149,6 @@ def test_decision_margins():
     assert m[0] == pytest.approx(1.0 / np.sqrt(2.0))
     on_boundary = np.array([(1 + 0j) / np.sqrt(2)])
     assert hard_decisions(on_boundary, c)[1][0] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_equal_valued_constellations_compare_equal_and_hash_alike():
-    c = make_constellation(16)
-    copy = Constellation(16, 4, c.points.copy())
-    assert c == copy and hash(c) == hash(copy)
-    assert len({c, copy}) == 1
-    assert c != make_constellation(4)
-    assert c != Constellation(16, 4, -c.points)
-    assert c != "16-qam"
 
 
 def test_modulation_names():
