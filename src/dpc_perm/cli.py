@@ -12,7 +12,9 @@ verify        Run the built-in property suites.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numeric failure, 4 a worker process of a parallel sweep died. Numeric
-and worker failures name the precoder, seed, SNR point and trial range.
+and worker failures name the precoder, seed, SNR point and trial range;
+a fixed channel whose precoder cannot be designed (it is designed once,
+before any chunk) is named as "the fixed channel" instead.
 Identical invocations produce byte-identical output files (no timestamps
 anywhere).
 """

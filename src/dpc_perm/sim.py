@@ -7,14 +7,19 @@ error counts are identical for any worker count, and two sweeps that
 share a seed see identical channels, bits, and noise regardless of the
 precoder under test (which makes precoder comparisons paired).
 
-Trials are simulated in chunks, each one channel stack ``(m, n, n)`` (a
-fixed-channel sweep precodes its one channel once per chunk) precoded by
-one call into :mod:`precoding`: ``zf_precode``, ``mmse_precode``,
-``bd_precode``, ``dpc_linear``, ``successive_encode`` (the one encode of
-``dpc_conventional`` and ``thp_precode``), or its feedback kernel for
-THP's buffer of data and pilots. So the tested precoders are the ones
-that make the BER curves; this module picks the precoder, designs the
-gains and calibrates the transmit power.
+Trials are simulated in chunks, each one channel stack ``(m, n, n)``.
+Precoding is two steps. The design reads only the channels: the LQ or SVD
+factors, the gains, the precoding matrix and, for zf, mmse and bd, the
+power scale, from one call into :mod:`precoding` (``lq_decompose``,
+``dpc_linear``, ``zf_precode``, ``mmse_precode`` or ``bd_precode``). The
+transmit reads the symbols: ``w @ s``, ``successive_encode`` (the one
+encode of ``dpc_conventional`` and ``thp_precode``), or its feedback
+kernel for THP's buffer of data and pilots. A per-trial sweep designs each
+chunk's stack; a fixed-channel sweep designs its one channel once per
+sweep (mmse, whose design reads the noise variance, once per chunk), and
+THP still calibrates its power once per chunk, from that chunk's pilots.
+So the tested precoders are the ones that make the BER curves; this module
+picks the precoder, designs the gains and calibrates the transmit power.
 
 Conventions, since the source figures never define them:
 
@@ -76,7 +81,7 @@ import numpy as np
 from . import __version__ as _version
 from .channel import sample_channel, stream
 from .exceptions import ConfigError, DpcPermError, WorkerCrashed
-from .linalg import lq_decompose
+from .linalg import LqFactors, lq_decompose
 from .modem import (
     Constellation,
     QAM_ORDERS,
@@ -403,18 +408,97 @@ def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., np.newaxis])[..., 0]
 
 
+@dataclass(frozen=True)
+class _Design:
+    """What a precoder derives from a channel stack ``hs`` ``(k, n, n)``
+    alone (mmse: and the noise variance), before any symbol is seen.
+
+    ``factors`` is the LQ of ``hs`` (dpc-conventional, THP), ``w`` the
+    precoding matrices (dpc-linear, zf, mmse, bd), ``alpha`` ``(k,)`` their
+    power scale (zf, mmse, bd) and ``gains`` ``(k, n)`` the effective gains
+    (all but THP, whose scale comes from each chunk's pilots).
+    """
+
+    hs: np.ndarray
+    factors: LqFactors | None = None
+    w: np.ndarray | None = None
+    alpha: np.ndarray | None = None
+    gains: np.ndarray | None = None
+
+
+def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Design:
+    """Design the precoder of ``hs``: a chunk's stack ``(m, n, n)``, or the
+    fixed channel ``(1, n, n)`` once per sweep. Only mmse reads the noise
+    variance ``nv``, so a fixed-channel mmse sweep designs once per chunk."""
+    precoder = cfg.precoder
+    if precoder == "thp":
+        return _Design(hs, factors=lq_decompose(hs))
+
+    if precoder in _DPC_FAMILY:
+        # The gain-controlled family transmits its designed signal as is:
+        # rescaling it to the power budget would change every user's
+        # effective gain and with it the meaning of the per-user SNR axis.
+        # The budget enters through the gain design (water-filling) and
+        # through the noise calibration shared with the baselines.
+        needs_lq = precoder == "dpc-conventional" or cfg.gain_mode == "diag-L"
+        factors = lq_decompose(hs) if needs_lq else None
+        if cfg.gain_mode == "diag-L":
+            k = factors.diag
+        else:
+            sv = np.linalg.svd(hs, compute_uv=False)
+            k = np.vstack([waterfill(row, cfg.power_budget) for row in sv])
+        if precoder == "dpc-conventional":
+            return _Design(hs, factors=factors, gains=k)
+        return _Design(hs, w=dpc_linear(hs, k), gains=k)
+
+    if precoder == "zf":
+        w = zf_precode(hs)
+    elif precoder == "mmse":
+        w = mmse_precode(hs, nv)
+    else:
+        # BD of a square channel is its inverse, so this is the ZF matrix,
+        # with BD's per-user feasibility rule in place of ZF's bound.
+        w = bd_precode(hs)
+    alpha = power_scale(w, cfg.power_budget)
+    hw_diag = np.real(np.einsum("mij,mji->mi", hs, w))
+    return _Design(hs, w=w, alpha=alpha, gains=alpha[:, np.newaxis] * hw_diag)
+
+
+def _fixed_design(cfg: SweepConfig) -> _Design | np.ndarray:
+    """What each chunk of a fixed-channel sweep gets: the design of its one
+    channel, or for mmse, whose design reads each point's noise variance,
+    the channel ``(n, n)`` itself."""
+    h = fixed_channel_for(cfg)
+    return h if cfg.precoder == "mmse" else _design(cfg, h[np.newaxis])
+
+
 def _simulate_chunk(
-    cfg: SweepConfig, snr_idx: int, snr_db: float, t0: int, t1: int, fixed_h: np.ndarray | None
+    cfg: SweepConfig,
+    snr_idx: int,
+    snr_db: float,
+    t0: int,
+    t1: int,
+    fixed: _Design | np.ndarray | None,
 ) -> dict:
-    """Simulate trials [t0, t1) of one SNR point and return partial sums."""
+    """Simulate trials [t0, t1) of one SNR point and return partial sums.
+
+    ``fixed`` is None with per-trial channels, whose stack is designed
+    here; on the fixed channel it is :func:`_fixed_design`.
+    """
     c = make_constellation(cfg.constellation_order)
     m = t1 - t0
     nv = noise_variance(cfg, snr_db)
+    designed = isinstance(fixed, _Design)
+    fixed_h = fixed.hs[0] if designed else fixed
     hs, bits, noise, labels = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_h)
     s = qam_modulate(bits.ravel(), c).reshape(m, cfg.n_users)
 
+    design = fixed if designed else _design(cfg, hs, nv)
     is_thp = labels is not None
-    x, g = _thp_transmit(cfg, hs, s, labels, c) if is_thp else _linear_transmit(cfg, hs, s, nv)
+    if is_thp:
+        x, g = _thp_transmit(cfg, design.factors, s, labels, c)
+    else:
+        x, g = _linear_transmit(design, s)
 
     y = _apply(hs, x)
     if nv > 0.0:
@@ -439,46 +523,16 @@ def _simulate_chunk(
     }
 
 
-def _linear_transmit(
-    cfg: SweepConfig, hs: np.ndarray, s: np.ndarray, nv: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Precode one chunk with a linear method; returns (x, effective gains).
-
-    ``hs`` is the chunk's channel stack, or one shared channel ``(1, n, n)``
-    that is factored once; the gains then have shape ``(1, n)``.
-    """
-    precoder = cfg.precoder
-
-    if precoder in _DPC_FAMILY:
-        # The gain-controlled family transmits its designed signal as is:
-        # rescaling it to the power budget would change every user's
-        # effective gain and with it the meaning of the per-user SNR axis.
-        # The budget enters through the gain design (water-filling) and
-        # through the noise calibration shared with the baselines.
-        needs_lq = precoder == "dpc-conventional" or cfg.gain_mode == "diag-L"
-        factors = lq_decompose(hs) if needs_lq else None
-        if cfg.gain_mode == "diag-L":
-            k = factors.diag
-        else:
-            sv = np.linalg.svd(hs, compute_uv=False)
-            k = np.vstack([waterfill(row, cfg.power_budget) for row in sv])
-        if precoder == "dpc-conventional":
-            return successive_encode(factors, k, s), k
-        return _apply(dpc_linear(hs, k), s), k
-
-    if precoder == "zf":
-        w = zf_precode(hs)
-    elif precoder == "mmse":
-        w = mmse_precode(hs, nv)
-    else:
-        # BD of a square channel is its inverse, so this is the ZF matrix,
-        # with BD's per-user feasibility rule in place of ZF's bound.
-        w = bd_precode(hs)
-
-    alpha = power_scale(w, cfg.power_budget)
-    x = alpha[:, np.newaxis] * _apply(w, s)
-    hw_diag = np.real(np.einsum("mij,mji->mi", hs, w))
-    return x, alpha[:, np.newaxis] * hw_diag
+def _linear_transmit(design: _Design, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Precode the symbols ``s`` ``(m, n)`` of one chunk with a linear
+    method's design; returns (x, effective gains). A design of one shared
+    channel precodes every trial, its gains of shape ``(1, n)``."""
+    if design.w is None:
+        return successive_encode(design.factors, design.gains, s), design.gains
+    x = _apply(design.w, s)
+    if design.alpha is not None:
+        x = design.alpha[:, np.newaxis] * x
+    return x, design.gains
 
 
 @lru_cache(maxsize=None)
@@ -488,24 +542,23 @@ def _thp_base(order: int) -> float:
 
 
 def _thp_transmit(
-    cfg: SweepConfig, hs: np.ndarray, s: np.ndarray, labels: np.ndarray, c: Constellation
+    cfg: SweepConfig, factors: LqFactors, s: np.ndarray, labels: np.ndarray, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
     """THP for one chunk; transmit power calibrated per channel from its
     pilot batch.
 
-    The chunk's ``k`` channels (``hs`` is a stack, ``k = m``, or one shared
-    channel, ``k = 1``) are factored first, so the LQ's temporaries are
-    freed before the chunk's one buffer is allocated. That buffer is
-    user-major, ``(k, n, m/k + _THP_PILOTS)``: first each channel's
-    ``m/k`` data vectors, in the layout of :func:`successive_encode`, then
-    the points of its pilot ``labels`` ``(k, _THP_PILOTS, n)``, gathered
-    one user at a time so only one user's uint8 labels are widened to an
-    index array. Data and pilots share one feedback pass, in place in the
-    buffer; each channel's factor ``alpha`` comes from its pilot columns,
-    so a fixed-channel chunk is calibrated once. Returns ``x`` ``(m, n)``
-    and the gains ``(k, n)``.
+    ``factors`` is the LQ of the chunk's ``k`` channels (a stack, ``k = m``,
+    or one shared channel, ``k = 1``), made before this call, so the LQ's
+    temporaries are freed before the chunk's one buffer is allocated. That
+    buffer is user-major, ``(k, n, m/k + _THP_PILOTS)``: first each
+    channel's ``m/k`` data vectors, in the layout of
+    :func:`successive_encode`, then the points of its pilot ``labels``
+    ``(k, _THP_PILOTS, n)``, gathered one user at a time so only one user's
+    uint8 labels are widened to an index array. Data and pilots share one
+    feedback pass, in place in the buffer; each channel's factor ``alpha``
+    comes from its pilot columns, so a fixed-channel chunk is calibrated
+    once. Returns ``x`` ``(m, n)`` and the gains ``(k, n)``.
     """
-    factors = lq_decompose(hs)
     m, n = s.shape
     k = len(factors.l)
     d = m // k
@@ -527,11 +580,11 @@ def _thp_transmit(
 
 
 @contextmanager
-def _chunk_context(cfg: SweepConfig, task: tuple[int, float, int, int]):
-    """Re-raise a chunk's failure with the precoder, seed, SNR point and
-    trial range attached; a dead worker process becomes :class:`WorkerCrashed`."""
-    _, snr_db, t0, t1 = task
-    where = f"sweep aborted ({cfg.precoder}, seed {cfg.seed}) at {snr_db:g} dB, trials [{t0}, {t1})"
+def _sweep_context(cfg: SweepConfig, place: str):
+    """Re-raise a failure with the precoder, seed and ``place`` (an SNR point
+    and trial range, or the fixed channel) attached; a dead worker process
+    becomes :class:`WorkerCrashed`."""
+    where = f"sweep aborted ({cfg.precoder}, seed {cfg.seed}) {place}"
     try:
         yield
     except BrokenProcessPool as exc:
@@ -540,14 +593,22 @@ def _chunk_context(cfg: SweepConfig, task: tuple[int, float, int, int]):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
+def _chunk_context(cfg: SweepConfig, task: tuple[int, float, int, int]):
+    """:func:`_sweep_context` of one chunk: its SNR point and trial range."""
+    _, snr_db, t0, t1 = task
+    return _sweep_context(cfg, f"at {snr_db:g} dB, trials [{t0}, {t1})")
+
+
 def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecord]:
     """Run the full SNR sweep described by ``cfg``.
 
     Results are a pure function of the config: per-chunk streams make the
     error counts identical for any worker count. Precoder failures abort
     the sweep with the precoder, seed, offending SNR point (in dB) and the
-    chunk's trial range attached; a worker process that dies raises
-    :class:`WorkerCrashed` with the same context.
+    chunk's trial range attached, or with "on the fixed channel" when the
+    design of a fixed channel fails (it is made once, before any chunk); a
+    worker process that dies raises :class:`WorkerCrashed` with the same
+    context.
     """
     cfg.validate()
     tasks = []
@@ -557,7 +618,10 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
             tasks.append((snr_idx, snr_db, t0, t1))
     # A pool starts all its workers on the first submit; start no idle ones.
     n_workers = min(resolve_workers(workers), len(tasks))
-    fixed_h = fixed_channel_for(cfg) if cfg.channel_mode == "fixed-channel" else None
+    fixed = None
+    if cfg.channel_mode == "fixed-channel":
+        with _sweep_context(cfg, "on the fixed channel"):
+            fixed = _fixed_design(cfg)
 
     # Both paths collect chunks in task order, so each point's float sums
     # add up in the same order for any worker count.
@@ -565,10 +629,10 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     if n_workers == 1:
         for task in tasks:
             with _chunk_context(cfg, task):
-                partials[task[0]].append(_simulate_chunk(cfg, *task, fixed_h))
+                partials[task[0]].append(_simulate_chunk(cfg, *task, fixed))
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [(task, pool.submit(_simulate_chunk, cfg, *task, fixed_h)) for task in tasks]
+            futures = [(task, pool.submit(_simulate_chunk, cfg, *task, fixed)) for task in tasks]
             try:
                 for task, fut in futures:
                     with _chunk_context(cfg, task):

@@ -7,9 +7,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from dpc_perm import cli
+from dpc_perm import cli, sim
 from dpc_perm.exceptions import WorkerCrashed
 
 
@@ -268,6 +269,26 @@ def test_ber_sweep_mmse_scale_overflow_exits_3(tmp_path, snr_db, budget):
     assert f"sweep aborted (mmse, seed 0) at {snr_db} dB, trials [0, 4)" in res.stderr
     assert "power-scale" in res.stderr
     assert "Traceback" not in res.stderr
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("precoder", ["zf", "bd", "dpc-linear", "thp"])
+def test_ber_sweep_singular_fixed_channel_exits_3(tmp_path, monkeypatch, capsys, precoder):
+    monkeypatch.setattr(sim, "fixed_channel_for", lambda cfg: np.ones((4, 4), dtype=complex))
+    config = {
+        "n_users": 4,
+        "snr_grid_db": [0, 10],
+        "trials_per_point": 8,
+        "channel_mode": "fixed-channel",
+        "precoder": precoder,
+        "seed": 5,
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert cli.main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"numeric failure: sweep aborted ({precoder}, seed 5) on the fixed channel: " in err
     assert not (out / "manifest.json").exists()
 
 

@@ -22,7 +22,7 @@ from dpc_perm.exceptions import (
     NumericallySingular,
     WorkerCrashed,
 )
-from dpc_perm.linalg import lq_decompose
+from dpc_perm.linalg import count_decompositions, lq_decompose
 from dpc_perm.modem import QAM_ORDERS, hard_decisions, make_constellation, qam_modulate
 from dpc_perm.ordering import naive_order_search
 from dpc_perm.precoding import (
@@ -368,6 +368,15 @@ def test_worker_count_does_not_change_results():
     for cfg in (
         small_cfg(trials_per_point=1100),  # forces multiple chunks
         small_cfg(trials_per_point=1100, precoder="thp", channel_mode="fixed-channel"),
+        # The fixed channel's design is made once and sent to every worker.
+        small_cfg(trials_per_point=1100, precoder="bd", channel_mode="fixed-channel"),
+        small_cfg(trials_per_point=1100, precoder="mmse", channel_mode="fixed-channel"),
+        small_cfg(
+            trials_per_point=1100,
+            constellation_order=128,
+            gain_mode="waterfill",
+            channel_mode="fixed-channel",
+        ),
     ):
         seq = run_ber_sweep(cfg, workers=1)
         par = run_ber_sweep(cfg, workers=2)
@@ -433,11 +442,11 @@ def test_fixed_channel_thp_chunk_is_calibrated_once():
     c = make_constellation(cfg.constellation_order)
     hs, bits, _, labels = chunk_draws(cfg, 0, 0, 300)
     s = qam_modulate(bits.ravel(), c).reshape(300, cfg.n_users)
-    x, g = sim._thp_transmit(cfg, hs, s, labels, c)
+    factors = lq_decompose(hs)
+    x, g = sim._thp_transmit(cfg, factors, s, labels, c)
     assert x.shape == (300, cfg.n_users)
     assert g.shape == (1, cfg.n_users)  # one alpha for the chunk
     # Every trial is that one alpha times the channel's unscaled THP.
-    factors = lq_decompose(hs)
     alpha = g[0] / factors.diag[0]
     np.testing.assert_allclose(alpha, alpha[0], rtol=1e-15)
     unscaled = successive_encode(factors, factors.diag, s, thp_modulo_base(c.points))
@@ -455,9 +464,9 @@ def test_fixed_channel_thp_chunk_is_calibrated_once():
 def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     monkeypatch, precoder, gain_mode
 ):
-    # The fixed channel is precoded once per chunk; a per-trial sweep whose
-    # every trial draws that same channel precodes each copy, on the same
-    # bits and noise.
+    # The fixed channel is designed once per sweep (mmse: once per chunk); a
+    # per-trial sweep whose every trial draws that same channel designs each
+    # copy, on the same bits and noise.
     cfg = small_cfg(
         precoder=precoder,
         gain_mode=gain_mode,
@@ -475,6 +484,62 @@ def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     ]
     for a, b in zip(fixed, per_trial):
         assert a.measured_tx_power == pytest.approx(b.measured_tx_power, rel=1e-12)
+
+
+DESIGN_POINTS, DESIGN_TRIALS = (0.0, 10.0), 1100  # 3 chunks a point: 512, 512, 76
+
+
+@pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
+@pytest.mark.parametrize(
+    "precoder,gain_mode,lq,svd",
+    [
+        ("dpc-conventional", "diag-L", 1, 0),
+        ("dpc-linear", "diag-L", 1, 1),
+        ("dpc-linear", "waterfill", 0, 1),
+        ("thp", "diag-L", 1, 0),
+    ],
+)
+def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd, channel_mode):
+    # The design reads only the channel: the fixed channel is factored once
+    # for every point and chunk, a per-trial sweep once per trial.
+    cfg = small_cfg(
+        precoder=precoder,
+        gain_mode=gain_mode,
+        channel_mode=channel_mode,
+        snr_grid_db=DESIGN_POINTS,
+        trials_per_point=DESIGN_TRIALS,
+    )
+    with count_decompositions() as counter:
+        run_ber_sweep(cfg, workers=1)
+    per = 1 if channel_mode == "fixed-channel" else len(DESIGN_POINTS) * DESIGN_TRIALS
+    assert (counter.lq, counter.svd) == (lq * per, svd * per)
+
+
+@pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
+@pytest.mark.parametrize("precoder", ["zf", "bd", "mmse"])
+def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, channel_mode):
+    # mmse's design reads the point's noise variance, so it stays per chunk.
+    name = f"{precoder}_precode"
+    real = getattr(sim, name)
+    stacks = []
+
+    def counted(hs, *args):
+        stacks.append(len(hs))
+        return real(hs, *args)
+
+    monkeypatch.setattr(sim, name, counted)
+    cfg = small_cfg(
+        precoder=precoder,
+        channel_mode=channel_mode,
+        snr_grid_db=DESIGN_POINTS,
+        trials_per_point=DESIGN_TRIALS,
+    )
+    run_ber_sweep(cfg, workers=1)
+    chunks = [512, 512, 76] * len(DESIGN_POINTS)
+    if channel_mode == "per-trial-channel":
+        assert stacks == chunks
+    else:
+        assert stacks == [1] * (len(chunks) if precoder == "mmse" else 1)
 
 
 def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
@@ -690,6 +755,25 @@ def test_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder,
         run_ber_sweep(cfg)
 
 
+@pytest.mark.parametrize(
+    "precoder,error",
+    [
+        ("zf", NumericallySingular),
+        ("bd", InfeasibleBlocking),
+        ("dpc-linear", NumericallySingular),
+        ("thp", NumericallySingular),
+    ],
+)
+def test_singular_fixed_channel_aborts_sweep_with_context(monkeypatch, precoder, error):
+    # The fixed channel is designed before any chunk, so no SNR point or
+    # trial range is to blame: the failure names the fixed channel.
+    monkeypatch.setattr(sim, "fixed_channel_for", lambda cfg: np.ones((4, 4), dtype=complex))
+    cfg = small_cfg(precoder=precoder, channel_mode="fixed-channel")
+    pattern = rf"^sweep aborted \({precoder}, seed 5\) on the fixed channel: "
+    with pytest.raises(error, match=pattern):
+        run_ber_sweep(cfg)
+
+
 def near_singular_channel(rng, n, m):
     """Random channels ``(m, n, n)`` whose rows 0 and 1 differ by 1e-14 in one entry."""
     h = sample_channel(rng, n, m)
@@ -855,11 +939,11 @@ def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
         snr_grid_db=(10.0,),
         trials_per_point=512,
     )
-    fixed_h = fixed_channel_for(cfg) if channel_mode == "fixed-channel" else None
-    sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed_h)  # fill the per-order caches first
+    fixed = sim._fixed_design(cfg) if channel_mode == "fixed-channel" else None
+    sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed)  # fill the per-order caches first
     tracemalloc.start()
     try:
-        sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed_h)
+        sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
