@@ -10,7 +10,7 @@ spawn_key=...)`` feeding a Philox generator (:func:`stream`).
 with the channel on the leading axis. The single draw is the one of
 scheme ``philox-ss-v1``, unchanged, so :func:`generate_channel` and
 every order-search input stay as they were. The stacked draw is the
-channel kind of the BER sweep's schemes ``philox-ss-v2`` and ``-v3``
+channel kind of the BER sweep's schemes ``philox-ss-v2`` to ``-v4``
 (one stream per chunk of trials; see :mod:`dpc_perm.sim`).
 """
 

@@ -16,10 +16,11 @@ transmit reads the symbols: ``w @ s``, ``successive_encode`` (the one
 encode of ``dpc_conventional`` and ``thp_precode``), or its feedback
 kernel for THP's buffer of data and pilots. A per-trial sweep designs each
 chunk's stack; a fixed-channel sweep designs its one channel once per
-sweep (mmse, whose design reads the noise variance, once per chunk), and
-THP still calibrates its power once per chunk, from that chunk's pilots.
-So the tested precoders are the ones that make the BER curves; this module
-picks the precoder, designs the gains and calibrates the transmit power.
+sweep (mmse, whose design reads the noise variance, once per SNR point),
+and THP still calibrates its power once per chunk, from that chunk's
+pilots. So the tested precoders are the ones that make the BER curves; this
+module picks the precoder, designs the gains and calibrates the transmit
+power.
 
 Conventions, since the source figures never define them:
 
@@ -30,9 +31,12 @@ Conventions, since the source figures never define them:
   as a nominal per-user symbol SNR shared by every method.
 * Baseline transmit power: ZF, MMSE, and BD are scaled so
   ``tr(w w^H) = power_budget``; THP, being nonlinear, is scaled per
-  channel from a pilot batch of ``_THP_PILOTS`` draws instead: one batch
-  per trial with per-trial channels, one per chunk of trials for the
-  fixed channel, so every trial of that chunk shares one scale.
+  channel from ``_THP_PILOTS`` pilot vectors fed back through that
+  channel: each trial's channel with per-trial channels, the one channel
+  once per chunk of trials for the fixed channel, so every trial of that
+  chunk shares one scale. Every channel of a chunk feeds back the same
+  pilot batch (the modulo output is close to uniform whatever the input
+  labels, so the scale depends on the channel, not on the labels drawn).
 * The gain-controlled DPC family transmits its designed signal
   unrescaled: user n's effective gain is exactly the designed ``k[n]``
   (``diag(l)`` or the water-filled gains), which is what defines
@@ -43,24 +47,25 @@ Conventions, since the source figures never define them:
 * Water-filled sweeps may mute users (zero gain); muted users transmit
   nothing and their bits are excluded from the error accounting.
 
-Random draws (scheme ``philox-ss-v3``, named in every CSV header and
+Random draws (scheme ``philox-ss-v4``, named in every CSV header and
 manifest): trials are grouped in chunks of ``_CHUNK = 512``, and chunk
 ``t // 512`` of SNR point ``snr_index`` draws from four Philox streams,
 one per kind, keyed ``(seed, snr_index, chunk, kind)``: 0 the channels
 (``sample_channel(rng, n, m)``, per-trial mode only), 1 the data bits
 (``(m, n * bits_per_symbol)`` uint8), 2 the noise (``(m, 2, n)``
 standard normals, real then imaginary parts) and 3 the THP pilot labels
-(``(k, _THP_PILOTS, n)`` uint8, THP only), one pilot batch per channel of
-the chunk: ``k = m`` with per-trial channels, ``k = 1`` for the fixed
-channel. Kinds 0-2 are one array each with the trial on the leading axis,
-so trial t's draws are row ``t % 512`` and depend only on
-``(seed, snr_index, t)``: not on ``trials_per_point``, the worker count,
-the precoder or the channel mode. A fixed-channel sweep and a per-trial
-sweep see the same bits and noise, and THP's pilots shift nobody's draws;
-the fixed channel's batch is row 0 of the per-trial one. The chunk size
-and this layout are part of the reproducibility contract. (Scheme
-``philox-ss-v2`` drew ``(m, _THP_PILOTS, n)`` labels in both modes, so only
-fixed-channel THP sweeps differ between the two.)
+(``(1, _THP_PILOTS, n)`` uint8, THP only), one pilot batch per chunk in
+both channel modes, shared by every channel of the chunk. Kinds 0-2 are
+one array each with the trial on the leading axis, so trial t's draws are
+row ``t % 512`` and depend only on ``(seed, snr_index, t)``: not on
+``trials_per_point``, the worker count, the precoder or the channel mode.
+A fixed-channel sweep and a per-trial sweep see the same bits and noise,
+and THP's pilots shift nobody's draws; the pilot batch depends only on
+``(seed, snr_index, chunk)``. The chunk size and this layout are part of
+the reproducibility contract. (Scheme ``philox-ss-v3`` drew one batch per
+channel, ``(m, _THP_PILOTS, n)`` with per-trial channels, whose first row
+is the v4 batch, so only per-trial THP sweeps differ between the two;
+``philox-ss-v2`` drew ``(m, _THP_PILOTS, n)`` on the fixed channel too.)
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ GRAY_LABELING_NOTE = (
 )
 
 # Name of the random-draw contract; a change to it gets a new name.
-RNG_SCHEME = "philox-ss-v3"
+RNG_SCHEME = "philox-ss-v4"
 
 # Stream namespaces (first spawn_key element). Namespace 0, the per-trial
 # streams of philox-ss-v1, is not reused, so no later stream repeats a v1 one.
@@ -150,7 +155,8 @@ _KIND_CHANNEL, _KIND_BITS, _KIND_NOISE, _KIND_PILOTS = range(4)
 # workers run them. Part of the random-draw contract.
 _CHUNK = 512
 
-# Pilot vectors per channel used to estimate THP transmit power.
+# Pilot vectors per channel used to estimate THP transmit power; one batch
+# of labels per chunk, fed back through each channel of the chunk.
 _THP_PILOTS = 128
 
 # Largest estimated working set of one chunk (see _chunk_bytes); a bigger
@@ -377,12 +383,12 @@ def _chunk_draws(
     cfg: SweepConfig, snr_idx: int, t0: int, t1: int, c: Constellation, fixed_h: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Random inputs of trials [t0, t1) of one SNR point, ``t0`` a multiple
-    of ``_CHUNK`` (scheme philox-ss-v3, see the module docstring).
+    of ``_CHUNK`` (scheme philox-ss-v4, see the module docstring).
 
     Returns the channel stack ``(m, n, n)`` (the fixed channel as
     ``(1, n, n)``), the data bits ``(m, n * bits_per_symbol)``, unit-variance
-    per-component complex noise ``(m, n)`` and, for THP, one batch of pilot
-    labels per channel, ``(len(hs), _THP_PILOTS, n)`` (else None).
+    per-component complex noise ``(m, n)`` and, for THP, the chunk's one
+    batch of pilot labels, ``(1, _THP_PILOTS, n)`` (else None).
     """
     n, m, chunk = cfg.n_users, t1 - t0, t0 // _CHUNK
 
@@ -397,7 +403,7 @@ def _chunk_draws(
     z = rng(_KIND_NOISE).standard_normal((m, 2, n))
     labels = None
     if cfg.precoder == "thp":
-        size = (len(hs), _THP_PILOTS, n)
+        size = (1, _THP_PILOTS, n)
         labels = rng(_KIND_PILOTS).integers(0, c.order, size=size, dtype=np.uint8)
     return hs, bits, z[:, 0] + 1j * z[:, 1], labels
 
@@ -429,7 +435,8 @@ class _Design:
 def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Design:
     """Design the precoder of ``hs``: a chunk's stack ``(m, n, n)``, or the
     fixed channel ``(1, n, n)`` once per sweep. Only mmse reads the noise
-    variance ``nv``, so a fixed-channel mmse sweep designs once per chunk."""
+    variance ``nv``, so a fixed-channel mmse sweep designs once per SNR
+    point."""
     precoder = cfg.precoder
     if precoder == "thp":
         return _Design(hs, factors=lq_decompose(hs))
@@ -464,36 +471,28 @@ def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Desig
     return _Design(hs, w=w, alpha=alpha, gains=alpha[:, np.newaxis] * hw_diag)
 
 
-def _fixed_design(cfg: SweepConfig) -> _Design | np.ndarray:
-    """What each chunk of a fixed-channel sweep gets: the design of its one
-    channel, or for mmse, whose design reads each point's noise variance,
-    the channel ``(n, n)`` itself."""
-    h = fixed_channel_for(cfg)
-    return h if cfg.precoder == "mmse" else _design(cfg, h[np.newaxis])
-
-
 def _simulate_chunk(
     cfg: SweepConfig,
     snr_idx: int,
     snr_db: float,
     t0: int,
     t1: int,
-    fixed: _Design | np.ndarray | None,
+    fixed: _Design | None,
 ) -> dict:
     """Simulate trials [t0, t1) of one SNR point and return partial sums.
 
     ``fixed`` is None with per-trial channels, whose stack is designed
-    here; on the fixed channel it is :func:`_fixed_design`.
+    here; on the fixed channel it is that channel's design, made by
+    :func:`run_ber_sweep` for the chunk's point.
     """
     c = make_constellation(cfg.constellation_order)
     m = t1 - t0
     nv = noise_variance(cfg, snr_db)
-    designed = isinstance(fixed, _Design)
-    fixed_h = fixed.hs[0] if designed else fixed
+    fixed_h = None if fixed is None else fixed.hs[0]
     hs, bits, noise, labels = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_h)
     s = qam_modulate(bits.ravel(), c).reshape(m, cfg.n_users)
 
-    design = fixed if designed else _design(cfg, hs, nv)
+    design = _design(cfg, hs, nv) if fixed is None else fixed
     is_thp = labels is not None
     if is_thp:
         x, g = _thp_transmit(cfg, design.factors, s, labels, c)
@@ -544,28 +543,28 @@ def _thp_base(order: int) -> float:
 def _thp_transmit(
     cfg: SweepConfig, factors: LqFactors, s: np.ndarray, labels: np.ndarray, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
-    """THP for one chunk; transmit power calibrated per channel from its
-    pilot batch.
+    """THP for one chunk; transmit power calibrated per channel from the
+    chunk's pilot batch.
 
     ``factors`` is the LQ of the chunk's ``k`` channels (a stack, ``k = m``,
     or one shared channel, ``k = 1``), made before this call, so the LQ's
     temporaries are freed before the chunk's one buffer is allocated. That
     buffer is user-major, ``(k, n, m/k + _THP_PILOTS)``: first each
     channel's ``m/k`` data vectors, in the layout of
-    :func:`successive_encode`, then the points of its pilot ``labels``
-    ``(k, _THP_PILOTS, n)``, gathered one user at a time so only one user's
-    uint8 labels are widened to an index array. Data and pilots share one
-    feedback pass, in place in the buffer; each channel's factor ``alpha``
-    comes from its pilot columns, so a fixed-channel chunk is calibrated
-    once. Returns ``x`` ``(m, n)`` and the gains ``(k, n)``.
+    :func:`successive_encode`, then the points of the chunk's one batch of
+    pilot ``labels`` ``(1, _THP_PILOTS, n)``, stored in every channel's
+    pilot columns. Data and pilots share one feedback pass, in place in the
+    buffer, so each channel feeds the batch back through its own ``L``; each
+    channel's factor ``alpha`` comes from its pilot columns, so a
+    fixed-channel chunk is calibrated once. Returns ``x`` ``(m, n)`` and the
+    gains ``(k, n)``.
     """
     m, n = s.shape
     k = len(factors.l)
     d = m // k
     xt = np.empty((k, n, d + _THP_PILOTS), dtype=np.complex128)
     xt[:, :, :d] = s.reshape(k, d, n).transpose(0, 2, 1)
-    for i in range(n):
-        np.take(c.points, labels[:, :, i], out=xt[:, i, d:])
+    xt[:, :, d:] = c.points[labels[0].T]
     successive_feedback(factors.l, xt, _thp_base(c.order))
     pilots = xt[:, :, d:].view(np.float64)
     mean_power = np.einsum("kij,kij->k", pilots, pilots) / _THP_PILOTS
@@ -582,8 +581,8 @@ def _thp_transmit(
 @contextmanager
 def _sweep_context(cfg: SweepConfig, place: str):
     """Re-raise a failure with the precoder, seed and ``place`` (an SNR point
-    and trial range, or the fixed channel) attached; a dead worker process
-    becomes :class:`WorkerCrashed`."""
+    and trial range, or the fixed channel and, for mmse, its SNR point)
+    attached; a dead worker process becomes :class:`WorkerCrashed`."""
     where = f"sweep aborted ({cfg.precoder}, seed {cfg.seed}) {place}"
     try:
         yield
@@ -606,8 +605,9 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     error counts identical for any worker count. Precoder failures abort
     the sweep with the precoder, seed, offending SNR point (in dB) and the
     chunk's trial range attached, or with "on the fixed channel" when the
-    design of a fixed channel fails (it is made once, before any chunk); a
-    worker process that dies raises :class:`WorkerCrashed` with the same
+    design of a fixed channel fails (it is made before any chunk: once per
+    sweep, or for mmse once per SNR point, "on the fixed channel at X dB");
+    a worker process that dies raises :class:`WorkerCrashed` with the same
     context.
     """
     cfg.validate()
@@ -618,10 +618,18 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
             tasks.append((snr_idx, snr_db, t0, t1))
     # A pool starts all its workers on the first submit; start no idle ones.
     n_workers = min(resolve_workers(workers), len(tasks))
-    fixed = None
+    # The design each point's chunks get: None with per-trial channels, else
+    # the fixed channel's, once per sweep (mmse: once per point).
+    fixed: list[_Design | None] = [None] * len(cfg.snr_grid_db)
     if cfg.channel_mode == "fixed-channel":
-        with _sweep_context(cfg, "on the fixed channel"):
-            fixed = _fixed_design(cfg)
+        hs = fixed_channel_for(cfg)[np.newaxis]
+        if cfg.precoder == "mmse":
+            for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
+                with _sweep_context(cfg, f"on the fixed channel at {snr_db:g} dB"):
+                    fixed[snr_idx] = _design(cfg, hs, noise_variance(cfg, snr_db))
+        else:
+            with _sweep_context(cfg, "on the fixed channel"):
+                fixed = [_design(cfg, hs)] * len(fixed)
 
     # Both paths collect chunks in task order, so each point's float sums
     # add up in the same order for any worker count.
@@ -629,10 +637,12 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     if n_workers == 1:
         for task in tasks:
             with _chunk_context(cfg, task):
-                partials[task[0]].append(_simulate_chunk(cfg, *task, fixed))
+                partials[task[0]].append(_simulate_chunk(cfg, *task, fixed[task[0]]))
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [(task, pool.submit(_simulate_chunk, cfg, *task, fixed)) for task in tasks]
+            futures = [
+                (task, pool.submit(_simulate_chunk, cfg, *task, fixed[task[0]])) for task in tasks
+            ]
             try:
                 for task, fut in futures:
                     with _chunk_context(cfg, task):

@@ -356,6 +356,20 @@ def test_noiseless_dpc_family_is_error_free(precoder):
     assert rec.bits_sent == 100 * 4 * 2
 
 
+@pytest.mark.parametrize("precoder", ["dpc-conventional", "dpc-linear", "zf", "thp"])
+def test_noise_free_broadcast_to_100_users_fits_the_data(precoder):
+    # The source paper's spatial example: a noise-free broadcast channel to
+    # 100 single-antenna users, whose received signal can perfectly fit the
+    # data. Every QPSK sample lands on its point, so the closest one to a
+    # decision boundary is 1/sqrt(2) away up to reconstruction error.
+    cfg = SweepConfig(
+        n_users=100, snr_grid_db=(math.inf,), trials_per_point=64, precoder=precoder, seed=0
+    )
+    (rec,) = run_ber_sweep(cfg)
+    assert (rec.bits_sent, rec.bit_errors) == (64 * 100 * 2, 0)
+    assert abs(rec.min_decision_margin - 1 / math.sqrt(2)) <= 1e-9
+
+
 def test_sweep_is_deterministic():
     cfg = small_cfg()
     a = run_ber_sweep(cfg)
@@ -386,7 +400,7 @@ def test_worker_count_does_not_change_results():
 
 
 # ---------------------------------------------------------------------------
-# Random-draw contract (philox-ss-v3)
+# Random-draw contract (philox-ss-v4)
 # ---------------------------------------------------------------------------
 
 
@@ -401,17 +415,20 @@ def test_short_chunk_draws_are_the_rows_of_a_full_chunk(t0):
     cfg = small_cfg(precoder="thp")
     short = chunk_draws(cfg, 1, t0, t0 + 300)
     full = chunk_draws(cfg, 1, t0, t0 + 512)
-    names = ("channels", "bits", "noise", "pilot labels")
+    names = ("channels", "bits", "noise")
     for name, a, b in zip(names, short, full):
         assert a.shape[0] == 300 and b.shape[0] == 512, name
         assert np.array_equal(a, b[:300]), name
+    # The chunk's one pilot batch does not depend on how many trials it holds.
+    assert short[3].shape == (1, sim._THP_PILOTS, 4)
+    assert np.array_equal(short[3], full[3])
 
 
 def test_trial_draws_do_not_depend_on_precoder_mode_or_trial_count():
     zf = chunk_draws(small_cfg(precoder="zf", trials_per_point=40), 2, 0, 40)
     thp = chunk_draws(small_cfg(precoder="thp", trials_per_point=9000), 2, 0, 40)
     fixed = chunk_draws(small_cfg(precoder="zf", channel_mode="fixed-channel"), 2, 0, 40)
-    assert zf[3] is None and fixed[3] is None and thp[3].shape == (40, sim._THP_PILOTS, 4)
+    assert zf[3] is None and fixed[3] is None and thp[3].shape == (1, sim._THP_PILOTS, 4)
     assert np.array_equal(zf[0], thp[0])
     assert fixed[0].shape == (1, 4, 4)
     for other in (thp, fixed):
@@ -427,14 +444,15 @@ def test_draws_differ_between_snr_points_and_chunks():
             assert not np.array_equal(a, b)
 
 
-def test_fixed_channel_pilot_labels_are_row_0_of_the_per_trial_draw():
-    # One pilot batch per channel: the fixed channel's (1, 128, n) labels
-    # are the first row of the per-trial draw of the same chunk.
+def test_both_channel_modes_draw_the_same_pilot_batch():
+    # One pilot batch per chunk in both channel modes: the fixed channel and
+    # every per-trial channel of the chunk feed back the same (1, 128, n)
+    # labels.
     fixed = chunk_draws(small_cfg(precoder="thp", channel_mode="fixed-channel"), 1, 512, 812)[3]
     per_trial = chunk_draws(small_cfg(precoder="thp"), 1, 512, 812)[3]
     assert fixed.shape == (1, sim._THP_PILOTS, 4)
-    assert per_trial.shape == (300, sim._THP_PILOTS, 4)
-    assert np.array_equal(fixed, per_trial[:1])
+    assert per_trial.shape == (1, sim._THP_PILOTS, 4)
+    assert np.array_equal(fixed, per_trial)
 
 
 def test_fixed_channel_thp_chunk_is_calibrated_once():
@@ -453,18 +471,17 @@ def test_fixed_channel_thp_chunk_is_calibrated_once():
     np.testing.assert_allclose(x, alpha[0] * unscaled, rtol=1e-12, atol=1e-12)
 
 
-# THP is left out: a per-trial sweep calibrates each trial's power from
-# that trial's own pilot batch, while the fixed channel's chunk shares one
-# batch, so their transmit powers (and error counts) differ by design.
+# THP too: each channel of a chunk feeds back the chunk's one pilot batch,
+# so per-trial copies of the fixed channel get the fixed channel's alpha.
 @pytest.mark.parametrize(
     "precoder,gain_mode",
-    [(p, "diag-L") for p in sim.PRECODERS if p != "thp"]
+    [(p, "diag-L") for p in sim.PRECODERS]
     + [(p, "waterfill") for p in sim._DPC_FAMILY],
 )
 def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     monkeypatch, precoder, gain_mode
 ):
-    # The fixed channel is designed once per sweep (mmse: once per chunk); a
+    # The fixed channel is designed once per sweep (mmse: once per point); a
     # per-trial sweep whose every trial draws that same channel designs each
     # copy, on the same bits and noise.
     cfg = small_cfg(
@@ -518,7 +535,8 @@ def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd
 @pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
 @pytest.mark.parametrize("precoder", ["zf", "bd", "mmse"])
 def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, channel_mode):
-    # mmse's design reads the point's noise variance, so it stays per chunk.
+    # mmse's design reads the point's noise variance, so it is made once per
+    # point.
     name = f"{precoder}_precode"
     real = getattr(sim, name)
     stacks = []
@@ -539,7 +557,7 @@ def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, chann
     if channel_mode == "per-trial-channel":
         assert stacks == chunks
     else:
-        assert stacks == [1] * (len(chunks) if precoder == "mmse" else 1)
+        assert stacks == [1] * (len(DESIGN_POINTS) if precoder == "mmse" else 1)
 
 
 def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
@@ -596,10 +614,10 @@ def test_sweep_matches_a_scalar_reference_trial_by_trial(precoder, gain_mode, ch
         errors = sent = 0
         power = 0.0
         for t in range(cfg.trials_per_point):
-            # The fixed channel, and THP's one pilot batch for it, are row 0.
-            i = t if len(hs) > 1 else 0
-            h = hs[i]
-            pilots = None if labels is None else c.points[labels[i]]
+            # The fixed channel is row 0, and so is THP's one pilot batch,
+            # which every trial's channel feeds back.
+            h = hs[t if len(hs) > 1 else 0]
+            pilots = None if labels is None else c.points[labels[0]]
             x, g = scalar_reference_transmit(cfg, h, qam_modulate(bits[t], c), nv, pilots, c)
             y = h @ x + math.sqrt(nv / 2.0) * noise[t]
             active = g > 0
@@ -756,20 +774,25 @@ def test_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder,
 
 
 @pytest.mark.parametrize(
-    "precoder,error",
+    "precoder,error,place",
     [
-        ("zf", NumericallySingular),
-        ("bd", InfeasibleBlocking),
-        ("dpc-linear", NumericallySingular),
-        ("thp", NumericallySingular),
+        pytest.param("zf", NumericallySingular, "", id="zf-NumericallySingular"),
+        pytest.param("bd", InfeasibleBlocking, "", id="bd-InfeasibleBlocking"),
+        pytest.param("dpc-linear", NumericallySingular, "", id="dpc-linear-NumericallySingular"),
+        pytest.param("thp", NumericallySingular, "", id="thp-NumericallySingular"),
+        # mmse is designed once per point; the regularized inverse of the
+        # finite points exists, the plain inverse of the inf point does not.
+        pytest.param("mmse", NumericallySingular, " at inf dB", id="mmse-NumericallySingular"),
     ],
 )
-def test_singular_fixed_channel_aborts_sweep_with_context(monkeypatch, precoder, error):
-    # The fixed channel is designed before any chunk, so no SNR point or
-    # trial range is to blame: the failure names the fixed channel.
+def test_singular_fixed_channel_aborts_sweep_with_context(monkeypatch, precoder, error, place):
+    # The fixed channel is designed before any chunk, so no trial range is
+    # to blame: the failure names the fixed channel (and mmse's point).
     monkeypatch.setattr(sim, "fixed_channel_for", lambda cfg: np.ones((4, 4), dtype=complex))
-    cfg = small_cfg(precoder=precoder, channel_mode="fixed-channel")
-    pattern = rf"^sweep aborted \({precoder}, seed 5\) on the fixed channel: "
+    cfg = small_cfg(
+        precoder=precoder, channel_mode="fixed-channel", snr_grid_db=(0.0, 6.0, math.inf)
+    )
+    pattern = rf"^sweep aborted \({precoder}, seed 5\) on the fixed channel{place}: "
     with pytest.raises(error, match=pattern):
         run_ber_sweep(cfg)
 
@@ -939,7 +962,9 @@ def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
         snr_grid_db=(10.0,),
         trials_per_point=512,
     )
-    fixed = sim._fixed_design(cfg) if channel_mode == "fixed-channel" else None
+    fixed = None
+    if channel_mode == "fixed-channel":
+        fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis])
     sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed)  # fill the per-order caches first
     tracemalloc.start()
     try:
@@ -954,20 +979,22 @@ def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
 # seed 0, over 0, 10, 20 and inf dB: (bits_sent, bit_errors,
 # measured_tx_power.hex(), min_decision_margin.hex()) per point.
 THP_PINNED_RECORDS = {
+    # Each trial's channel feeds back the chunk's one pilot batch
+    # (philox-ss-v4), so alpha is one number per trial.
     (4, "per-trial-channel"): [
-        (14000, 1608, "0x1.420625cd3f83bp+3", "0x1.d62b1a477e000p-13"),
-        (14000, 173, "0x1.3f7aefdf0a9b3p+3", "0x1.21bf2e2864700p-10"),
-        (14000, 20, "0x1.40cb204513cc0p+3", "0x1.17a4b360662c0p-8"),
-        (14000, 0, "0x1.3f8aae1c0f69fp+3", "0x1.6a09e667f3a9bp-1"),
+        (14000, 1617, "0x1.420db6e4a1690p+3", "0x1.3e661e8c79000p-14"),
+        (14000, 174, "0x1.3fbe61c74ec8ap+3", "0x1.142025c0d7800p-12"),
+        (14000, 20, "0x1.409850945bb7fp+3", "0x1.8727298f3a000p-13"),
+        (14000, 0, "0x1.3ef442a096648p+3", "0x1.6a09e667f3abep-1"),
     ],
     (16, "per-trial-channel"): [
-        (28000, 5646, "0x1.3fe39789436dap+3", "0x1.e0c10a9bba000p-16"),
-        (28000, 790, "0x1.451e034af340cp+3", "0x1.266220205ec00p-13"),
-        (28000, 84, "0x1.3e6b5cad07b7ep+3", "0x1.8b7d0bccd9000p-14"),
-        (28000, 0, "0x1.4115bca633665p+3", "0x1.43d136248475bp-2"),
+        (28000, 5669, "0x1.3f5c237e13722p+3", "0x1.6b02049f60000p-17"),
+        (28000, 778, "0x1.4741f7553bdd1p+3", "0x1.1f88d8ab52400p-13"),
+        (28000, 85, "0x1.3d3cc5023161dp+3", "0x1.ff8869db37d80p-10"),
+        (28000, 0, "0x1.450a3c91b0543p+3", "0x1.43d13624845d8p-2"),
     ],
-    # One pilot batch per chunk (philox-ss-v3), so alpha is one number per
-    # chunk of trials.
+    # One channel and one pilot batch per chunk (unchanged since
+    # philox-ss-v3), so alpha is one number per chunk of trials.
     (128, "fixed-channel"): [
         (49000, 17814, "0x1.464b00fc97be7p+3", "0x1.11e9356d88000p-19"),
         (49000, 6507, "0x1.438330ba0def6p+3", "0x1.3c3f268628000p-19"),
@@ -1249,7 +1276,7 @@ def test_csv_deterministic_and_schema(tmp_path):
     assert any("config_hash=" in ln for ln in provenance)
     assert any(f"seed={cfg.seed}" in ln for ln in provenance)
     assert any("gray_labeling=" in ln for ln in provenance)
-    assert "# rng_scheme=philox-ss-v3" in provenance
+    assert "# rng_scheme=philox-ss-v4" in provenance
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header == "snr_db,bits,errors,ber,ci_lo,ci_hi,precoder,modulation,n_users,seed"
     data = [ln for ln in lines if not ln.startswith("#")][1:]
@@ -1265,7 +1292,7 @@ def test_manifest_mirrors_config(tmp_path):
     write_manifest([(cfg, records)], path)
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == 1
-    assert payload["rng_scheme"] == "philox-ss-v3"
+    assert payload["rng_scheme"] == "philox-ss-v4"
     sweep = payload["sweeps"][0]
     assert sweep["config"]["n_users"] == 4
     assert sweep["config"]["snr_grid_db"] == [0.0, "inf"]
