@@ -133,48 +133,50 @@ def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def waterfill_powers(sigma: np.ndarray, p_total: float) -> tuple[np.ndarray, float]:
+def waterfill_powers(sigma: np.ndarray, p_total: float) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact active-set water-filling over eigenchannels ``lambda = sigma**2``.
 
-    Grows the active set from the strongest channel, solves the water
-    level ``mu`` in closed form for each candidate set and keeps the
-    largest feasible one, so ``sum(p) == p_total`` holds to rounding
-    rather than to an iteration tolerance.
-
-    Returns
-    -------
-    (p, mu)
-        Per-channel powers ``p[i] = max(mu - 1/lambda[i], 0)`` (exact
-        zeros outside the active set) and the water level.
+    ``sigma`` is one channel's singular values ``(n,)`` or a stack ``(m, n)``,
+    each row positive, finite and descending; a stacked call equals the
+    per-row calls exactly. Per row, the ``a`` strongest channels have the
+    closed-form water level ``mu_a = (p_total + sum_{i<a} 1/lambda[i]) / a``;
+    the largest set with ``mu_a > 1/lambda[a-1]`` is kept (``a = 1`` and
+    ``mu_1`` if none passes, as when a ``1e-300`` budget rounds away), so
+    ``sum(p) == p_total`` holds to rounding, not to an iteration tolerance.
+    Returns ``(p, mu)``: the powers ``p[i] = max(mu - 1/lambda[i], 0)``, of
+    the shape of ``sigma`` (exact zeros outside the active set), and the
+    water level, a scalar for one vector and ``(m,)`` for a stack.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 1 or sigma.size < 1 or np.any(sigma <= 0):
-        raise ValueError("sigma must be a positive 1-D vector")
-    if np.any(np.diff(sigma) > 0):
-        raise ValueError("sigma must be sorted in descending order")
-    if not p_total > 0:
-        raise ValueError(f"power budget must be positive, got {p_total}")
-    lam = sigma**2
-    inv = 1.0 / lam
-    n = lam.size
-    mu = 0.0
-    active = 1
-    for m in range(n, 0, -1):
-        mu = (p_total + inv[:m].sum()) / m
-        if mu > inv[m - 1]:
-            active = m
+    if sigma.ndim not in (1, 2) or sigma.size < 1:
+        raise ValueError(f"sigma must be a vector (n,) or a stack (m, n), got shape {sigma.shape}")
+    if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0) or np.any(np.diff(sigma) > 0):
+        raise ValueError("sigma must be positive, finite and sorted in descending order")
+    if not (p_total > 0 and np.isfinite(p_total)):
+        raise ValueError(f"power budget must be positive and finite, got {p_total}")
+    inv = 1.0 / np.atleast_2d(sigma) ** 2
+    rows, n = inv.shape
+    mu, active, todo = np.empty(rows), np.ones(rows, dtype=int), np.arange(rows)
+    # todo: rows without a set yet. Each sum runs over one contiguous row, as
+    # in a one-row call, so a stacked call equals the per-row calls exactly.
+    for a in range(n, 0, -1):
+        level = (p_total + inv[todo, :a].sum(axis=1)) / a
+        found = level > inv[todo, a - 1]
+        mu[todo] = level
+        active[todo[found]] = a
+        todo = todo[~found]
+        if todo.size == 0:
             break
-    p = np.zeros(n)
-    p[:active] = mu - inv[:active]
-    return p, mu
+    p = np.where(np.arange(n) < active[:, np.newaxis], mu[:, np.newaxis] - inv, 0.0)
+    return (p[0], mu[0]) if sigma.ndim == 1 else (p, mu)
 
 
 def waterfill(sigma: np.ndarray, p_total: float) -> np.ndarray:
-    """Water-filled effective gains ``k[i] = sqrt(p[i] * lambda[i])``.
-
-    Weak channels may get zero power and hence a zero gain; callers that
-    require strictly positive gains must drop those users. The identity
-    ``sum(k**2 / lambda) == p_total`` holds exactly by construction.
+    """Water-filled effective gains ``k[i] = sqrt(p[i] * lambda[i])``, shaped
+    like ``sigma`` (see :func:`waterfill_powers`). Weak channels may get zero
+    power and hence a zero gain; callers that require strictly positive
+    gains must drop those users. ``sum(k**2 / lambda) == p_total`` holds
+    exactly by construction.
     """
     p, _ = waterfill_powers(sigma, p_total)
     return np.sqrt(p * np.asarray(sigma, dtype=float) ** 2)

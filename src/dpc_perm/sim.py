@@ -449,11 +449,8 @@ def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Desig
         # through the noise calibration shared with the baselines.
         needs_lq = precoder == "dpc-conventional" or cfg.gain_mode == "diag-L"
         factors = lq_decompose(hs) if needs_lq else None
-        if cfg.gain_mode == "diag-L":
-            k = factors.diag
-        else:
-            sv = np.linalg.svd(hs, compute_uv=False)
-            k = np.vstack([waterfill(row, cfg.power_budget) for row in sv])
+        sv = None if cfg.gain_mode == "diag-L" else np.linalg.svd(hs, compute_uv=False)
+        k = factors.diag if sv is None else waterfill(sv, cfg.power_budget)
         if precoder == "dpc-conventional":
             return _Design(hs, factors=factors, gains=k)
         return _Design(hs, w=dpc_linear(hs, k), gains=k)

@@ -236,20 +236,78 @@ def test_waterfill_two_active():
     np.testing.assert_allclose(k, [np.sqrt(3.5), np.sqrt(1.25)])
 
 
-@pytest.mark.parametrize("seed,n,budget", [(0, 4, 1.0), (1, 8, 0.25), (2, 6, 50.0)])
-def test_waterfill_budget_identities(seed, n, budget):
-    sigma = np.linalg.svd(random_channel(seed, n), compute_uv=False)
+def waterfill_reference(sigma, budget):
+    """One row water-filled the textbook way: the candidate sets from all
+    channels down, each level summed over its set, ending at ``a = 1`` when
+    none passes; returns (p, mu)."""
+    inv = 1.0 / sigma**2
+    for a in range(sigma.size, 0, -1):
+        mu = (budget + inv[:a].sum()) / a
+        if mu > inv[a - 1]:
+            break
+    p = np.zeros(sigma.size)
+    p[:a] = mu - inv[:a]
+    return p, mu
+
+
+def waterfill_stack_by_rows(sigma, budget):
+    """``waterfill_powers`` and ``waterfill`` of a stack, checked bit for bit
+    against the calls on each of its rows and against the textbook loop;
+    returns (p, mu, k)."""
     p, mu = waterfill_powers(sigma, budget)
-    assert abs(p.sum() - budget) <= 1e-12 * budget
-    assert np.all(p >= 0)
     k = waterfill(sigma, budget)
-    np.testing.assert_allclose(k, np.sqrt(p) * sigma, atol=1e-14)
-    # eigen-domain power accounting is exact
-    assert abs(np.sum(k**2 / sigma**2) - budget) <= 1e-12 * budget
-    # active channels sit at the water level, inactive ones above it
-    active = p > 0
-    np.testing.assert_allclose(p[active] + 1.0 / sigma[active] ** 2, mu)
-    assert np.all(1.0 / sigma[~active] ** 2 >= mu)
+    assert p.shape == k.shape == sigma.shape and mu.shape == sigma.shape[:1]
+    for i, row in enumerate(sigma):
+        p_row, mu_row = waterfill_powers(row, budget)
+        assert np.array_equal(p[i], p_row) and np.array_equal(mu[i], mu_row)
+        assert np.array_equal(k[i], waterfill(row, budget))
+        p_ref, mu_ref = waterfill_reference(row, budget)
+        assert np.array_equal(p_row, p_ref) and mu_row == mu_ref
+    return p, mu, k
+
+
+@pytest.mark.parametrize(
+    "seed,n,budget",
+    [(0, 4, 1.0), (1, 8, 0.25), (2, 6, 50.0), (3, 1, 2.0), (4, 9, 0.5), (5, 129, 40.0)],
+)
+def test_waterfill_budget_identities(seed, n, budget):
+    # A stack: four random channels, the first again with its weakest
+    # eigenchannel faded (muted unless n = 1), equal singular values (every
+    # user active), and spread rows whose level sums round differently
+    # when summed in another order. numpy's pairwise sums change blocks
+    # past 8 and 128 terms, so n = 9 and 129 check the stacked sums too.
+    channels = np.stack([random_channel(seed + 100 * i, n) for i in range(4)])
+    sigma = np.linalg.svd(channels, compute_uv=False)
+    faded = sigma[0].copy()
+    faded[-1] *= 1e-3
+    spread = -np.sort(-np.random.default_rng(seed).uniform(0.5, 2.0, (16, n)))
+    stack = np.vstack([faded, np.full(n, sigma[0, 0]), sigma, spread])
+    p_stack, mu_stack, k_stack = waterfill_stack_by_rows(stack, budget)
+    if n > 1:
+        assert p_stack[0, -1] == 0.0
+    assert np.all(p_stack[1] > 0)
+    for sigma, p, mu, k in zip(stack, p_stack, mu_stack, k_stack):
+        assert abs(p.sum() - budget) <= 1e-12 * budget
+        assert np.all(p >= 0)
+        np.testing.assert_allclose(k, np.sqrt(p) * sigma, atol=1e-14)
+        # eigen-domain power accounting is exact
+        assert abs(np.sum(k**2 / sigma**2) - budget) <= 1e-12 * budget
+        # active channels sit at the water level, inactive ones above it
+        active = p > 0
+        np.testing.assert_allclose(p[active] + 1.0 / sigma[active] ** 2, mu)
+        assert np.all(1.0 / sigma[~active] ** 2 >= mu)
+
+
+@pytest.mark.parametrize("n", [1, 9, 129])
+def test_waterfill_keeps_the_strongest_channel_when_the_budget_rounds_away(n):
+    # 1e-300 vanishes next to every 1/lambda, so no candidate set passes
+    # mu > 1/lambda: the rule keeps the one-channel set and its level mu_1,
+    # which is 1/lambda[0], and every power is zero.
+    sigma = np.linalg.svd(random_channel(n, n), compute_uv=False)
+    stack = np.stack([sigma, np.full(n, 0.5)])
+    p, mu, k = waterfill_stack_by_rows(stack, 1e-300)
+    assert np.array_equal(mu, 1.0 / stack[:, 0] ** 2)
+    assert not np.any(p) and not np.any(k)
 
 
 def test_waterfill_input_validation():
@@ -259,6 +317,15 @@ def test_waterfill_input_validation():
         waterfill(np.array([1.0, -1.0]), 1.0)
     with pytest.raises(ValueError):
         waterfill(np.array([1.0]), 0.0)
+    for sigma, budget in [([np.nan, 1.0], 1.0), ([np.inf, 1.0], 1.0), ([2.0, 1.0], np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            waterfill(np.array(sigma), budget)
+    # One bad row fails the whole stack.
+    for bad in ([1.0, 2.0], [1.0, 0.0]):
+        with pytest.raises(ValueError):
+            waterfill(np.array([[2.0, 1.0], bad, [3.0, 3.0]]), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        waterfill(np.ones((2, 2, 2)), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpc_perm import sim
@@ -560,6 +560,34 @@ def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, chann
         assert stacks == [1] * (len(DESIGN_POINTS) if precoder == "mmse" else 1)
 
 
+@pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
+@pytest.mark.parametrize("precoder", sim._DPC_FAMILY)
+def test_a_chunk_is_water_filled_in_one_call(monkeypatch, precoder, channel_mode):
+    # One batched water-fill per design: a chunk's stack of singular values
+    # per chunk, the fixed channel's one row once per sweep.
+    real = sim.waterfill
+    stacks = []
+
+    def counted(sv, budget):
+        stacks.append(sv.shape)
+        return real(sv, budget)
+
+    monkeypatch.setattr(sim, "waterfill", counted)
+    cfg = small_cfg(
+        precoder=precoder,
+        gain_mode="waterfill",
+        channel_mode=channel_mode,
+        snr_grid_db=DESIGN_POINTS,
+        trials_per_point=DESIGN_TRIALS,
+    )
+    run_ber_sweep(cfg, workers=1)
+    n = cfg.n_users
+    if channel_mode == "per-trial-channel":
+        assert stacks == [(m, n) for m in [512, 512, 76] * len(DESIGN_POINTS)]
+    else:
+        assert stacks == [(1, n)]
+
+
 def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
     """One trial the textbook way: the public single-channel precoder for
     ``h`` and symbols ``s``; returns (x, effective gains)."""
@@ -591,46 +619,72 @@ def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
     "precoder,gain_mode",
     [(p, "diag-L") for p in sim.PRECODERS] + [(p, "waterfill") for p in sim._DPC_FAMILY],
 )
-def test_sweep_matches_a_scalar_reference_trial_by_trial(precoder, gain_mode, channel_mode):
-    # The chunk's draws, then per trial: the public precoder on one
+@settings(max_examples=4, deadline=None)
+@example(
+    n_users=6,
+    order=16,
+    trials=64,
+    snr_grid_db=[4.0, 12.0, math.inf],
+    budget=2.0,
+    seed=11,
+)
+@given(
+    n_users=st.integers(1, 6),
+    order=st.sampled_from(QAM_ORDERS),
+    # One short chunk, chunk boundaries, and a short last chunk after a
+    # full one.
+    trials=st.sampled_from([1, 2, 37, 511, 512, 513, 700]),
+    snr_grid_db=st.lists(
+        st.one_of(st.integers(-10, 40).map(float), st.just(math.inf)), min_size=1, max_size=2
+    ),
+    budget=st.floats(0.5, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_matches_a_scalar_reference_trial_by_trial(
+    precoder, gain_mode, channel_mode, n_users, order, trials, snr_grid_db, budget, seed
+):
+    # Every chunk's draws, then per trial: the public precoder on one
     # channel, the channel, the noise and a hard decision. This checks the
     # batched layouts (stacked or shared factors, broadcast gains, the
-    # muting mask of water-filled gains) against the one-channel path.
+    # muting mask of water-filled gains, the stacked water-fill) against
+    # the one-channel path.
     cfg = SweepConfig(
-        n_users=6,
-        snr_grid_db=(4.0, 12.0, math.inf),
-        trials_per_point=64,
-        constellation_order=16,
+        n_users=n_users,
+        snr_grid_db=tuple(snr_grid_db),
+        trials_per_point=trials,
+        constellation_order=order,
         channel_mode=channel_mode,
         precoder=precoder,
         gain_mode=gain_mode,
-        power_budget=2.0,
-        seed=11,
+        power_budget=budget,
+        seed=seed,
     )
     c = make_constellation(cfg.constellation_order)
-    for snr_idx, record in enumerate(run_ber_sweep(cfg)):
+    for snr_idx, record in enumerate(run_ber_sweep(cfg, workers=1)):
         nv = noise_variance(cfg, cfg.snr_grid_db[snr_idx])
-        hs, bits, noise, labels = chunk_draws(cfg, snr_idx, 0, cfg.trials_per_point)
         errors = sent = 0
         power = 0.0
-        for t in range(cfg.trials_per_point):
-            # The fixed channel is row 0, and so is THP's one pilot batch,
-            # which every trial's channel feeds back.
-            h = hs[t if len(hs) > 1 else 0]
-            pilots = None if labels is None else c.points[labels[0]]
-            x, g = scalar_reference_transmit(cfg, h, qam_modulate(bits[t], c), nv, pilots, c)
-            y = h @ x + math.sqrt(nv / 2.0) * noise[t]
-            active = g > 0
-            y_hat = y[active] / g[active]
-            if precoder == "thp":
-                y_hat = modulo_lattice(y_hat, thp_modulo_base(c.points))
-            rx_bits, _ = hard_decisions(y_hat, c)
-            tx_bits = bits[t].reshape(cfg.n_users, c.bits_per_symbol)[active].ravel()
-            errors += int(np.count_nonzero(tx_bits != rx_bits))
-            sent += tx_bits.size
-            power += float(np.sum(np.abs(x) ** 2))
+        for t0 in range(0, trials, sim._CHUNK):
+            t1 = min(t0 + sim._CHUNK, trials)
+            hs, bits, noise, labels = chunk_draws(cfg, snr_idx, t0, t1)
+            for t in range(t1 - t0):
+                # The fixed channel is row 0, and so is THP's one pilot
+                # batch, which every trial's channel feeds back.
+                h = hs[t if len(hs) > 1 else 0]
+                pilots = None if labels is None else c.points[labels[0]]
+                x, g = scalar_reference_transmit(cfg, h, qam_modulate(bits[t], c), nv, pilots, c)
+                y = h @ x + math.sqrt(nv / 2.0) * noise[t]
+                active = g > 0
+                y_hat = y[active] / g[active]
+                if precoder == "thp":
+                    y_hat = modulo_lattice(y_hat, thp_modulo_base(c.points))
+                rx_bits, _ = hard_decisions(y_hat, c)
+                tx_bits = bits[t].reshape(cfg.n_users, c.bits_per_symbol)[active].ravel()
+                errors += int(np.count_nonzero(tx_bits != rx_bits))
+                sent += tx_bits.size
+                power += float(np.sum(np.abs(x) ** 2))
         assert (record.bit_errors, record.bits_sent) == (errors, sent)
-        assert record.measured_tx_power == pytest.approx(power / cfg.trials_per_point, rel=1e-12)
+        assert record.measured_tx_power == pytest.approx(power / trials, rel=1e-12)
 
 
 def test_dpc_conventional_encode_never_solves(monkeypatch):
