@@ -5,13 +5,8 @@ entry (1/2 per real component), drawn from counter-based Philox streams
 so that every realization is a pure function of its seed regardless of
 process or worker layout. A stream is a ``SeedSequence(seed,
 spawn_key=...)`` feeding a Philox generator (:func:`stream`).
-
-:func:`sample_channel` draws one channel, or a stack of ``m`` channels
-with the channel on the leading axis. The single draw is the one of
-scheme ``philox-ss-v1``, unchanged, so :func:`generate_channel` and
-every order-search input stay as they were. The stacked draw is the
-channel kind of the BER sweep's schemes ``philox-ss-v2`` to ``-v4``
-(one stream per chunk of trials; see :mod:`dpc_perm.sim`).
+:func:`sample_channel` draws one channel, or a stack of ``m`` channels,
+the BER sweep's channel draw (see :mod:`dpc_perm.sim`).
 """
 
 from __future__ import annotations

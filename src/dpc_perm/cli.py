@@ -12,12 +12,9 @@ verify        Run the built-in property suites.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numeric failure, 4 a worker process of a parallel sweep died. Numeric
-and worker failures name the precoder, seed, SNR point and trial range;
-a fixed channel whose precoder cannot be designed (it is designed before
-any chunk: once per sweep, or once per SNR point for mmse) is named as
-"the fixed channel" (mmse: "the fixed channel at X dB") instead.
-Identical invocations produce byte-identical output files (no timestamps
-anywhere).
+and worker failures name where the sweep stopped (see
+:func:`dpc_perm.sim.run_ber_sweep`). Identical invocations produce
+byte-identical output files (no timestamps anywhere).
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ while the triangular factor of an LQ decomposition does not survive a
 row permutation.
 
 The factorizations and the inverse take one channel ``(n, n)`` or a stack
-``(m, n, n)``; a single channel is the ``m = 1`` case of the same batched
-code, so a stacked call equals the per-channel calls exactly.
+``(m, n, n)``, as the precoders do (see :mod:`dpc_perm.precoding`).
 
 Orders are 0-based one-line notation throughout: ``order[i] = j`` means
 row ``i`` of the permuted object is row ``j`` of the original, so the
@@ -34,7 +33,6 @@ __all__ = [
     "count_decompositions",
     "LqFactors",
     "SvdFactors",
-    "as_channel_matrix",
     "as_channel_stack",
     "lq_decompose",
     "svd_decompose",
@@ -106,13 +104,6 @@ def _tick(kind: str, count: int) -> None:
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
-
-
-def as_channel_matrix(h: np.ndarray) -> np.ndarray:
-    """Validate and return ``h`` as a square finite complex128 array."""
-    if np.ndim(h) != 2:
-        raise ValueError(f"channel must be a square matrix, got shape {np.shape(h)}")
-    return as_channel_stack(h)[0]
 
 
 def as_channel_stack(h: np.ndarray) -> np.ndarray:

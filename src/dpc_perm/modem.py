@@ -240,13 +240,10 @@ def _table_pass(
 def hard_decisions(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Hard-decision bits and decision margins of the samples ``y``.
 
-    Each sample goes to its nearest constellation point in Euclidean
-    distance, an exact tie to the smaller bit label; its margin is half
-    the gap between the nearest and second-nearest point distances, zero
-    on a decision boundary. A sample so far out that every distance
-    overflows to inf ties with every point: label 0, margin 0. One pass
-    over the constellation's candidate table gives both, bit-identical to
-    a search over all points (see the module docstring).
+    Each sample goes to its nearest constellation point, and its margin is
+    half the gap between the nearest and second-nearest point distances.
+    The module docstring gives the tie and overflow rules and the candidate
+    table that yields both in one pass, bit-identical to a full search.
     """
     y = np.asarray(y, dtype=np.complex128).ravel()
     table = c._table

@@ -11,18 +11,19 @@ precoded signal by permuting a diagonal gain matrix inside
 
 so its factorization count stays at one while the naive count grows as
 n factorial. After that one factorization nothing is done per order in
-Python: the lexicographic table of all n! orders and its inverse are
-built once per n, each order's permuted gains are gathered through the
-inverse from a per-user, per-slot table, and all signals come from one
-matrix product, evaluated in chunks of orders so that memory stays
-bounded; the objectives are reductions along axes, sharing one power
-pass. ``min-power`` needs no signals at all.
+Python. The lexicographic table of all n! orders and its inverse ``inv``
+(``inv[j, slot]`` is the user order j puts in ``slot``) are built once
+per n. Order j's signal is ``(k[inv[j]] * s) @ b.T`` with
+``b = v @ diag(1/sigma) @ u^H``, its left factor gathered through ``inv``
+from the per-user, per-slot table ``k[i] * s[slot]``; each chunk of
+orders, sized to bound memory, is one matrix product. The objectives are
+reductions along axes, sharing one power pass. ``min-power`` needs no
+signals at all: it sums ``k[i]**2 / sigma[slot]**2``, gathered the same way.
 
 Both engines score orders with the same reductions and pick the winner
-with the same array rule (:func:`_select`): among the orders whose value
-is within 1e-12 relative of the minimum, the lexicographically smallest
-wins. They therefore produce identical winners, and per-order signals
-equal to rounding; the counters expose the work difference.
+with the same tie rule (:func:`_select`). They therefore produce
+identical winners, and per-order signals equal to rounding; the counters
+expose the work difference.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import DegenerateGain, OrderSpaceTooLarge
-from .linalg import as_channel_matrix, as_order, count_decompositions, lq_decompose, svd_inverse
+from .linalg import as_channel_stack, as_order, count_decompositions, lq_decompose, svd_inverse
 from .precoding import as_gains, successive_encode
 
 __all__ = [
@@ -58,8 +59,7 @@ MAX_ENUM_USERS = 8
 
 OBJECTIVES = ("average-power", "papr", "min-power")
 
-# Orders within this relative tolerance of the best value are ties, and
-# the lexicographically smallest order wins.
+# Relative tolerance of the tie rule (see _select).
 _TIE_RTOL = 1e-12
 
 # Signals are built for as many orders at a time as fit in this many
@@ -145,11 +145,8 @@ def _by_order(table: np.ndarray, chunk: slice = slice(None)) -> np.ndarray:
 def _order_values(
     kinds: tuple[str, ...], b: np.ndarray, k: np.ndarray, s: np.ndarray
 ) -> list[np.ndarray]:
-    """Values of each objective in ``kinds`` for every order's signal.
-
-    Order j's signal is ``(k[inv[j]] * s) @ b.T``, its left factor gathered
-    from ``k[i] * s[slot]``; orders are taken in chunks, one product each.
-    """
+    """Values of each objective in ``kinds`` for every order's signal, one
+    product per chunk of orders (see the module docstring)."""
     ks = k[:, np.newaxis] * s[np.newaxis, :]
     parts = [
         _signal_values(kinds, _by_order(ks, chunk) @ b.T)
@@ -180,7 +177,9 @@ def _search_inputs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked ``(h, k, s)`` of a search: a square channel within the
     enumeration guard, a known objective, n gains and n symbols."""
-    h = as_channel_matrix(h)
+    if np.ndim(h) != 2:
+        raise ValueError(f"channel must be a square matrix, got shape {np.shape(h)}")
+    h = as_channel_stack(h)[0]
     n = h.shape[0]
     if n > MAX_ENUM_USERS:
         raise OrderSpaceTooLarge(
@@ -251,17 +250,9 @@ def diagonal_order_search(
 ) -> OrderSearchResult:
     """Order search by diagonal permutation: one factorization total.
 
-    The channel is SVD-factorized once into ``b = v @ diag(1/sigma) @ u^H``.
-    Every order's precoded vector is ``(k_pi * s) @ b.T`` with ``k_pi``
-    the diagonally permuted gain vector; they are evaluated for all n!
-    orders at once, as one matrix product per chunk of orders, and the
-    objective is reduced along axes. ``min-power`` is
-    ``sum(k_pi**2 / sigma**2)`` and builds no signals.
-
-    Among the orders within 1e-12 relative of the best value the
-    lexicographically smallest wins, the same rule as in
-    :func:`naive_order_search`, so winners match exactly and per-order
-    signals to rounding.
+    The channel is SVD-factorized once into ``b = v @ diag(1/sigma) @ u^H``,
+    and every order is evaluated from it as the module docstring describes.
+    The winner is picked by :func:`_select`, as in :func:`naive_order_search`.
     """
     h, k, s = _search_inputs(h, s, gains, objective)
     with count_decompositions() as counter:

@@ -21,6 +21,9 @@ import numpy as np
 from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
 from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_decompose, svd_inverse
 
+# 1/sigma**2 is finite and positive exactly for sigma in [1/_SIGMA_MAX, _SIGMA_MAX].
+_SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max))
+
 __all__ = [
     "as_gains",
     "dpc_conventional",
@@ -61,16 +64,10 @@ def as_gains(k: np.ndarray, n: int | None = None) -> np.ndarray:
 def dpc_conventional(h: np.ndarray, s: np.ndarray, gains: np.ndarray | None = None) -> np.ndarray:
     """Successive (Gram-Schmidt) dirty-paper precoding.
 
-    Factors ``h = l @ q``, runs the feedback recursion
-
-        x~[i] = (k[i] * s[i] - sum_{j<i} l[i, j] * x~[j]) / l[i, i]
-
-    and transmits ``x = q^H @ x~`` (see :func:`successive_encode`): one LQ
-    and O(n^2) feedback work per channel. With the default gains
-    ``k = diag(l)`` this is the textbook recursion
-    ``x~[i] = s[i] - sum_{j<i} (l[i,j]/l[i,i]) x~[j]``; on a noise-free
-    channel the receive side then sees ``h @ x = diag(l) @ s`` exactly,
-    one interference-free gain per user.
+    Factors ``h = l @ q`` and encodes ``s`` with :func:`successive_encode`:
+    one LQ and O(n^2) feedback work per channel. With the default gains
+    ``k = diag(l)``, a noise-free channel sees ``h @ x = diag(l) @ s``
+    exactly, one interference-free gain per user.
 
     ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``; the symbols
     ``s``, one per user, and the result have shape ``h.shape[:-1]``. The
@@ -110,11 +107,10 @@ def successive_encode(
 def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Linear dirty-paper precoding matrix ``w = v @ diag(1/sigma) @ u^H @ diag(gains)``.
 
-    Built from a single SVD per channel (:func:`linalg.svd_inverse`);
-    satisfies ``h @ w = diag(gains)`` so the effective channel is
-    diagonal and interference-free. Zero gains produce exactly-zero
-    columns (the muted user's symbol never enters the product, so no
-    0 * inf hazard arises). ``h`` is a channel ``(n, n)`` or a stack
+    Built from a single SVD per channel (:func:`linalg.svd_inverse`, which
+    gives a zero gain an exactly-zero column); satisfies
+    ``h @ w = diag(gains)`` so the effective channel is diagonal and
+    interference-free. ``h`` is a channel ``(n, n)`` or a stack
     ``(m, n, n)``; ``gains`` has shape ``(n,)`` or ``h.shape[:-1]``.
 
     Raises
@@ -137,8 +133,9 @@ def waterfill_powers(sigma: np.ndarray, p_total: float) -> tuple[np.ndarray, flo
     """Exact active-set water-filling over eigenchannels ``lambda = sigma**2``.
 
     ``sigma`` is one channel's singular values ``(n,)`` or a stack ``(m, n)``,
-    each row positive, finite and descending; a stacked call equals the
-    per-row calls exactly. Per row, the ``a`` strongest channels have the
+    each row descending and within about ``[7.46e-155, 1.34e154]``, where
+    ``1/lambda`` is finite and positive; a stacked call equals the per-row
+    calls exactly. Per row, the ``a`` strongest channels have the
     closed-form water level ``mu_a = (p_total + sum_{i<a} 1/lambda[i]) / a``;
     the largest set with ``mu_a > 1/lambda[a-1]`` is kept (``a = 1`` and
     ``mu_1`` if none passes, as when a ``1e-300`` budget rounds away), so
@@ -150,8 +147,9 @@ def waterfill_powers(sigma: np.ndarray, p_total: float) -> tuple[np.ndarray, flo
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim not in (1, 2) or sigma.size < 1:
         raise ValueError(f"sigma must be a vector (n,) or a stack (m, n), got shape {sigma.shape}")
-    if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0) or np.any(np.diff(sigma) > 0):
-        raise ValueError("sigma must be positive, finite and sorted in descending order")
+    in_range = (sigma >= 1.0 / _SIGMA_MAX) & (sigma <= _SIGMA_MAX)  # False for NaN
+    if not np.all(in_range) or np.any(np.diff(sigma) > 0):
+        raise ValueError("sigma must be descending, with 1/sigma**2 finite and positive")
     if not (p_total > 0 and np.isfinite(p_total)):
         raise ValueError(f"power budget must be positive and finite, got {p_total}")
     inv = 1.0 / np.atleast_2d(sigma) ** 2
@@ -288,11 +286,9 @@ def thp_modulo_base(points: np.ndarray) -> float:
 def thp_precode(h: np.ndarray, s: np.ndarray, modulo_base: float) -> np.ndarray:
     """Tomlinson-Harashima precoding: the DPC feedback loop with a modulo.
 
-    Each feedback output is lattice-reduced into ``[-base, base)`` per real
-    dimension before it feeds later users (:func:`successive_encode` with
-    gains ``diag(l)``), bounding the transmit power at the cost of a
-    receiver-side modulo. On a noise-free channel ``mod(h @ x / diag(l)) == s``
-    after the receiver divides by the per-user gain and wraps. ``h`` is a
+    :func:`successive_encode` with gains ``diag(l)`` and ``modulo_base``,
+    which bounds the transmit power at the cost of a receiver-side modulo:
+    on a noise-free channel ``mod(h @ x / diag(l)) == s``. ``h`` is a
     channel ``(n, n)`` or a stack ``(m, n, n)``, ``s`` of shape ``h.shape[:-1]``.
     """
     return _successive_precode(h, s, None, modulo_base)
@@ -339,7 +335,7 @@ def bd_precode(h: np.ndarray) -> np.ndarray:
     the user's projected scalar channel is inverted. For a square channel
     of full rank that null space is spanned by column ``j`` of ``h^{-1}``,
     so BD is the channel inverse (Spencer, Swindlehurst & Haardt, IEEE TSP
-    2004). It is computed as one batched inverse over the whole stack.
+    2004), computed as one batched inverse.
 
     What sets BD apart from zero forcing is its feasibility rule. User
     ``j``'s projected channel is ``1 / ||w[:, j]||``, and the user is

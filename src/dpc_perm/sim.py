@@ -1,26 +1,14 @@
 """Monte Carlo bit-error-rate sweeps over precoders and SNR grids.
 
-Every trial's random draws are a pure function of
-``(seed, snr_index, trial_index)`` (counter-based Philox streams, one
-per chunk of trials and kind of draw; see the end of this docstring), so
-error counts are identical for any worker count, and two sweeps that
-share a seed see identical channels, bits, and noise regardless of the
-precoder under test (which makes precoder comparisons paired).
-
 Trials are simulated in chunks, each one channel stack ``(m, n, n)``.
-Precoding is two steps. The design reads only the channels: the LQ or SVD
-factors, the gains, the precoding matrix and, for zf, mmse and bd, the
-power scale, from one call into :mod:`precoding` (``lq_decompose``,
-``dpc_linear``, ``zf_precode``, ``mmse_precode`` or ``bd_precode``). The
-transmit reads the symbols: ``w @ s``, ``successive_encode`` (the one
-encode of ``dpc_conventional`` and ``thp_precode``), or its feedback
-kernel for THP's buffer of data and pilots. A per-trial sweep designs each
-chunk's stack; a fixed-channel sweep designs its one channel once per
-sweep (mmse, whose design reads the noise variance, once per SNR point),
-and THP still calibrates its power once per chunk, from that chunk's
-pilots. So the tested precoders are the ones that make the BER curves; this
-module picks the precoder, designs the gains and calibrates the transmit
-power.
+Precoding is two steps. The design reads only the channels: the factors,
+the gains, the precoding matrix and, for zf, mmse and bd, the power
+scale, from one call into :mod:`precoding` (:func:`run_ber_sweep` says
+when a design is made). The transmit reads the symbols: ``w @ s``,
+``successive_encode``, or THP's buffer of data and pilots
+(:func:`_thp_transmit`). So the tested precoders are the ones that make
+the BER curves; this module picks the precoder, designs the gains and
+calibrates the transmit power.
 
 Conventions, since the source figures never define them:
 
@@ -31,16 +19,13 @@ Conventions, since the source figures never define them:
   as a nominal per-user symbol SNR shared by every method.
 * Baseline transmit power: ZF, MMSE, and BD are scaled so
   ``tr(w w^H) = power_budget``; THP, being nonlinear, is scaled per
-  channel from ``_THP_PILOTS`` pilot vectors fed back through that
-  channel: each trial's channel with per-trial channels, the one channel
-  once per chunk of trials for the fixed channel, so every trial of that
-  chunk shares one scale. Every channel of a chunk feeds back the same
-  pilot batch (the modulo output is close to uniform whatever the input
-  labels, so the scale depends on the channel, not on the labels drawn).
+  channel from pilots fed back through it (:func:`_thp_transmit`).
 * The gain-controlled DPC family transmits its designed signal
   unrescaled: user n's effective gain is exactly the designed ``k[n]``
   (``diag(l)`` or the water-filled gains), which is what defines
-  conventional dirty paper coding in the first place.
+  conventional dirty paper coding in the first place. Rescaling it to the
+  budget would change the meaning of the per-user SNR axis; the budget
+  enters through the gain design (water-filling) and the noise variance.
 * Receiver: per-user gain compensation and a hard decision only (plus
   the lattice modulo for THP). All interference handling lives at the
   transmitter.
@@ -62,10 +47,8 @@ row ``t % 512`` and depend only on ``(seed, snr_index, t)``: not on
 A fixed-channel sweep and a per-trial sweep see the same bits and noise,
 and THP's pilots shift nobody's draws; the pilot batch depends only on
 ``(seed, snr_index, chunk)``. The chunk size and this layout are part of
-the reproducibility contract. (Scheme ``philox-ss-v3`` drew one batch per
-channel, ``(m, _THP_PILOTS, n)`` with per-trial channels, whose first row
-is the v4 batch, so only per-trial THP sweeps differ between the two;
-``philox-ss-v2`` drew ``(m, _THP_PILOTS, n)`` on the fixed channel too.)
+the reproducibility contract; README's Reproducibility section keeps the
+history of earlier schemes.
 """
 
 from __future__ import annotations
@@ -155,17 +138,11 @@ _KIND_CHANNEL, _KIND_BITS, _KIND_NOISE, _KIND_PILOTS = range(4)
 # workers run them. Part of the random-draw contract.
 _CHUNK = 512
 
-# Pilot vectors per channel used to estimate THP transmit power; one batch
-# of labels per chunk, fed back through each channel of the chunk.
+# Pilot vectors per channel that calibrate THP's transmit power (_thp_transmit).
 _THP_PILOTS = 128
 
 # Largest estimated working set of one chunk (see _chunk_bytes); a bigger
 # config is refused by SweepConfig.validate instead of failing to allocate.
-# The precoders' own temporaries bring the real peak to about 1.5-3.5 times
-# the estimate (n = 64, 512 trials, growth of the peak resident set: zf
-# 104 MB, dpc-linear 238 MB, thp 210 MB against estimates of 67, 67 and
-# 135 MB), so at most about 1 GB. THP factors the channel stack before it
-# allocates its draw buffer, and its feedback runs in that buffer.
 _MAX_CHUNK_BYTES = 2**28
 
 # Largest power budget, about 1.3e154: a product of two powers stays finite.
@@ -197,12 +174,8 @@ class SweepConfig:
 
         The one check for configs built in Python and read from JSON
         alike (:meth:`from_dict` ends here, and :func:`run_ber_sweep`
-        starts here): integer fields go through :func:`config_int`, a
-        chunk of trials must fit the memory bound, ``power_budget`` is a
-        :func:`config_float` up to ``_MAX_POWER_BUDGET``, each SNR point is
-        ``+inf`` (``"inf"`` in JSON) or a finite number whose noise variance
-        is finite and positive, and ``waterfill`` gains need a DPC-family
-        precoder. A bad value raises :class:`ConfigError` naming its field.
+        starts here). A bad value raises :class:`ConfigError` naming its
+        field.
         """
         self.n_users = config_int(self.n_users, "n_users", 1)
         self.trials_per_point = config_int(self.trials_per_point, "trials_per_point", 1)
@@ -338,7 +311,10 @@ class BerRecord:
 def _chunk_bytes(cfg: SweepConfig) -> int:
     """Estimated bytes of a sweep's largest chunk: the channel stack and the
     draw temporaries, 16 B per complex entry each, plus THP's buffer of
-    ``m`` data vectors and ``_THP_PILOTS`` pilots per channel."""
+    ``m`` data vectors and ``_THP_PILOTS`` pilots per channel. The
+    precoders' own temporaries bring the real peak to about 1.5-3.5 times
+    the estimate (growth of the peak resident set at n = 64, 512 trials),
+    so ``_MAX_CHUNK_BYTES`` keeps a chunk under about 1 GB."""
     m = min(cfg.trials_per_point, _CHUNK)
     n = cfg.n_users
     need = 2 * m * n * n * 16
@@ -383,13 +359,10 @@ def _chunk_draws(
     cfg: SweepConfig, snr_idx: int, t0: int, t1: int, c: Constellation, fixed_h: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Random inputs of trials [t0, t1) of one SNR point, ``t0`` a multiple
-    of ``_CHUNK`` (scheme philox-ss-v4, see the module docstring).
-
-    Returns the channel stack ``(m, n, n)`` (the fixed channel as
-    ``(1, n, n)``), the data bits ``(m, n * bits_per_symbol)``, unit-variance
-    per-component complex noise ``(m, n)`` and, for THP, the chunk's one
-    batch of pilot labels, ``(1, _THP_PILOTS, n)`` (else None).
-    """
+    of ``_CHUNK``, drawn as the module docstring lays them out: the channel
+    stack (the fixed channel as ``(1, n, n)``), the data bits, complex noise
+    ``(m, n)`` of unit variance per component and, for THP, the pilot
+    labels (else None)."""
     n, m, chunk = cfg.n_users, t1 - t0, t0 // _CHUNK
 
     def rng(kind: int) -> np.random.Generator:
@@ -433,20 +406,14 @@ class _Design:
 
 
 def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Design:
-    """Design the precoder of ``hs``: a chunk's stack ``(m, n, n)``, or the
-    fixed channel ``(1, n, n)`` once per sweep. Only mmse reads the noise
-    variance ``nv``, so a fixed-channel mmse sweep designs once per SNR
-    point."""
+    """Design the precoder of ``hs``, a chunk's stack ``(m, n, n)`` or the
+    fixed channel ``(1, n, n)``. Only mmse reads the noise variance ``nv``."""
     precoder = cfg.precoder
     if precoder == "thp":
         return _Design(hs, factors=lq_decompose(hs))
 
     if precoder in _DPC_FAMILY:
-        # The gain-controlled family transmits its designed signal as is:
-        # rescaling it to the power budget would change every user's
-        # effective gain and with it the meaning of the per-user SNR axis.
-        # The budget enters through the gain design (water-filling) and
-        # through the noise calibration shared with the baselines.
+        # Transmitted unrescaled (see the module docstring's conventions).
         needs_lq = precoder == "dpc-conventional" or cfg.gain_mode == "diag-L"
         factors = lq_decompose(hs) if needs_lq else None
         sv = None if cfg.gain_mode == "diag-L" else np.linalg.svd(hs, compute_uv=False)
@@ -541,7 +508,7 @@ def _thp_transmit(
     cfg: SweepConfig, factors: LqFactors, s: np.ndarray, labels: np.ndarray, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray]:
     """THP for one chunk; transmit power calibrated per channel from the
-    chunk's pilot batch.
+    chunk's pilot batch. Returns ``x`` ``(m, n)`` and the gains ``(k, n)``.
 
     ``factors`` is the LQ of the chunk's ``k`` channels (a stack, ``k = m``,
     or one shared channel, ``k = 1``), made before this call, so the LQ's
@@ -551,10 +518,14 @@ def _thp_transmit(
     :func:`successive_encode`, then the points of the chunk's one batch of
     pilot ``labels`` ``(1, _THP_PILOTS, n)``, stored in every channel's
     pilot columns. Data and pilots share one feedback pass, in place in the
-    buffer, so each channel feeds the batch back through its own ``L``; each
-    channel's factor ``alpha`` comes from its pilot columns, so a
-    fixed-channel chunk is calibrated once. Returns ``x`` ``(m, n)`` and the
-    gains ``(k, n)``.
+    buffer, so each channel feeds the batch back through its own ``L``.
+
+    THP's power is measured, not designed: each channel's scale
+    ``alpha = sqrt(power_budget / mean pilot power)`` comes from its pilot
+    columns, so the trials of a fixed-channel chunk share one ``alpha``.
+    The labels can be shared because the modulo output is close to uniform
+    whatever the input labels (Fischer, *Precoding and Signal Shaping for
+    Digital Transmission*, 2002), so ``alpha`` depends on the channel.
     """
     m, n = s.shape
     k = len(factors.l)
@@ -577,9 +548,8 @@ def _thp_transmit(
 
 @contextmanager
 def _sweep_context(cfg: SweepConfig, place: str):
-    """Re-raise a failure with the precoder, seed and ``place`` (an SNR point
-    and trial range, or the fixed channel and, for mmse, its SNR point)
-    attached; a dead worker process becomes :class:`WorkerCrashed`."""
+    """Re-raise a failure with the precoder, seed and ``place`` attached (see
+    :func:`run_ber_sweep`); a dead worker process becomes :class:`WorkerCrashed`."""
     where = f"sweep aborted ({cfg.precoder}, seed {cfg.seed}) {place}"
     try:
         yield
@@ -599,13 +569,15 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     """Run the full SNR sweep described by ``cfg``.
 
     Results are a pure function of the config: per-chunk streams make the
-    error counts identical for any worker count. Precoder failures abort
-    the sweep with the precoder, seed, offending SNR point (in dB) and the
-    chunk's trial range attached, or with "on the fixed channel" when the
-    design of a fixed channel fails (it is made before any chunk: once per
-    sweep, or for mmse once per SNR point, "on the fixed channel at X dB");
-    a worker process that dies raises :class:`WorkerCrashed` with the same
-    context.
+    error counts identical for any worker count. A per-trial sweep designs
+    each chunk's channel stack in that chunk. A fixed-channel sweep designs
+    its one channel before any chunk, once per sweep, and sends that design
+    to every chunk; mmse, whose design reads the noise variance, is
+    designed once per SNR point. Precoder failures abort the sweep with the
+    precoder, seed, offending SNR point (in dB) and the chunk's trial range
+    attached, or with "on the fixed channel" ("on the fixed channel at X
+    dB" for mmse) when the fixed channel's design fails; a worker process
+    that dies raises :class:`WorkerCrashed` with the same context.
     """
     cfg.validate()
     tasks = []
@@ -615,8 +587,7 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
             tasks.append((snr_idx, snr_db, t0, t1))
     # A pool starts all its workers on the first submit; start no idle ones.
     n_workers = min(resolve_workers(workers), len(tasks))
-    # The design each point's chunks get: None with per-trial channels, else
-    # the fixed channel's, once per sweep (mmse: once per point).
+    # The design each point's chunks get; None with per-trial channels.
     fixed: list[_Design | None] = [None] * len(cfg.snr_grid_db)
     if cfg.channel_mode == "fixed-channel":
         hs = fixed_channel_for(cfg)[np.newaxis]

@@ -1,4 +1,8 @@
-"""Tests that the public names of each module are the ones it lists."""
+"""Tests that the public names of each module are the ones it lists, and
+that README's library example runs against them."""
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +29,9 @@ def test_all_lists_exactly_the_public_definitions(module):
 
 def test_package_all_resolves():
     assert [name for name in dpc_perm.__all__ if not hasattr(dpc_perm, name)] == []
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library in five lines.*?```python\n(.*?)```", readme, re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})

@@ -320,6 +320,10 @@ def test_waterfill_input_validation():
     for sigma, budget in [([np.nan, 1.0], 1.0), ([np.inf, 1.0], 1.0), ([2.0, 1.0], np.inf)]:
         with pytest.raises(ValueError, match="finite"):
             waterfill(np.array(sigma), budget)
+    # sigma**2 would overflow (lambda = inf), or underflow (1/lambda = inf).
+    for sigma in ([1e200, 1e199], [1.0, 1e-200]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            waterfill(np.array(sigma), 1.0)
     # One bad row fails the whole stack.
     for bad in ([1.0, 2.0], [1.0, 0.0]):
         with pytest.raises(ValueError):
