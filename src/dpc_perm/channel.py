@@ -26,8 +26,9 @@ class ChannelSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
+        for name, value, low in (("n_users", self.n_users, 1), ("seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def stream(seed: int, *spawn_key: int) -> np.random.Generator:

@@ -137,11 +137,8 @@ def as_order(order: Sequence[int], n: int | None = None) -> np.ndarray:
         raise InvalidPermutation(f"order must be a 1-D integer vector, got {order!r}")
     if n is not None and p.size != n:
         raise InvalidPermutation(f"order has length {p.size}, expected {n}")
-    seen = np.zeros(p.size, dtype=bool)
-    for v in p:
-        if v < 0 or v >= p.size or seen[v]:
-            raise InvalidPermutation(f"{list(order)!r} is not a bijection of 0..{p.size - 1}")
-        seen[v] = True
+    if not np.array_equal(np.sort(p), np.arange(p.size)):
+        raise InvalidPermutation(f"{list(order)!r} is not a bijection of 0..{p.size - 1}")
     return p.astype(np.intp)
 
 

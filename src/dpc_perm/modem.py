@@ -118,40 +118,23 @@ def _gray(i: np.ndarray) -> np.ndarray:
     return i ^ (i >> 1)
 
 
-def _gray_inverse(g: int) -> int:
-    i = 0
-    while g:
-        i ^= g
-        g >>= 1
-    return i
-
-
 def _square_points(order: int) -> np.ndarray:
+    # On each axis, level index i has amplitude m - 1 - 2i and label _gray(i).
     bits_axis = int(math.log2(order)) // 2
-    m = 1 << bits_axis
+    i = np.arange(1 << bits_axis)
+    amp, g = (i.size - 1) - 2 * i, _gray(i)
     points = np.empty(order, dtype=np.complex128)
-    for label in range(order):
-        g_re = label >> bits_axis
-        g_im = label & (m - 1)
-        # Level index 0 sits at the positive extreme; Gray-adjacent
-        # labels land on adjacent amplitude levels.
-        re = (m - 1) - 2 * _gray_inverse(g_re)
-        im = (m - 1) - 2 * _gray_inverse(g_im)
-        points[label] = re + 1j * im
+    points[(g[:, np.newaxis] << bits_axis) | g] = amp[:, np.newaxis] + 1j * amp
     return points
 
 
 def _cross_points_128() -> np.ndarray:
     levels = np.arange(-11, 12, 2)
-    cols = []
-    for ci, re in enumerate(levels):
-        ims = levels if ci % 2 == 0 else levels[::-1]
-        col = [re + 1j * im for im in ims if not (abs(re) > 7 and abs(im) > 7)]
-        cols.extend(col)
-    walk = np.asarray(cols, dtype=np.complex128)
+    re, im = np.meshgrid(levels, levels, indexing="ij")
+    im[1::2] = im[1::2, ::-1]  # the walk runs down the odd columns
+    walk = (re + 1j * im)[(np.abs(re) <= 7) | (np.abs(im) <= 7)]
     points = np.empty(walk.size, dtype=np.complex128)
-    idx = np.arange(walk.size, dtype=np.int64)
-    points[_gray(idx)] = walk
+    points[_gray(np.arange(walk.size))] = walk
     return points
 
 

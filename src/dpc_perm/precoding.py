@@ -142,7 +142,8 @@ def waterfill_powers(sigma: np.ndarray, p_total: float) -> tuple[np.ndarray, flo
     ``sum(p) == p_total`` holds to rounding, not to an iteration tolerance.
     Returns ``(p, mu)``: the powers ``p[i] = max(mu - 1/lambda[i], 0)``, of
     the shape of ``sigma`` (exact zeros outside the active set), and the
-    water level, a scalar for one vector and ``(m,)`` for a stack.
+    water level, a scalar for one vector and ``(m,)`` for a stack. Raises
+    ``ValueError`` when a water level is not finite.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim not in (1, 2) or sigma.size < 1:
@@ -157,14 +158,17 @@ def waterfill_powers(sigma: np.ndarray, p_total: float) -> tuple[np.ndarray, flo
     mu, active, todo = np.empty(rows), np.ones(rows, dtype=int), np.arange(rows)
     # todo: rows without a set yet. Each sum runs over one contiguous row, as
     # in a one-row call, so a stacked call equals the per-row calls exactly.
-    for a in range(n, 0, -1):
-        level = (p_total + inv[todo, :a].sum(axis=1)) / a
-        found = level > inv[todo, a - 1]
-        mu[todo] = level
-        active[todo[found]] = a
-        todo = todo[~found]
-        if todo.size == 0:
-            break
+    with np.errstate(over="ignore"):  # an infinite level is refused below
+        for a in range(n, 0, -1):
+            level = (p_total + inv[todo, :a].sum(axis=1)) / a
+            found = level > inv[todo, a - 1]
+            mu[todo] = level
+            active[todo[found]] = a
+            todo = todo[~found]
+            if todo.size == 0:
+                break
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("the water level overflows: the budget or 1/sigma**2 is too large")
     p = np.where(np.arange(n) < active[:, np.newaxis], mu[:, np.newaxis] - inv, 0.0)
     return (p[0], mu[0]) if sigma.ndim == 1 else (p, mu)
 
@@ -174,10 +178,14 @@ def waterfill(sigma: np.ndarray, p_total: float) -> np.ndarray:
     like ``sigma`` (see :func:`waterfill_powers`). Weak channels may get zero
     power and hence a zero gain; callers that require strictly positive
     gains must drop those users. ``sum(k**2 / lambda) == p_total`` holds
-    exactly by construction.
+    exactly by construction. Raises ``ValueError`` when a gain is not finite.
     """
     p, _ = waterfill_powers(sigma, p_total)
-    return np.sqrt(p * np.asarray(sigma, dtype=float) ** 2)
+    with np.errstate(over="ignore"):
+        k = np.sqrt(p * np.asarray(sigma, dtype=float) ** 2)
+    if not np.all(np.isfinite(k)):
+        raise ValueError("a water-filled gain overflows: p * sigma**2 is not finite")
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -356,22 +356,19 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _chunk_draws(
-    cfg: SweepConfig, snr_idx: int, t0: int, t1: int, c: Constellation, fixed_h: np.ndarray | None
+    cfg: SweepConfig, snr_idx: int, t0: int, t1: int, c: Constellation, fixed_hs: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Random inputs of trials [t0, t1) of one SNR point, ``t0`` a multiple
     of ``_CHUNK``, drawn as the module docstring lays them out: the channel
-    stack (the fixed channel as ``(1, n, n)``), the data bits, complex noise
-    ``(m, n)`` of unit variance per component and, for THP, the pilot
-    labels (else None)."""
+    stack (``fixed_hs``, the fixed channel's ``(1, n, n)``, when given), the
+    data bits, complex noise ``(m, n)`` of unit variance per component and,
+    for THP, the pilot labels (else None)."""
     n, m, chunk = cfg.n_users, t1 - t0, t0 // _CHUNK
 
     def rng(kind: int) -> np.random.Generator:
         return stream(cfg.seed, _NS_CHUNK, snr_idx, chunk, kind)
 
-    if fixed_h is None:
-        hs = sample_channel(rng(_KIND_CHANNEL), n, m)
-    else:
-        hs = fixed_h[np.newaxis]
+    hs = sample_channel(rng(_KIND_CHANNEL), n, m) if fixed_hs is None else fixed_hs
     bits = rng(_KIND_BITS).integers(0, 2, size=(m, n * c.bits_per_symbol), dtype=np.uint8)
     z = rng(_KIND_NOISE).standard_normal((m, 2, n))
     labels = None
@@ -452,8 +449,8 @@ def _simulate_chunk(
     c = make_constellation(cfg.constellation_order)
     m = t1 - t0
     nv = noise_variance(cfg, snr_db)
-    fixed_h = None if fixed is None else fixed.hs[0]
-    hs, bits, noise, labels = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_h)
+    fixed_hs = None if fixed is None else fixed.hs
+    hs, bits, noise, labels = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_hs)
     s = qam_modulate(bits.ravel(), c).reshape(m, cfg.n_users)
 
     design = _design(cfg, hs, nv) if fixed is None else fixed

@@ -64,4 +64,12 @@ def test_entry_variance_statistic():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(n_users=0, seed=1)
+    # A bool or a float is refused, not run as seed 1 or passed on to numpy.
+    bad = [(True, 1), (2.0, 1), (np.float64(2.0), 1), (2, True), (2, 1.0), (2, 1.5), (2, "1")]
+    for n_users, seed in [*bad, (2, -1)]:
+        with pytest.raises(ValueError):
+            ChannelSpec(n_users=n_users, seed=seed)
+    # numpy integers stay accepted.
+    spec = ChannelSpec(n_users=np.int64(3), seed=np.uint32(7))
+    np.testing.assert_array_equal(generate_channel(spec), generate_channel(ChannelSpec(3, 7)))
 

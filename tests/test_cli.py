@@ -127,6 +127,14 @@ def test_order_search_report_bytes_are_pinned(tmp_path):
     assert digest == "9ac9e5b31813f5daef8703fcbd2d15b8f5874c68a402eeb466be6bb87fd0bdd5"
 
 
+def test_complexity_csv_bytes_are_pinned(tmp_path):
+    # The sha256 of the whole CSV at --n-max 7, seed 0: its model columns and
+    # measured factorization counts (the wall times go to stdout only).
+    assert cli.main(["complexity", "--n-max", "7", "--seed", "0", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "complexity.csv").read_bytes()).hexdigest()
+    assert digest == "3f1011bfdc595e31977e85e0b624971c940a0ab84216698260fd0ad4475495c9"
+
+
 def test_order_search_verify_disagreement_exits_1(tmp_path, monkeypatch, capsys):
     real = cli.naive_order_search
 

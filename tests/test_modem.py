@@ -1,5 +1,6 @@
 """Tests for constellations, hard decisions, AWGN, and bit-error accounting."""
 
+import hashlib
 import math
 import warnings
 
@@ -110,6 +111,46 @@ def test_128_cross_geometry():
     np.testing.assert_allclose(raw.imag, im, atol=1e-9)
     assert set(np.unique(np.abs(re))) == {1, 3, 5, 7, 9, 11}
     assert not np.any((np.abs(re) > 7) & (np.abs(im) > 7))
+
+
+# sha256 of make_constellation(order).points.tobytes(): every point's exact
+# coordinates at its label.
+CONSTELLATION_SHA256 = {
+    4: "db860e05d78202f159e28f16fbe26c8e060fc8c65c4b872c8bb3f7fc5915071e",
+    16: "76a51a7540737fc5fdeee017f325993c9c95afaf275dc32606e8f28c84ecd651",
+    64: "1f1f21a0d8cae4f3366f29dc3cd762db6415b8d40951223fafcc74d5f5eb35b0",
+    128: "3fae0703645de7e08247be690944822b9326a7109b32cf5c81625e579b240954",
+}
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_constellation_points_are_pinned(order):
+    points = make_constellation(order).points
+    assert hashlib.sha256(points.tobytes()).hexdigest() == CONSTELLATION_SHA256[order]
+
+
+def nearest_pairs(points):
+    """Labels ``(a, b)``, ``a < b``, of every pair of points at the minimum distance."""
+    gaps = np.abs(points[:, np.newaxis] - points[np.newaxis, :])
+    spacing = gaps[gaps > 0].min()
+    return np.nonzero(np.triu(np.abs(gaps - spacing) < 1e-9 * spacing, k=1))
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_square_qam_nearest_pairs_differ_in_one_bit(order):
+    a, b = nearest_pairs(make_constellation(order).points)
+    m = math.isqrt(order)
+    assert a.size == 2 * m * (m - 1)  # m rows and m columns of m - 1 pairs
+    assert np.all(np.bitwise_count(a ^ b) == 1)
+
+
+def test_128_cross_vertical_nearest_pairs_differ_in_one_bit():
+    # Horizontal pairs are not Gray: no perfect Gray map exists on a cross.
+    points = make_constellation(128).points
+    a, b = nearest_pairs(points)
+    vertical = np.isclose(points[a].real, points[b].real)
+    assert np.count_nonzero(vertical) == 8 * 11 + 4 * 7  # 8 columns of 12 points, 4 of 8
+    assert np.all(np.bitwise_count(a[vertical] ^ b[vertical]) == 1)
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)

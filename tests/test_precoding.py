@@ -1,5 +1,7 @@
 """Tests for the DPC implementations, gain design, and baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,14 @@ def test_waterfill_input_validation():
     for sigma in ([1e200, 1e199], [1.0, 1e-200]):
         with pytest.raises(ValueError, match="finite and positive"):
             waterfill(np.array(sigma), 1.0)
+    # sigma is in range, but the water level's row sum or p * sigma**2
+    # overflows: refused, with no overflow warning on the way.
+    overflowing = [([1.34e154], 2.0), ([7.46e-155, 7.46e-155], 1.0), ([1e154, 1e-154], 1e300)]
+    for sigma, budget in overflowing:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                waterfill(np.array(sigma), budget)
     # One bad row fails the whole stack.
     for bad in ([1.0, 2.0], [1.0, 0.0]):
         with pytest.raises(ValueError):

@@ -406,8 +406,8 @@ def test_worker_count_does_not_change_results():
 
 def chunk_draws(cfg, snr_idx, t0, t1):
     c = make_constellation(cfg.constellation_order)
-    fixed_h = fixed_channel_for(cfg) if cfg.channel_mode == "fixed-channel" else None
-    return sim._chunk_draws(cfg, snr_idx, t0, t1, c, fixed_h)
+    fixed_hs = fixed_channel_for(cfg)[np.newaxis] if cfg.channel_mode == "fixed-channel" else None
+    return sim._chunk_draws(cfg, snr_idx, t0, t1, c, fixed_hs)
 
 
 @pytest.mark.parametrize("t0", [0, 512])
