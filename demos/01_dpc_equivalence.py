@@ -3,9 +3,10 @@
 
 The successive implementation factors the channel as H = LQ and runs a
 feedback loop that pre-subtracts the interference each user would see.
-The linear implementation factors the channel once by SVD and applies
-W = V diag(1/sigma) U^H diag(k). Both deliver y_n = k_n s_n + v_n with
-k = diag(L), and the transmit vectors agree to rounding error.
+The linear implementation applies W = V diag(1/sigma) U^H diag(k), which
+for the identity order is the channel inverse H^-1 diag(k). Both deliver
+y_n = k_n s_n + v_n with k = diag(L), and the transmit vectors agree to
+rounding error.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ x_conv = dpc_conventional(h, s)
 print(f"per-user gains diag(L): {np.round(factors.diag, 3)}")
 print(f"noise-free receive H x - diag(L) s: {np.linalg.norm(h @ x_conv - factors.diag * s):.2e}")
 
-print("\n=== Linear (SVD) DPC with the same gains ===")
+print("\n=== Linear DPC, W = V S^-1 U^H K = H^-1 K, with the same gains ===")
 w = dpc_linear(h, factors.diag)
 x_lin = w @ s
 print(f"||x_conv - W s|| / ||s|| = {np.linalg.norm(x_conv - x_lin) / np.linalg.norm(s):.2e}")

@@ -1,7 +1,7 @@
 """Dirty paper coding for MU-MIMO broadcast channels.
 
 A conventional successive implementation built on LQ factorization, an
-equivalent linear implementation built on a single SVD with designed
+equivalent linear implementation, the channel inverse with designed
 effective gains, a diagonal-permutation precoding-order search that
 replaces n! factorizations with one, and a reproducible Monte Carlo BER
 harness comparing both against ZF, MMSE, THP, and BD baselines.

@@ -36,6 +36,7 @@ __all__ = [
     "as_channel_stack",
     "lq_decompose",
     "svd_decompose",
+    "singular_values",
     "svd_inverse",
     "as_order",
     "permuted_svd",
@@ -80,10 +81,10 @@ class DecompositionCounter:
 def count_decompositions() -> Iterator[DecompositionCounter]:
     """Record every LQ/SVD factorization performed in this thread.
 
-    The counter is incremented only by :func:`lq_decompose` and
-    :func:`svd_decompose`, once per factored channel (a stack of ``m``
-    channels counts ``m``), so search instrumentation cannot claim work
-    that never went through a factorization routine.
+    Only :func:`lq_decompose`, :func:`svd_decompose` and
+    :func:`singular_values` tick it, once per factored channel (a stack of
+    ``m`` channels counts ``m``), so search instrumentation cannot claim
+    work that never went through a factorization routine.
     """
     counter = DecompositionCounter()
     stack = _recorder_stack()
@@ -226,13 +227,20 @@ def svd_decompose(h: np.ndarray) -> SvdFactors:
     return f if np.ndim(h) == 3 else SvdFactors(u=u[0], sigma=sigma[0], v=f.v[0])
 
 
-def svd_inverse(h: np.ndarray, gains: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(v @ diag(1/sigma) @ u^H @ diag(gains), sigma)`` from one SVD per channel.
+def singular_values(h: np.ndarray) -> np.ndarray:
+    """Descending singular values of a channel, ``(n,)``, or of each channel of
+    a stack, ``(m, n)``, without the singular vectors (one SVD a channel)."""
+    hs = as_channel_stack(h)
+    sigma = np.linalg.svd(hs, compute_uv=False)
+    _tick("svd", hs.shape[0])
+    return sigma if np.ndim(h) == 3 else sigma[0]
 
-    ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``; ``gains`` (unit
-    gains if None) has shape ``(n,)`` or ``h.shape[:-1]``. The product is
-    formed as ``v @ ((u^H * gains) / sigma)``, so a zero gain gives an
-    exactly-zero column.
+
+def svd_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(v @ diag(1/sigma) @ u^H, sigma)`` from one SVD per channel: the
+    inverse in the form whose ``u`` an order permutes (the order search).
+
+    ``h`` is a channel ``(n, n)`` or a stack ``(m, n, n)``.
 
     Raises
     ------
@@ -243,10 +251,7 @@ def svd_inverse(h: np.ndarray, gains: np.ndarray | None = None) -> tuple[np.ndar
     f = svd_decompose(as_channel_stack(h))
     if not np.all(f.sigma[:, -1] > EPS_SING * f.sigma[:, 0]):
         raise NumericallySingular(f"singular value ratio sigma_min/sigma_max below {EPS_SING:g}")
-    k = np.ones(f.sigma.shape) if gains is None else gains
-    a = f.u.conj().transpose(0, 2, 1) * np.asarray(k)[..., np.newaxis, :]
-    a /= f.sigma[:, :, np.newaxis]
-    w = f.v @ a
+    w = f.v @ (f.u.conj().transpose(0, 2, 1) / f.sigma[:, :, np.newaxis])
     return (w, f.sigma) if np.ndim(h) == 3 else (w[0], f.sigma[0])
 
 

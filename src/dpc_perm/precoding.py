@@ -2,7 +2,7 @@
 
 Two equivalent dirty-paper implementations sit at the core: the
 conventional successive one built on an LQ factorization and per-user
-feedback, and the linear one built on a single SVD with a designed
+feedback, and the linear one, the channel inverse with a designed
 diagonal gain matrix. Around them: water-filling gain design, power
 scaling, and the usual comparison baselines (ZF, MMSE, THP, BD).
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_decompose, svd_inverse
+from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_decompose
 
 # 1/sigma**2 is finite and positive exactly for sigma in [1/_SIGMA_MAX, _SIGMA_MAX].
 _SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max))
@@ -107,20 +107,19 @@ def successive_encode(
 def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Linear dirty-paper precoding matrix ``w = v @ diag(1/sigma) @ u^H @ diag(gains)``.
 
-    Built from a single SVD per channel (:func:`linalg.svd_inverse`, which
-    gives a zero gain an exactly-zero column); satisfies
-    ``h @ w = diag(gains)`` so the effective channel is diagonal and
-    interference-free. ``h`` is a channel ``(n, n)`` or a stack
-    ``(m, n, n)``; ``gains`` has shape ``(n,)`` or ``h.shape[:-1]``.
+    That is ``h^{-1} @ diag(gains)``, formed as :func:`zf_precode` with its
+    columns scaled by the gains: one batched inverse and no SVD, and a zero
+    gain gives an exactly-zero column. ``h @ w = diag(gains)``, so the
+    effective channel is diagonal and interference-free. ``h`` is a channel
+    ``(n, n)`` or a stack ``(m, n, n)``; ``gains`` is ``(n,)`` or ``h.shape[:-1]``.
 
     Raises
     ------
     NumericallySingular
-        If the smallest singular value is below ``EPS_SING`` times the
-        largest.
+        From :func:`zf_precode`, whose singularity rule this shares.
     """
     hs = as_channel_stack(h)
-    w, _ = svd_inverse(hs, _as_stack_gains(gains, hs))
+    w = zf_precode(hs) * _as_stack_gains(gains, hs)[..., np.newaxis, :]
     return w if np.ndim(h) == 3 else w[0]
 
 
@@ -221,7 +220,8 @@ def zf_precode(h: np.ndarray) -> np.ndarray:
     condition bound ``||H||_F * ||H^-1||_F`` reaches ``1 / EPS_SING``. The
     bound lies between the condition number ``sigma_max / sigma_min`` and
     ``n`` times it, so it rejects every channel the SVD check of
-    :func:`linalg.svd_inverse` rejects, for the cost of two norms.
+    :func:`linalg.svd_inverse` rejects, and a few more, for two norms.
+    :func:`dpc_linear` shares this rule.
     """
     hs = as_channel_stack(h)
     try:

@@ -69,7 +69,7 @@ import numpy as np
 from . import __version__ as _version
 from .channel import sample_channel, stream
 from .exceptions import ConfigError, DpcPermError, WorkerCrashed
-from .linalg import LqFactors, lq_decompose
+from .linalg import LqFactors, lq_decompose, singular_values
 from .modem import (
     Constellation,
     QAM_ORDERS,
@@ -413,7 +413,7 @@ def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Desig
         # Transmitted unrescaled (see the module docstring's conventions).
         needs_lq = precoder == "dpc-conventional" or cfg.gain_mode == "diag-L"
         factors = lq_decompose(hs) if needs_lq else None
-        sv = None if cfg.gain_mode == "diag-L" else np.linalg.svd(hs, compute_uv=False)
+        sv = None if cfg.gain_mode == "diag-L" else singular_values(hs)
         k = factors.diag if sv is None else waterfill(sv, cfg.power_budget)
         if precoder == "dpc-conventional":
             return _Design(hs, factors=factors, gains=k)

@@ -18,6 +18,7 @@ from dpc_perm.linalg import (
     lq_decompose,
     lq_not_permutation_linear_witness,
     permuted_svd,
+    singular_values,
     svd_decompose,
 )
 from dpc_perm.ordering import diagonal_order_search, naive_order_search
@@ -353,6 +354,18 @@ def test_stacked_factorizations_count_one_per_channel():
         svd_decompose(hs[:3])
         lq_decompose(hs[0])
     assert (counter.lq, counter.svd) == (8, 3)
+
+
+def test_singular_values_are_the_svd_sigma_and_count_one_per_channel():
+    hs = np.stack([random_channel(t, 5) for t in range(4)])
+    with count_decompositions() as counter:
+        sigma = singular_values(hs)
+        one = singular_values(hs[2])
+    assert (counter.lq, counter.svd) == (0, 5)
+    assert sigma.shape == (4, 5) and one.shape == (5,)
+    np.testing.assert_array_equal(one, sigma[2])
+    np.testing.assert_allclose(sigma, svd_decompose(hs).sigma, rtol=1e-13)
+    assert np.all(np.diff(sigma, axis=1) <= 0)
 
 
 def test_nested_recorders_with_equal_counts_each_count():

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from dpc_perm.linalg import EPS_SING, lq_decompose, svd_decompose
+from dpc_perm.linalg import (
+    EPS_SING,
+    count_decompositions,
+    lq_decompose,
+    svd_decompose,
+    svd_inverse,
+)
 from dpc_perm.modem import make_constellation
 from dpc_perm.precoding import (
     bd_precode,
@@ -205,6 +211,47 @@ def test_dpc_linear_singular_raises():
     h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(NumericallySingular):
         dpc_linear(h, np.ones(2))
+
+
+def paper_dpc_linear(h, k):
+    """The paper's form ``v @ diag(1/sigma) @ u^H @ diag(k)``, from the SVD."""
+    f = svd_decompose(h)
+    return f.v @ (f.u.conj().swapaxes(-2, -1) / f.sigma[..., np.newaxis]) * k[..., np.newaxis, :]
+
+
+@pytest.mark.parametrize("gain_shape", ["shared", "per-channel"])
+def test_dpc_linear_equals_the_svd_form(gain_shape):
+    hs = np.stack([random_channel(40 + t, 6) for t in range(5)])
+    rng = np.random.default_rng(3)
+    if gain_shape == "shared":
+        k = rng.uniform(0.2, 2.0, 6)
+    else:
+        k = rng.uniform(0.2, 2.0, (5, 6))
+        k[[0, 2, 4], [1, 5, 0]] = 0.0
+    w = dpc_linear(hs, k)
+    ref = paper_dpc_linear(hs, np.broadcast_to(k, (5, 6)))
+    assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_dpc_linear_is_the_gain_scaled_zf_matrix_bit_for_bit():
+    hs = np.stack([random_channel(50 + t, 5) for t in range(3)])
+    k = np.array([[0.3, 1.2, 0.0, 2.0, 1.5], [1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 0.7, 0.1, 3.0, 0.9]])
+    with count_decompositions() as counter:
+        w = dpc_linear(hs, k)
+    assert (counter.lq, counter.svd) == (0, 0)
+    np.testing.assert_array_equal(w, zf_precode(hs) * k[:, np.newaxis, :])
+    np.testing.assert_array_equal(dpc_linear(hs[1], k[0]), zf_precode(hs[1]) * k[0])
+
+
+def test_dpc_linear_shares_the_zf_singularity_rule():
+    # sigma_min / sigma_max = 1.5e-12 passes the SVD rule (ratio above
+    # EPS_SING), but ||H||_F ||H^-1||_F is about 1.33e12, past ZF's bound.
+    h = np.diag([1.0, 1.0, 1.0, 1.0, 1.5e-12]).astype(complex)
+    svd_inverse(h)
+    with pytest.raises(NumericallySingular):
+        zf_precode(h)
+    with pytest.raises(NumericallySingular):
+        dpc_linear(h, np.ones(5))
 
 
 # ---------------------------------------------------------------------------

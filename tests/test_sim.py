@@ -511,14 +511,17 @@ DESIGN_POINTS, DESIGN_TRIALS = (0.0, 10.0), 1100  # 3 chunks a point: 512, 512, 
     "precoder,gain_mode,lq,svd",
     [
         ("dpc-conventional", "diag-L", 1, 0),
-        ("dpc-linear", "diag-L", 1, 1),
+        ("dpc-conventional", "waterfill", 1, 1),
+        ("dpc-linear", "diag-L", 1, 0),
         ("dpc-linear", "waterfill", 0, 1),
         ("thp", "diag-L", 1, 0),
     ],
 )
 def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd, channel_mode):
     # The design reads only the channel: the fixed channel is factored once
-    # for every point and chunk, a per-trial sweep once per trial.
+    # for every point and chunk, a per-trial sweep once per trial. The
+    # water-fill's SVD yields only the singular values; dpc-linear's matrix
+    # is an inverse, which no counter sees.
     cfg = small_cfg(
         precoder=precoder,
         gain_mode=gain_mode,
@@ -1178,28 +1181,28 @@ SWEEP_PINNED_RECORDS = {
         (49000, 0, "0x1.3285d76a50a7dp+5", "0x1.c453d90f05659p-4"),
     ],
     ("dpc-linear", "diag-L", 4, "per-trial-channel"): [
-        (14000, 683, "0x1.da63636a0292dp+9", "0x1.8e3a9b094ac00p-12"),
-        (14000, 55, "0x1.6f7de94d001a2p+8", "0x1.05a48b0976a00p-10"),
-        (14000, 6, "0x1.529cac04a06d3p+8", "0x1.baef7dbae6640p-7"),
-        (14000, 0, "0x1.cb5d6abdfeb22p+8", "0x1.6a09e667f0003p-1"),
+        (14000, 683, "0x1.da63636a02701p+9", "0x1.8e3a9b0950800p-12"),
+        (14000, 55, "0x1.6f7de94d001a5p+8", "0x1.05a48b0971a00p-10"),
+        (14000, 6, "0x1.529cac04a06f2p+8", "0x1.baef7dbaca0c0p-7"),
+        (14000, 0, "0x1.cb5d6abdfeaffp+8", "0x1.6a09e667f2ec4p-1"),
     ],
     ("dpc-linear", "diag-L", 4, "fixed-channel"): [
-        (14000, 439, "0x1.2ed7f1dfc5d44p+5", "0x1.1317821710000p-15"),
-        (14000, 0, "0x1.3268ba3be142cp+5", "0x1.534ec74277680p-8"),
-        (14000, 0, "0x1.3c594989f3679p+5", "0x1.a88355ea86331p-2"),
-        (14000, 0, "0x1.32822526aa1f7p+5", "0x1.6a09e667f3b84p-1"),
+        (14000, 439, "0x1.2ed7f1dfc5d4ap+5", "0x1.13178216e8000p-15"),
+        (14000, 0, "0x1.3268ba3be1431p+5", "0x1.534ec74277b80p-8"),
+        (14000, 0, "0x1.3c594989f367ep+5", "0x1.a88355ea86334p-2"),
+        (14000, 0, "0x1.32822526aa1fdp+5", "0x1.6a09e667f3bb0p-1"),
     ],
     ("dpc-linear", "diag-L", 128, "per-trial-channel"): [
-        (49000, 16136, "0x1.607366a9316c7p+11", "0x1.145c599c80000p-21"),
-        (49000, 6126, "0x1.526c2bfb910e6p+8", "0x1.8351b49d81000p-15"),
-        (49000, 770, "0x1.114b1f4a23266p+8", "0x1.1bb54437cd800p-16"),
-        (49000, 0, "0x1.3f38faa03bb32p+8", "0x1.c453d90ed9d0cp-4"),
+        (49000, 16136, "0x1.607366a931487p+11", "0x1.145c599d80000p-21"),
+        (49000, 6126, "0x1.526c2bfb910e1p+8", "0x1.8351b49d68000p-15"),
+        (49000, 770, "0x1.114b1f4a2326ep+8", "0x1.1bb54434cb800p-16"),
+        (49000, 0, "0x1.3f38faa03bb1dp+8", "0x1.c453d90ef83fcp-4"),
     ],
     ("dpc-linear", "diag-L", 128, "fixed-channel"): [
-        (49000, 15968, "0x1.2ffa0726682b8p+5", "0x1.ee148c9c00000p-22"),
-        (49000, 5563, "0x1.3260d47e4229ep+5", "0x1.44a715dcf1000p-17"),
-        (49000, 354, "0x1.36352a7fb5089p+5", "0x1.1d15cd5c54400p-14"),
-        (49000, 0, "0x1.3285d76a50a78p+5", "0x1.c453d90f05531p-4"),
+        (49000, 15968, "0x1.2ffa0726682bdp+5", "0x1.ee148ca400000p-22"),
+        (49000, 5563, "0x1.3260d47e422a4p+5", "0x1.44a715dc5e000p-17"),
+        (49000, 354, "0x1.36352a7fb508ep+5", "0x1.1d15cd5c2a000p-14"),
+        (49000, 0, "0x1.3285d76a50a7cp+5", "0x1.c453d90f056a0p-4"),
     ],
     ("dpc-conventional", "waterfill", 4, "per-trial-channel"): [
         (11682, 395, "0x1.3379d6750b625p+11", "0x1.d47e5e9dd0000p-18"),
@@ -1226,28 +1229,28 @@ SWEEP_PINNED_RECORDS = {
         (39200, 0, "0x1.a1f5cc11d6ae7p+6", "0x1.c453d90f0558ap-4"),
     ],
     ("dpc-linear", "waterfill", 4, "per-trial-channel"): [
-        (11682, 395, "0x1.3379d6750b6bfp+11", "0x1.d47e5e9af0000p-18"),
-        (11654, 56, "0x1.1594cf6ce53aep+10", "0x1.9d5de51efe820p-7"),
-        (11650, 7, "0x1.f7cd05e10a9f3p+9", "0x1.770662e83b7f0p-6"),
-        (11644, 0, "0x1.480b60ea1f8e1p+10", "0x1.6a09e667f1094p-1"),
+        (11682, 395, "0x1.3379d6750b55ep+11", "0x1.d47e5ea210000p-18"),
+        (11654, 56, "0x1.1594cf6ce53b0p+10", "0x1.9d5de51efd000p-7"),
+        (11650, 7, "0x1.f7cd05e10aa43p+9", "0x1.770662e835570p-6"),
+        (11644, 0, "0x1.480b60ea1f8ddp+10", "0x1.6a09e667f3038p-1"),
     ],
     ("dpc-linear", "waterfill", 4, "fixed-channel"): [
-        (11200, 174, "0x1.9abd17cebc569p+6", "0x1.01f9336a07000p-14"),
-        (11200, 0, "0x1.a0fe006f81746p+6", "0x1.4d7e551c789b8p-3"),
-        (11200, 0, "0x1.a716041af111fp+6", "0x1.16a0157a52271p-1"),
-        (11200, 0, "0x1.9e7ff4b8c2592p+6", "0x1.6a09e667f3b8bp-1"),
+        (11200, 174, "0x1.9abd17cebc571p+6", "0x1.01f9336a45000p-14"),
+        (11200, 0, "0x1.a0fe006f8174cp+6", "0x1.4d7e551c78a7ap-3"),
+        (11200, 0, "0x1.a716041af1126p+6", "0x1.16a0157a52267p-1"),
+        (11200, 0, "0x1.9e7ff4b8c259ap+6", "0x1.6a09e667f3b93p-1"),
     ],
     ("dpc-linear", "waterfill", 128, "per-trial-channel"): [
-        (40887, 10437, "0x1.96662976d5891p+12", "0x1.f4d16a0bc0000p-20"),
-        (40789, 3181, "0x1.e945e9ec19faap+9", "0x1.e40f499949000p-17"),
-        (40775, 572, "0x1.7f56f86577758p+9", "0x1.9e859f8238000p-17"),
-        (40754, 0, "0x1.e7b19a2d8a868p+9", "0x1.c453d90ee2345p-4"),
+        (40887, 10437, "0x1.96662976d560dp+12", "0x1.f4d16a0780000p-20"),
+        (40789, 3181, "0x1.e945e9ec19f9fp+9", "0x1.e40f499878000p-17"),
+        (40775, 572, "0x1.7f56f86577766p+9", "0x1.9e859f8530000p-17"),
+        (40754, 0, "0x1.e7b19a2d8a858p+9", "0x1.c453d90efef7bp-4"),
     ],
     ("dpc-linear", "waterfill", 128, "fixed-channel"): [
-        (39200, 9841, "0x1.98279e3fc3a43p+6", "0x1.15348a3080000p-22"),
-        (39200, 2451, "0x1.a2096570c5722p+6", "0x1.b5877c7156800p-16"),
-        (39200, 71, "0x1.a6da9a23a8812p+6", "0x1.207d13e4f4c00p-14"),
-        (39200, 0, "0x1.a1f5cc11d6adep+6", "0x1.c453d90f055ebp-4"),
+        (39200, 9841, "0x1.98279e3fc3a49p+6", "0x1.15348a4940000p-22"),
+        (39200, 2451, "0x1.a2096570c5729p+6", "0x1.b5877c7143800p-16"),
+        (39200, 71, "0x1.a6da9a23a881ap+6", "0x1.207d13e4ea800p-14"),
+        (39200, 0, "0x1.a1f5cc11d6ae6p+6", "0x1.c453d90f05572p-4"),
     ],
 }
 
@@ -1269,6 +1272,26 @@ def test_sweep_records_are_pinned(precoder, gain_mode, order, channel_mode):
         for r in run_ber_sweep(cfg)
     ]
     assert got == SWEEP_PINNED_RECORDS[(precoder, gain_mode, order, channel_mode)]
+
+
+@pytest.mark.parametrize("gain_mode", sim.GAIN_MODES)
+@pytest.mark.parametrize("order", [4, 128])
+def test_dpc_pair_gives_equal_bit_errors_at_every_point(order, gain_mode):
+    # Theorem 1 at the sweep level: on the same draws the linear and the
+    # successive DPC send the same signal up to rounding, so every decision,
+    # not only the interval, agrees.
+    base = dict(
+        n_users=10,
+        snr_grid_db=(0.0, 10.0, 20.0, 30.0, math.inf),
+        trials_per_point=1100,
+        constellation_order=order,
+        channel_mode="per-trial-channel",
+        gain_mode=gain_mode,
+        seed=0,
+    )
+    conv = run_ber_sweep(SweepConfig(precoder="dpc-conventional", **base))
+    lin = run_ber_sweep(SweepConfig(precoder="dpc-linear", **base))
+    assert [(r.bits_sent, r.bit_errors) for r in lin] == [(r.bits_sent, r.bit_errors) for r in conv]
 
 
 def test_ber_monotone_within_ci():
