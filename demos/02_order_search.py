@@ -15,7 +15,7 @@ from dpc_perm import (
     count_decompositions,
     diagonal_order_search,
     generate_channel,
-    lq_decompose,
+    lq_diagonal,
     make_constellation,
     naive_order_search,
     order_table,
@@ -28,7 +28,7 @@ c = make_constellation(16)
 rng = np.random.default_rng(1)
 bits = rng.integers(0, 2, size=n * c.bits_per_symbol, dtype=np.uint8)
 s = qam_modulate(bits, c)
-gains = lq_decompose(h).diag
+gains = lq_diagonal(h)
 
 rows = order_table(h, s, gains)
 print(f"=== AP and PAPR for all {len(rows)} precoding orders ===")

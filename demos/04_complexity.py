@@ -16,7 +16,7 @@ from dpc_perm import (
     count_decompositions,
     diagonal_order_search,
     generate_channel,
-    lq_decompose,
+    lq_diagonal,
     naive_order_search,
 )
 
@@ -28,7 +28,7 @@ for n in range(1, 11):
     if n <= 7:
         h = generate_channel(ChannelSpec(n_users=n, seed=100 + n))
         s = (rng.choice([-1.0, 1.0], n) + 1j * rng.choice([-1.0, 1.0], n)) / np.sqrt(2.0)
-        gains = lq_decompose(h).diag
+        gains = lq_diagonal(h)
         with count_decompositions() as c_naive:
             naive_order_search(h, s, gains)
         with count_decompositions() as c_diag:

@@ -29,6 +29,7 @@ from .linalg import (
     count_decompositions,
     diagonal_permute,
     lq_decompose,
+    lq_diagonal,
     lq_not_permutation_linear_witness,
     permuted_svd,
     svd_decompose,
@@ -80,6 +81,7 @@ __all__ = [
     "LqFactors",
     "SvdFactors",
     "lq_decompose",
+    "lq_diagonal",
     "svd_decompose",
     "permuted_svd",
     "diagonal_permute",

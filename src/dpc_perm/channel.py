@@ -48,7 +48,14 @@ def sample_channel(rng: np.random.Generator, n: int, m: int | None = None) -> np
     reproducibility contract.
     """
     z = rng.standard_normal((2, n, n) if m is None else (m, 2, n, n))
-    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
+    # One complex stack, written part by part: numpy divides a complex by
+    # the real c as a multiply by fl(1/c), so this is (re + 1j·im) / √2 to
+    # the bit without its three complex temporaries.
+    h = np.empty(z.shape[:-3] + z.shape[-2:], dtype=np.complex128)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(z[..., 0, :, :], scale, out=h.real)
+    np.multiply(z[..., 1, :, :], scale, out=h.imag)
+    return h
 
 
 def generate_channel(spec: ChannelSpec) -> np.ndarray:

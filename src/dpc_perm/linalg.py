@@ -9,6 +9,8 @@ row permutation.
 
 The factorizations and the inverse take one channel ``(n, n)`` or a stack
 ``(m, n, n)``, as the precoders do (see :mod:`dpc_perm.precoding`).
+A caller that reads only the LQ diagonal (the ``diag(L)`` gains) takes
+:func:`lq_diagonal`, an R-only QR that never forms ``q`` or ``l``.
 
 Orders are 0-based one-line notation throughout: ``order[i] = j`` means
 row ``i`` of the permuted object is row ``j`` of the original, so the
@@ -35,6 +37,7 @@ __all__ = [
     "SvdFactors",
     "as_channel_stack",
     "lq_decompose",
+    "lq_diagonal",
     "svd_decompose",
     "singular_values",
     "svd_inverse",
@@ -81,8 +84,8 @@ class DecompositionCounter:
 def count_decompositions() -> Iterator[DecompositionCounter]:
     """Record every LQ/SVD factorization performed in this thread.
 
-    Only :func:`lq_decompose`, :func:`svd_decompose` and
-    :func:`singular_values` tick it, once per factored channel (a stack of
+    Only :func:`lq_decompose`, :func:`lq_diagonal`, :func:`svd_decompose`
+    and :func:`singular_values` tick it, once per factored channel (a stack of
     ``m`` channels counts ``m``), so search instrumentation cannot claim
     work that never went through a factorization routine.
     """
@@ -179,35 +182,61 @@ class SvdFactors:
         return (self.u * self.sigma[..., np.newaxis, :]) @ self.v.conj().swapaxes(-2, -1)
 
 
-def lq_decompose(h: np.ndarray) -> LqFactors:
-    """Factor a square channel ``(n, n)``, or each channel of a stack
-    ``(m, n, n)``, as ``h = l @ q``: lower-triangular ``l`` with real
-    non-negative diagonal and unitary ``q``, both with the shape of ``h``.
-
-    Raises
-    ------
-    NumericallySingular
-        If any diagonal entry of ``l`` falls below
-        ``EPS_SING * ||h||_F``, which would poison the feedback division
-        in dirty paper coding downstream.
-    """
-    hs = as_channel_stack(h)
-    # LQ of h is the conjugate transpose of a QR of h^H.
-    q_r, r = np.linalg.qr(hs.conj().transpose(0, 2, 1))
+def _lq_magnitudes(hs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``|diag(r)|`` ``(m, n)``, the LQ diagonal of the stack ``hs`` from the
+    ``r`` of a QR of ``hsᴴ``, under :func:`lq_diagonal`'s singularity rule;
+    ticks one LQ per channel."""
     _tick("lq", hs.shape[0])
-    d = np.diagonal(r, axis1=1, axis2=2).conj()
-    mag = np.abs(d)
-    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    l = r.conj().transpose(0, 2, 1) * phase.conj()[:, np.newaxis, :]
-    idx = np.arange(hs.shape[1])
-    l[:, idx, idx] = mag
-    q = phase[:, :, np.newaxis] * q_r.conj().transpose(0, 2, 1)
+    mag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     scale = np.linalg.norm(hs, axis=(1, 2))
     if not np.all(mag > EPS_SING * scale[:, np.newaxis]):
         raise NumericallySingular(
             f"LQ diagonal below {EPS_SING:g} * ||H||_F, channel is numerically singular"
         )
+    return mag
+
+
+def lq_decompose(h: np.ndarray) -> LqFactors:
+    """Factor a square channel ``(n, n)``, or each channel of a stack
+    ``(m, n, n)``, as ``h = l @ q``: lower-triangular ``l`` with real
+    non-negative diagonal and unitary ``q``, both with the shape of ``h``.
+
+    A caller that reads only ``.diag`` takes :func:`lq_diagonal`, which
+    gives the same array without forming ``q`` or ``l``.
+
+    Raises
+    ------
+    NumericallySingular
+        As :func:`lq_diagonal`.
+    """
+    hs = as_channel_stack(h)
+    # LQ of h is the conjugate transpose of a QR of h^H.
+    q_r, r = np.linalg.qr(hs.conj().transpose(0, 2, 1))
+    mag = _lq_magnitudes(hs, r)  # all positive, or it raised
+    phase = np.diagonal(r, axis1=1, axis2=2).conj() / mag
+    l = r.conj().transpose(0, 2, 1) * phase.conj()[:, np.newaxis, :]
+    idx = np.arange(hs.shape[1])
+    l[:, idx, idx] = mag
+    q = phase[:, :, np.newaxis] * q_r.conj().transpose(0, 2, 1)
     return LqFactors(l=l, q=q) if np.ndim(h) == 3 else LqFactors(l=l[0], q=q[0])
+
+
+def lq_diagonal(h: np.ndarray) -> np.ndarray:
+    """The real non-negative diagonal of ``l`` in ``h = l @ q``, ``(n,)`` for a
+    channel or ``(m, n)`` for a stack ``(m, n, n)``: ``lq_decompose(h).diag``
+    to the bit, from the triangular factor of a QR of ``hᴴ`` alone (no ``q``
+    is formed), counted as one LQ per channel.
+
+    Raises
+    ------
+    NumericallySingular
+        If any diagonal entry falls below ``EPS_SING * ||h||_F``, which
+        would poison the feedback division in dirty paper coding
+        downstream.
+    """
+    hs = as_channel_stack(h)
+    mag = _lq_magnitudes(hs, np.linalg.qr(hs.conj().transpose(0, 2, 1), mode="r"))
+    return mag if np.ndim(h) == 3 else mag[0]
 
 
 def svd_decompose(h: np.ndarray) -> SvdFactors:

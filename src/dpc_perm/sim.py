@@ -69,7 +69,7 @@ import numpy as np
 from . import __version__ as _version
 from .channel import sample_channel, stream
 from .exceptions import ConfigError, DpcPermError, WorkerCrashed
-from .linalg import LqFactors, lq_decompose, singular_values
+from .linalg import LqFactors, lq_decompose, lq_diagonal, singular_values
 from .modem import (
     Constellation,
     QAM_ORDERS,
@@ -411,11 +411,14 @@ def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Desig
 
     if precoder in _DPC_FAMILY:
         # Transmitted unrescaled (see the module docstring's conventions).
-        needs_lq = precoder == "dpc-conventional" or cfg.gain_mode == "diag-L"
-        factors = lq_decompose(hs) if needs_lq else None
-        sv = None if cfg.gain_mode == "diag-L" else singular_values(hs)
-        k = factors.diag if sv is None else waterfill(sv, cfg.power_budget)
-        if precoder == "dpc-conventional":
+        # Only the successive encode reads Q; linear DPC, H⁻¹ diag(k), needs
+        # at most diag(L), which an R-only QR gives without forming Q or L.
+        factors = lq_decompose(hs) if precoder == "dpc-conventional" else None
+        if cfg.gain_mode == "waterfill":
+            k = waterfill(singular_values(hs), cfg.power_budget)
+        else:
+            k = lq_diagonal(hs) if factors is None else factors.diag
+        if factors is not None:
             return _Design(hs, factors=factors, gains=k)
         return _Design(hs, w=dpc_linear(hs, k), gains=k)
 

@@ -21,6 +21,19 @@ def test_single_draw_is_the_philox_ss_v1_draw(n, seed):
     np.testing.assert_array_equal(sample_channel(stream(seed), n), (re + 1j * im) / np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("m", [None, 1, 7, 512])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_draw_is_the_three_temporary_expression_to_the_bit(seed, m, n):
+    # The one-pass combine against the expression it replaced, compared
+    # bit for bit (signed zeros included).
+    z = stream(seed, 0).standard_normal((2, n, n) if m is None else (m, 2, n, n))
+    want = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
+    got = sample_channel(stream(seed, 0), n, m)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_generated_channel_values_are_pinned():
     h = generate_channel(ChannelSpec(n_users=3, seed=2024))
     assert h[0, 0] == complex(-0.14122583352104606, 0.572525897146633)

@@ -16,6 +16,7 @@ from dpc_perm.linalg import (
     count_decompositions,
     diagonal_permute,
     lq_decompose,
+    lq_diagonal,
     lq_not_permutation_linear_witness,
     permuted_svd,
     singular_values,
@@ -151,6 +152,59 @@ def test_lq_stack_conventions_property(hs):
     _assert_unitary(f.q)
     for h, l, q in zip(hs, f.l, f.q):
         assert np.linalg.norm(l @ q - h) <= EPS_LIN * np.linalg.norm(h)
+
+
+@given(hs=_STACKS)
+@settings(max_examples=100, deadline=None)
+def test_lq_diagonal_is_the_lq_diag_to_the_bit_property(hs):
+    for h in (hs, hs[0]):
+        d = lq_diagonal(h)
+        assert d.dtype == np.float64 and d.shape == h.shape[:-1]
+        np.testing.assert_array_equal(d, lq_decompose(h).diag)
+
+
+def _singular_and_invalid_channels():
+    h = random_channel(5, 4)
+    zero_row, equal_rows, tiny_row = h.copy(), h.copy(), h.copy()
+    zero_row[2] = 0.0
+    equal_rows[3] = equal_rows[1]
+    tiny_row[0] *= 1e-14
+    nan = h.copy()
+    nan[1, 1] = np.nan
+    inf = h.copy()
+    inf[0, 3] = np.inf
+    stack = np.stack([h, tiny_row])
+    return {
+        "zero-row": zero_row,
+        "equal-rows": equal_rows,
+        "row-scaled-1e-14": tiny_row,
+        "singular-in-stack": stack,
+        "nan": nan,
+        "inf": inf,
+        "non-square": np.ones((2, 3)),
+        "vector": np.ones(3),
+        "empty": np.ones((0, 2, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_singular_and_invalid_channels()))
+def test_lq_diagonal_refuses_what_lq_decompose_refuses(name):
+    h = _singular_and_invalid_channels()[name]
+    with pytest.raises(Exception) as full:
+        lq_decompose(h)
+    with pytest.raises(Exception) as diagonal_only:
+        lq_diagonal(h)
+    assert full.type in (NumericallySingular, ValueError)
+    assert diagonal_only.type is full.type
+    assert str(diagonal_only.value) == str(full.value)
+
+
+def test_lq_diagonal_counts_one_lq_per_channel():
+    hs = np.stack([random_channel(t, 4) for t in range(7)])
+    with count_decompositions() as counter:
+        lq_diagonal(hs)
+        lq_diagonal(hs[0])
+    assert (counter.lq, counter.svd) == (8, 0)
 
 
 @given(hs=_STACKS)

@@ -714,6 +714,21 @@ def test_dpc_conventional_encode_never_solves(monkeypatch):
     assert (result.decompositions_performed, result.permutations_evaluated) == (24, 24)
 
 
+def test_diag_l_linear_dpc_never_forms_the_lq_factors(monkeypatch):
+    # Linear DPC reads only diag(L), which lq_diagonal's R-only QR gives;
+    # the successive encode reads Q, so the same guard stops its sweep.
+    def refuse(hs):
+        raise AssertionError("lq_decompose called")
+
+    monkeypatch.setattr(sim, "lq_decompose", refuse)
+    for channel_mode in sim.CHANNEL_MODES:
+        cfg = small_cfg(precoder="dpc-linear", channel_mode=channel_mode, trials_per_point=20)
+        assert cfg.gain_mode == "diag-L"
+        assert sum(r.bits_sent for r in run_ber_sweep(cfg, workers=1)) > 0
+    with pytest.raises(AssertionError, match="lq_decompose called"):
+        run_ber_sweep(small_cfg(precoder="dpc-conventional", trials_per_point=20), workers=1)
+
+
 # ---------------------------------------------------------------------------
 # Resource bound
 # ---------------------------------------------------------------------------
