@@ -11,10 +11,10 @@ complexity    Decomposition-cost model table with instrumented counts.
 verify        Run the built-in property suites.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric failure, 4 a worker process of a parallel sweep died. Numeric
-and worker failures name where the sweep stopped (see
-:func:`dpc_perm.sim.run_ber_sweep`). Identical invocations produce
-byte-identical output files (no timestamps anywhere).
+3 numeric failure, 4 a worker process of a parallel sweep died, 5 out of
+memory (a ``MemoryError``). Numeric and worker failures name where the
+sweep stopped (see :func:`dpc_perm.sim.run_ber_sweep`). Identical
+invocations produce byte-identical output files (no timestamps anywhere).
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ _EXIT_VERIFY = 1
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_WORKER = 4
+_EXIT_MEMORY = 5
 
 # Calls of each search per n behind the wall-time ratio of `complexity`.
 _TIMED_RUNS = 5
@@ -121,6 +122,9 @@ def main(argv=None) -> int:
     except DpcPermError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return _EXIT_MEMORY
 
 
 def _load_json(path: str) -> dict:

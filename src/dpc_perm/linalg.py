@@ -9,8 +9,13 @@ row permutation.
 
 The factorizations and the inverse take one channel ``(n, n)`` or a stack
 ``(m, n, n)``, as the precoders do (see :mod:`dpc_perm.precoding`).
-A caller that reads only the LQ diagonal (the ``diag(L)`` gains) takes
-:func:`lq_diagonal`, an R-only QR that never forms ``q`` or ``l``.
+The LQ is one Householder QR of ``hᴴ`` (LAPACK geqrf): ``q`` stays as its
+n reflectors, which :func:`lq_apply_qh` applies to a successive encode's
+vectors (the ``xUNMQR`` route; Golub & Van Loan, *Matrix Computations*,
+§5.1-5.2), and is formed only when read. A caller that reads only the LQ
+diagonal (the ``diag(L)`` gains) takes :func:`lq_diagonal`, which forms
+neither ``q`` nor ``l``. Only this module calls ``np.linalg.qr``, so every
+LQ output derives from one ``R``.
 
 Orders are 0-based one-line notation throughout: ``order[i] = j`` means
 row ``i`` of the permuted object is row ``j`` of the original, so the
@@ -21,7 +26,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,6 +43,7 @@ __all__ = [
     "SvdFactors",
     "as_channel_stack",
     "lq_decompose",
+    "lq_apply_qh",
     "lq_diagonal",
     "svd_decompose",
     "singular_values",
@@ -159,15 +166,34 @@ class LqFactors:
     into ``q``), which pins the otherwise free phase of each row and makes
     ``diag(l)`` usable directly as a per-user gain vector. For a stack
     of channels ``l`` and ``q`` are stacks ``(m, n, n)`` too.
+
+    ``q`` is not stored but kept as the one geqrf of ``hᴴ``: ``hᴴ = Q_r R``,
+    ``Q_r = H_0 H_1 ... H_{n-1}``, ``H_i = I - tau_i v_i v_iᴴ``. Row ``i`` of
+    ``reflectors`` (numpy's ``mode="raw"`` array) holds ``R[:i+1, i]``, then
+    the tail of ``v_i`` (0 before entry ``i``, 1 at it); ``tau`` and the
+    unit ``phase`` are ``(..., n)``, and ``q = diag(phase) @ Q_rᴴ``, which
+    :func:`lq_apply_qh` applies. Reading ``q`` forms it once, from a
+    complete QR of ``hᴴ`` (numpy's ``R`` is the same in every mode). ``h``
+    is the factored channel itself, not a copy, which would add a stack to
+    every sweep chunk: change it in place only after reading ``q``.
     """
 
     l: np.ndarray
-    q: np.ndarray
+    reflectors: np.ndarray = field(repr=False)
+    tau: np.ndarray = field(repr=False)
+    phase: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
 
     @property
     def diag(self) -> np.ndarray:
         """Real diagonal of ``l`` (the per-user channel gains), ``(..., n)``."""
         return np.real(np.diagonal(self.l, axis1=-2, axis2=-1)).copy()
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The unitary factor, shaped like ``l``; formed once, on first read."""
+        q_r = np.linalg.qr(np.swapaxes(self.h.conj(), -2, -1))[0]
+        return self.phase[..., np.newaxis] * np.swapaxes(q_r.conj(), -2, -1)
 
 
 @dataclass(frozen=True)
@@ -184,8 +210,8 @@ class SvdFactors:
 
 def _lq_magnitudes(hs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``|diag(r)|`` ``(m, n)``, the LQ diagonal of the stack ``hs`` from the
-    ``r`` of a QR of ``hsᴴ``, under :func:`lq_diagonal`'s singularity rule;
-    ticks one LQ per channel."""
+    geqrf output ``r`` of ``hsᴴ`` (its diagonal is ``R``'s), under
+    :func:`lq_diagonal`'s singularity rule; ticks one LQ per channel."""
     _tick("lq", hs.shape[0])
     mag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     scale = np.linalg.norm(hs, axis=(1, 2))
@@ -201,8 +227,11 @@ def lq_decompose(h: np.ndarray) -> LqFactors:
     ``(m, n, n)``, as ``h = l @ q``: lower-triangular ``l`` with real
     non-negative diagonal and unitary ``q``, both with the shape of ``h``.
 
-    A caller that reads only ``.diag`` takes :func:`lq_diagonal`, which
-    gives the same array without forming ``q`` or ``l``.
+    One geqrf per channel (``np.linalg.qr(hᴴ, mode="raw")``): ``l`` comes
+    from its ``R`` and ``q`` stays in its reflectors (see
+    :class:`LqFactors`), so a successive encode costs no ``q`` stack. A
+    caller that reads only ``.diag`` takes :func:`lq_diagonal`, which gives
+    the same array without forming ``l``.
 
     Raises
     ------
@@ -211,21 +240,57 @@ def lq_decompose(h: np.ndarray) -> LqFactors:
     """
     hs = as_channel_stack(h)
     # LQ of h is the conjugate transpose of a QR of h^H.
-    q_r, r = np.linalg.qr(hs.conj().transpose(0, 2, 1))
-    mag = _lq_magnitudes(hs, r)  # all positive, or it raised
-    phase = np.diagonal(r, axis1=1, axis2=2).conj() / mag
-    l = r.conj().transpose(0, 2, 1) * phase.conj()[:, np.newaxis, :]
-    idx = np.arange(hs.shape[1])
+    reflectors, tau = np.linalg.qr(hs.conj().transpose(0, 2, 1), mode="raw")
+    mag = _lq_magnitudes(hs, reflectors)  # all positive, or it raised
+    phase = np.diagonal(reflectors, axis1=1, axis2=2).conj() / mag
+    # l = Rᴴ diag(conj(phase)): row i of the reflectors holds column i of R.
+    # Stored as the transpose of a C-ordered stack, the layout of Rᴴ, which
+    # fixes the summation order of the feedback's products over l.
+    n = hs.shape[1]
+    l = np.conjugate(reflectors.transpose(0, 2, 1), order="C").transpose(0, 2, 1)
+    l *= phase.conj()[:, np.newaxis, :]
+    upper = np.triu_indices(n, 1)
+    l[:, upper[0], upper[1]] = 0.0
+    idx = np.arange(n)
     l[:, idx, idx] = mag
-    q = phase[:, :, np.newaxis] * q_r.conj().transpose(0, 2, 1)
-    return LqFactors(l=l, q=q) if np.ndim(h) == 3 else LqFactors(l=l[0], q=q[0])
+    if np.ndim(h) == 2:
+        l, reflectors, tau, phase, hs = l[0], reflectors[0], tau[0], phase[0], hs[0]
+    return LqFactors(l=l, reflectors=reflectors, tau=tau, phase=phase, h=hs)
+
+
+def lq_apply_qh(factors: LqFactors, xt: np.ndarray) -> np.ndarray:
+    """``qᴴ @ xt`` ``(k, d, n)`` for the LQ factors of ``k`` channels
+    ``(k, n, n)`` and ``d`` vectors a channel ``xt`` ``(k, n, d)``: the one
+    ``qᴴ`` product of :func:`dpc_perm.precoding.successive_encode` and the
+    sweep's THP.
+
+    One vector a channel (a stack, or one channel) takes the ``n``
+    reflectors, last first, each one batched step over all channels, and
+    never forms ``q``. Several (the fixed channel's draws) take one GEMM
+    with ``q``, formed once for the factors, which beats ``n`` steps there.
+    """
+    if xt.shape[2] > 1:
+        return (factors.q.conj().transpose(0, 2, 1) @ xt).transpose(0, 2, 1)
+    # qᴴ x = Q_r (conj(phase) ∘ x) = H_0 (H_1 (... H_{n-1} (conj(phase) ∘ x))).
+    # Every complex product is an einsum, which rounds alike whatever the
+    # strides; `*` picks a SIMD or a strided loop by layout, and those round
+    # differently, while a stacked call must equal its per-channel calls.
+    n = xt.shape[1]
+    y = np.ascontiguousarray(np.einsum("kn,kn->nk", xt[:, :, 0], factors.phase.conj()))
+    for i in range(n - 1, -1, -1):
+        v = factors.reflectors[:, i, i + 1 :].T  # tail of v_i, (n - 1 - i, k)
+        vh_y = y[i] + np.einsum("jk,jk->k", v.conj(), y[i + 1 :])
+        w = np.einsum("k,k->k", factors.tau[:, i], vh_y)
+        y[i] -= w
+        y[i + 1 :] -= np.einsum("k,jk->jk", w, v)
+    return y.T[:, np.newaxis, :]
 
 
 def lq_diagonal(h: np.ndarray) -> np.ndarray:
     """The real non-negative diagonal of ``l`` in ``h = l @ q``, ``(n,)`` for a
     channel or ``(m, n)`` for a stack ``(m, n, n)``: ``lq_decompose(h).diag``
-    to the bit, from the triangular factor of a QR of ``hᴴ`` alone (no ``q``
-    is formed), counted as one LQ per channel.
+    to the bit, from the diagonal of the one geqrf of ``hᴴ`` alone (neither
+    ``q`` nor ``l`` is formed), counted as one LQ per channel.
 
     Raises
     ------
@@ -235,7 +300,7 @@ def lq_diagonal(h: np.ndarray) -> np.ndarray:
         downstream.
     """
     hs = as_channel_stack(h)
-    mag = _lq_magnitudes(hs, np.linalg.qr(hs.conj().transpose(0, 2, 1), mode="r"))
+    mag = _lq_magnitudes(hs, np.linalg.qr(hs.conj().transpose(0, 2, 1), mode="raw")[0])
     return mag if np.ndim(h) == 3 else mag[0]
 
 

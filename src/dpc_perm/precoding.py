@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_decompose
+from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_apply_qh, lq_decompose
 
 # 1/sigma**2 is finite and positive exactly for sigma in [1/_SIGMA_MAX, _SIGMA_MAX].
 _SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max))
@@ -90,18 +90,20 @@ def successive_encode(
     against LQ factors, the one encode of :func:`dpc_conventional` and
     :func:`thp_precode`: the symbols, scaled by ``gains / diag(l)`` (exactly
     1 for THP's gains ``diag(l)``), run through :func:`successive_feedback`
-    with ``modulo_base``, so a channel costs O(n^2) and one ``q^H`` product.
+    with ``modulo_base``, then :func:`linalg.lq_apply_qh`, so a channel
+    costs O(n^2) and never forms ``q``.
 
     ``factors`` holds ``k`` channels, ``m`` a multiple of ``k``: channel ``c``
     encodes rows ``[c * m/k, (c + 1) * m/k)`` of ``s``, with gains ``(n,)`` or
     ``(k, n)``, in the buffer layout ``(k, n, m/k)``. A stack (``k = m``) is
-    ``(m, n, 1)``; one shared channel (``k = 1``) is ``(1, n, m)``, each user
-    one matrix-vector product over all draws.
+    ``(m, n, 1)``, rotated by the QR's reflectors; one shared channel
+    (``k = 1``) is ``(1, n, m)``, each user one matrix-vector product over
+    all draws, and ``q^H`` one GEMM.
     """
     k, n = factors.l.shape[:2]
     xt = (s.reshape(k, -1, n) * (gains / factors.diag)[:, np.newaxis]).transpose(0, 2, 1).copy()
     successive_feedback(factors.l, xt, modulo_base)
-    return (factors.q.conj().transpose(0, 2, 1) @ xt).transpose(0, 2, 1).reshape(-1, n)
+    return lq_apply_qh(factors, xt).reshape(-1, n)
 
 
 def dpc_linear(h: np.ndarray, gains: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ import numpy as np
 from . import __version__ as _version
 from .channel import sample_channel, stream
 from .exceptions import ConfigError, DpcPermError, WorkerCrashed
-from .linalg import LqFactors, lq_decompose, lq_diagonal, singular_values
+from .linalg import LqFactors, lq_apply_qh, lq_decompose, lq_diagonal, singular_values
 from .modem import (
     Constellation,
     QAM_ORDERS,
@@ -389,10 +389,12 @@ class _Design:
     """What a precoder derives from a channel stack ``hs`` ``(k, n, n)``
     alone (mmse: and the noise variance), before any symbol is seen.
 
-    ``factors`` is the LQ of ``hs`` (dpc-conventional, THP), ``w`` the
-    precoding matrices (dpc-linear, zf, mmse, bd), ``alpha`` ``(k,)`` their
-    power scale (zf, mmse, bd) and ``gains`` ``(k, n)`` the effective gains
-    (all but THP, whose scale comes from each chunk's pilots).
+    ``factors`` is the LQ of ``hs`` (dpc-conventional, THP): ``l`` and the
+    QR's reflectors for a chunk's stack, plus the formed ``q`` for the
+    fixed channel (:func:`_successive_factors`). ``w`` is the precoding
+    matrices (dpc-linear, zf, mmse, bd), ``alpha`` ``(k,)`` their power
+    scale (zf, mmse, bd) and ``gains`` ``(k, n)`` the effective gains (all
+    but THP, whose scale comes from each chunk's pilots).
     """
 
     hs: np.ndarray
@@ -402,18 +404,28 @@ class _Design:
     gains: np.ndarray | None = None
 
 
+def _successive_factors(hs: np.ndarray) -> LqFactors:
+    """The LQ of ``hs``. One channel (the fixed channel, designed once per
+    sweep) forms its ``q`` here, before the design goes to every chunk,
+    whose draws take one GEMM with it (:func:`linalg.lq_apply_qh`)."""
+    factors = lq_decompose(hs)
+    if len(hs) == 1:
+        factors.q  # formed now and cached on the factors
+    return factors
+
+
 def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Design:
     """Design the precoder of ``hs``, a chunk's stack ``(m, n, n)`` or the
     fixed channel ``(1, n, n)``. Only mmse reads the noise variance ``nv``."""
     precoder = cfg.precoder
     if precoder == "thp":
-        return _Design(hs, factors=lq_decompose(hs))
+        return _Design(hs, factors=_successive_factors(hs))
 
     if precoder in _DPC_FAMILY:
         # Transmitted unrescaled (see the module docstring's conventions).
         # Only the successive encode reads Q; linear DPC, H⁻¹ diag(k), needs
         # at most diag(L), which an R-only QR gives without forming Q or L.
-        factors = lq_decompose(hs) if precoder == "dpc-conventional" else None
+        factors = _successive_factors(hs) if precoder == "dpc-conventional" else None
         if cfg.gain_mode == "waterfill":
             k = waterfill(singular_values(hs), cfg.power_budget)
         else:
@@ -519,6 +531,9 @@ def _thp_transmit(
     pilot ``labels`` ``(1, _THP_PILOTS, n)``, stored in every channel's
     pilot columns. Data and pilots share one feedback pass, in place in the
     buffer, so each channel feeds the batch back through its own ``L``.
+    Only the data columns are rotated, by :func:`linalg.lq_apply_qh`: the
+    reflectors for a stack, one GEMM with ``q`` for the shared channel.
+    The pilots never are; ``q`` is unitary, so their power is that of ``x~``.
 
     THP's power is measured, not designed: each channel's scale
     ``alpha = sqrt(power_budget / mean pilot power)`` comes from its pilot
@@ -537,7 +552,7 @@ def _thp_transmit(
     pilots = xt[:, :, d:].view(np.float64)
     mean_power = np.einsum("kij,kij->k", pilots, pilots) / _THP_PILOTS
     alpha = np.sqrt(cfg.power_budget / mean_power)
-    x = (factors.q.conj().transpose(0, 2, 1) @ xt[:, :, :d]).transpose(0, 2, 1)
+    x = lq_apply_qh(factors, xt[:, :, :d])
     return (alpha[:, np.newaxis, np.newaxis] * x).reshape(m, n), alpha[:, np.newaxis] * factors.diag
 
 

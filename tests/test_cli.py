@@ -362,6 +362,20 @@ def test_ber_sweep_worker_crash_exits_4(tmp_path, sweep_config, monkeypatch, cap
     assert "worker failure: sweep aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 3.2 GiB"])
+def test_out_of_memory_exits_5(tmp_path, sweep_config, monkeypatch, capsys, message):
+    # The handler raises MemoryError itself, so nothing large is allocated.
+    def exhaust(cfg, workers=None):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_ber_sweep", exhaust)
+    argv = ["ber-sweep", "--config", str(sweep_config), "--out", str(tmp_path)]
+    assert cli.main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and "Traceback" not in err
+    assert (message or "an allocation failed") in err
+
+
 def test_complexity_table(tmp_path):
     out = tmp_path / "o"
     res = run_cli("complexity", "--n-max", "5", "--out", str(out))

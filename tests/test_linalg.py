@@ -15,6 +15,7 @@ from dpc_perm.linalg import (
     as_order,
     count_decompositions,
     diagonal_permute,
+    lq_apply_qh,
     lq_decompose,
     lq_diagonal,
     lq_not_permutation_linear_witness,
@@ -23,6 +24,7 @@ from dpc_perm.linalg import (
     svd_decompose,
 )
 from dpc_perm.ordering import diagonal_order_search, naive_order_search
+from dpc_perm.precoding import successive_encode, successive_feedback
 
 
 def random_channel(seed, n):
@@ -205,6 +207,66 @@ def test_lq_diagonal_counts_one_lq_per_channel():
         lq_diagonal(hs)
         lq_diagonal(hs[0])
     assert (counter.lq, counter.svd) == (8, 0)
+
+
+def _complete_mode_lq(hs):
+    """The LQ as a complete-mode QR of ``hsᴴ`` builds it, with ``q`` formed
+    (geqrf and ungqr) and phase-fixed: the reference for bit-identity."""
+    q_r, r = np.linalg.qr(hs.conj().transpose(0, 2, 1))
+    mag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    phase = np.diagonal(r, axis1=1, axis2=2).conj() / mag
+    l = r.conj().transpose(0, 2, 1) * phase.conj()[:, np.newaxis, :]
+    idx = np.arange(hs.shape[1])
+    l[:, idx, idx] = mag
+    return l, phase[:, :, np.newaxis] * q_r.conj().transpose(0, 2, 1)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@given(hs=_STACKS, seed=st.integers(0, 2**32), draws=st.integers(2, 9))
+@settings(max_examples=100, deadline=None)
+def test_reflector_q_product_matches_the_formed_q_property(hs, seed, draws):
+    rng = np.random.default_rng(seed)
+    m, n = hs.shape[:2]
+    l, q = _complete_mode_lq(hs)
+    with count_decompositions() as counter:
+        f = lq_decompose(hs)
+        assert np.array_equal(f.q, q)  # forming q is no second LQ
+    assert (counter.lq, counter.svd) == (m, 0)
+    assert np.array_equal(f.l, l) and f.l.strides == l.strides
+    assert np.array_equal(f.diag, np.real(np.diagonal(l, axis1=1, axis2=2)))
+
+    # A stack, one vector a channel: the reflectors, within rounding of the
+    # product with the formed q (n reflectors, each O(eps) backward error).
+    x = _complex_normal(rng, (m, n, 1))
+    got = lq_apply_qh(f, x)
+    want = (q.conj().transpose(0, 2, 1) @ x).transpose(0, 2, 1)
+    assert got.shape == (m, 1, n)
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(got - want)) <= 2 * (n + 1) * eps * np.max(np.abs(want))
+    for c in range(m):
+        one = lq_apply_qh(lq_decompose(hs[c : c + 1]), x[c : c + 1])
+        np.testing.assert_array_equal(one[0], got[c])
+    # THP's data columns: the first column of its data-and-pilot buffer.
+    buf = _complex_normal(rng, (m, n, 1 + draws))
+    buf[:, :, :1] = x
+    np.testing.assert_array_equal(lq_apply_qh(f, buf[:, :, :1]), got)
+
+    # One shared channel, several draws: one GEMM with the formed q, and the
+    # successive encode equal to the complete-mode LQ's, bit for bit.
+    shared = lq_decompose(hs[:1])
+    xs = _complex_normal(rng, (1, n, draws))
+    np.testing.assert_array_equal(
+        lq_apply_qh(shared, xs), (q[:1].conj().transpose(0, 2, 1) @ xs).transpose(0, 2, 1)
+    )
+    s = _complex_normal(rng, (draws, n))
+    gains = rng.uniform(0.0, 2.0, size=n)
+    xt = (s * (gains / shared.diag[0])).T[np.newaxis].copy()
+    successive_feedback(l[:1], xt)
+    encoded = (q[:1].conj().transpose(0, 2, 1) @ xt)[0].T
+    np.testing.assert_array_equal(successive_encode(shared, gains, s), encoded)
 
 
 @given(hs=_STACKS)

@@ -1054,16 +1054,16 @@ THP_PINNED_RECORDS = {
     # Each trial's channel feeds back the chunk's one pilot batch
     # (philox-ss-v4), so alpha is one number per trial.
     (4, "per-trial-channel"): [
-        (14000, 1617, "0x1.420db6e4a1690p+3", "0x1.3e661e8c79000p-14"),
-        (14000, 174, "0x1.3fbe61c74ec8ap+3", "0x1.142025c0d7800p-12"),
-        (14000, 20, "0x1.409850945bb7fp+3", "0x1.8727298f3a000p-13"),
-        (14000, 0, "0x1.3ef442a096648p+3", "0x1.6a09e667f3abep-1"),
+        (14000, 1617, "0x1.420db6e4a1690p+3", "0x1.3e661e8c6d000p-14"),
+        (14000, 174, "0x1.3fbe61c74ec8ap+3", "0x1.142025c0ce800p-12"),
+        (14000, 20, "0x1.409850945bb7fp+3", "0x1.8727298f62000p-13"),
+        (14000, 0, "0x1.3ef442a096648p+3", "0x1.6a09e667f3a9ep-1"),
     ],
     (16, "per-trial-channel"): [
-        (28000, 5669, "0x1.3f5c237e13722p+3", "0x1.6b02049f60000p-17"),
-        (28000, 778, "0x1.4741f7553bdd1p+3", "0x1.1f88d8ab52400p-13"),
-        (28000, 85, "0x1.3d3cc5023161dp+3", "0x1.ff8869db37d80p-10"),
-        (28000, 0, "0x1.450a3c91b0543p+3", "0x1.43d13624845d8p-2"),
+        (28000, 5669, "0x1.3f5c237e13722p+3", "0x1.6b02049f5c000p-17"),
+        (28000, 778, "0x1.4741f7553bdd1p+3", "0x1.1f88d8ab59400p-13"),
+        (28000, 85, "0x1.3d3cc5023161dp+3", "0x1.ff8869db36980p-10"),
+        (28000, 0, "0x1.450a3c91b0543p+3", "0x1.43d1362484533p-2"),
     ],
     # One channel and one pilot batch per chunk (unchanged since
     # philox-ss-v3), so alpha is one number per chunk of trials.
@@ -1172,10 +1172,10 @@ SWEEP_PINNED_RECORDS = {
         (49000, 0, "0x1.3ac3e92336fd3p+3", "0x1.c453d90f056dfp-4"),
     ],
     ("dpc-conventional", "diag-L", 4, "per-trial-channel"): [
-        (14000, 683, "0x1.da63636a0283dp+9", "0x1.8e3a9b0952000p-12"),
-        (14000, 55, "0x1.6f7de94d0017bp+8", "0x1.05a48b096cc00p-10"),
-        (14000, 6, "0x1.529cac04a0712p+8", "0x1.baef7dbacef40p-7"),
-        (14000, 0, "0x1.cb5d6abdfeaa8p+8", "0x1.6a09e667f0e3ap-1"),
+        (14000, 683, "0x1.da63636a0283dp+9", "0x1.8e3a9b0951800p-12"),
+        (14000, 55, "0x1.6f7de94d0017dp+8", "0x1.05a48b096af00p-10"),
+        (14000, 6, "0x1.529cac04a0710p+8", "0x1.baef7dbad57c0p-7"),
+        (14000, 0, "0x1.cb5d6abdfeaa8p+8", "0x1.6a09e667f3379p-1"),
     ],
     ("dpc-conventional", "diag-L", 4, "fixed-channel"): [
         (14000, 439, "0x1.2ed7f1dfc5d4ap+5", "0x1.1317821708000p-15"),
@@ -1184,10 +1184,10 @@ SWEEP_PINNED_RECORDS = {
         (14000, 0, "0x1.32822526aa1fdp+5", "0x1.6a09e667f3ba8p-1"),
     ],
     ("dpc-conventional", "diag-L", 128, "per-trial-channel"): [
-        (49000, 16136, "0x1.607366a9315f1p+11", "0x1.145c59a200000p-21"),
+        (49000, 16136, "0x1.607366a9315f1p+11", "0x1.145c59a000000p-21"),
         (49000, 6126, "0x1.526c2bfb910a7p+8", "0x1.8351b49d63c00p-15"),
-        (49000, 770, "0x1.114b1f4a23271p+8", "0x1.1bb5443532000p-16"),
-        (49000, 0, "0x1.3f38faa03baf1p+8", "0x1.c453d90efbe99p-4"),
+        (49000, 770, "0x1.114b1f4a23271p+8", "0x1.1bb5443519000p-16"),
+        (49000, 0, "0x1.3f38faa03baf1p+8", "0x1.c453d90eeaa61p-4"),
     ],
     ("dpc-conventional", "diag-L", 128, "fixed-channel"): [
         (49000, 15968, "0x1.2ffa0726682bdp+5", "0x1.ee148ca300000p-22"),
@@ -1220,10 +1220,10 @@ SWEEP_PINNED_RECORDS = {
         (49000, 0, "0x1.3285d76a50a7cp+5", "0x1.c453d90f056a0p-4"),
     ],
     ("dpc-conventional", "waterfill", 4, "per-trial-channel"): [
-        (11682, 395, "0x1.3379d6750b625p+11", "0x1.d47e5e9dd0000p-18"),
-        (11654, 56, "0x1.1594cf6ce539ep+10", "0x1.9d5de51efcae0p-7"),
-        (11650, 7, "0x1.f7cd05e10aa82p+9", "0x1.770662e837340p-6"),
-        (11644, 0, "0x1.480b60ea1f8b6p+10", "0x1.6a09e667f2ff1p-1"),
+        (11682, 395, "0x1.3379d6750b625p+11", "0x1.d47e5e9f50000p-18"),
+        (11654, 56, "0x1.1594cf6ce539dp+10", "0x1.9d5de51efcf20p-7"),
+        (11650, 7, "0x1.f7cd05e10aa81p+9", "0x1.770662e832ba0p-6"),
+        (11644, 0, "0x1.480b60ea1f8b7p+10", "0x1.6a09e667f29e9p-1"),
     ],
     ("dpc-conventional", "waterfill", 4, "fixed-channel"): [
         (11200, 174, "0x1.9abd17cebc572p+6", "0x1.01f9336a2c000p-14"),
@@ -1232,10 +1232,10 @@ SWEEP_PINNED_RECORDS = {
         (11200, 0, "0x1.9e7ff4b8c259bp+6", "0x1.6a09e667f3b8dp-1"),
     ],
     ("dpc-conventional", "waterfill", 128, "per-trial-channel"): [
-        (40887, 10437, "0x1.96662976d579fp+12", "0x1.f4d16a0e00000p-20"),
-        (40789, 3181, "0x1.e945e9ec19f56p+9", "0x1.e40f49984d000p-17"),
-        (40775, 572, "0x1.7f56f86577774p+9", "0x1.9e859f8828000p-17"),
-        (40754, 0, "0x1.e7b19a2d8a826p+9", "0x1.c453d90efc873p-4"),
+        (40887, 10437, "0x1.96662976d57a1p+12", "0x1.f4d16a1240000p-20"),
+        (40789, 3181, "0x1.e945e9ec19f56p+9", "0x1.e40f4998d7000p-17"),
+        (40775, 572, "0x1.7f56f86577774p+9", "0x1.9e859f8852000p-17"),
+        (40754, 0, "0x1.e7b19a2d8a827p+9", "0x1.c453d90eff1d6p-4"),
     ],
     ("dpc-conventional", "waterfill", 128, "fixed-channel"): [
         (39200, 9841, "0x1.98279e3fc3a4cp+6", "0x1.15348a5340000p-22"),
