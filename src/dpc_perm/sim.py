@@ -73,10 +73,10 @@ from .linalg import LqFactors, lq_apply_qh, lq_decompose, lq_diagonal, singular_
 from .modem import (
     Constellation,
     QAM_ORDERS,
-    hard_decisions,
+    _bit_labels,
+    _decide,
     make_constellation,
     modulation_name,
-    qam_modulate,
     wilson_interval,
 )
 from .precoding import (
@@ -144,6 +144,11 @@ _THP_PILOTS = 128
 # Largest estimated working set of one chunk (see _chunk_bytes); a bigger
 # config is refused by SweepConfig.validate instead of failing to allocate.
 _MAX_CHUNK_BYTES = 2**28
+
+# Most worker processes a sweep may start (resolve_workers). Each is an
+# interpreter with its own numpy, so a mistyped count must not start
+# hundreds of them.
+_MAX_WORKERS = 64
 
 # Largest power budget, about 1.3e154: a product of two powers stays finite.
 _MAX_POWER_BUDGET = math.sqrt(np.finfo(np.float64).max)
@@ -337,17 +342,29 @@ def fixed_channel_for(cfg: SweepConfig) -> np.ndarray:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Explicit worker count, else the DPC_PERM_WORKERS env var, else 1."""
+    """Explicit worker count, else the DPC_PERM_WORKERS env var, else 1.
+
+    Either must lie in 1.._MAX_WORKERS, else :class:`ConfigError`. The cap
+    is fixed, not the host's CPU count, so a config validates the same
+    way on every host.
+    """
     if workers is not None:
-        return config_int(workers, "workers", 1)
-    env = os.environ.get("DPC_PERM_WORKERS", "").strip()
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"DPC_PERM_WORKERS={env!r} is not an integer") from exc
-    return config_int(value, "DPC_PERM_WORKERS", 1)
+        field_name, value = "workers", workers
+    else:
+        env = os.environ.get("DPC_PERM_WORKERS", "").strip()
+        if not env:
+            return 1
+        try:
+            field_name, value = "DPC_PERM_WORKERS", int(env)
+        except ValueError as exc:
+            raise ConfigError(f"DPC_PERM_WORKERS={env!r} is not an integer") from exc
+    value = config_int(value, field_name, 1)
+    if value > _MAX_WORKERS:
+        raise ConfigError(
+            f"invalid value for field {field_name!r}: {value} is above the limit of "
+            f"{_MAX_WORKERS} worker processes"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +482,14 @@ def _simulate_chunk(
     m = t1 - t0
     nv = noise_variance(cfg, snr_db)
     fixed_hs = None if fixed is None else fixed.hs
-    hs, bits, noise, labels = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_hs)
-    s = qam_modulate(bits.ravel(), c).reshape(m, cfg.n_users)
+    hs, bits, noise, pilots = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_hs)
+    tx = _bit_labels(bits, c).reshape(m, cfg.n_users)
+    s = c.points[tx]
 
     design = _design(cfg, hs, nv) if fixed is None else fixed
-    is_thp = labels is not None
+    is_thp = pilots is not None
     if is_thp:
-        x, g = _thp_transmit(cfg, design.factors, s, labels, c)
+        x, g = _thp_transmit(cfg, design.factors, s, pilots, c)
     else:
         x, g = _linear_transmit(design, s)
 
@@ -479,20 +497,22 @@ def _simulate_chunk(
     if nv > 0.0:
         y = y + math.sqrt(nv / 2.0) * noise
 
-    g = np.broadcast_to(g, y.shape)
+    # Only water-filled DPC mutes users (zero gain); every other chunk
+    # decides all its samples without gathering them.
     active = g > 0
-    y_hat = np.zeros_like(y)
-    np.divide(y, g, out=y_hat, where=active)
+    if not active.all():
+        active = np.broadcast_to(active, y.shape)
+        y, g, tx = y[active], np.broadcast_to(g, active.shape)[active], tx[active]
+    y_hat = y / g
     if is_thp:
         y_hat = modulo_lattice(y_hat, _thp_base(c.order))
 
-    rx_bits, margins = hard_decisions(y_hat[active], c)
-    tx_bits = bits.reshape(m, cfg.n_users, c.bits_per_symbol)[active].ravel()
-    errors = int(np.count_nonzero(tx_bits != rx_bits))
+    rx, margins = _decide(y_hat.ravel(), c)
+    errors = int(np.bitwise_count(tx.ravel() ^ rx).sum())
 
     return {
         "errors": errors,
-        "bits": int(tx_bits.size),
+        "bits": tx.size * c.bits_per_symbol,
         "tx_power_sum": float(np.sum(np.abs(x) ** 2)),
         "min_margin": float(margins.min()) if margins.size else math.inf,
     }

@@ -83,6 +83,20 @@ def test_ber_sweep_workers_flag_matches_serial(tmp_path, sweep_config):
     assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, env",
+    [(["--workers", "65"], None), ([], {"DPC_PERM_WORKERS": "65"})],
+    ids=["flag", "env"],
+)
+def test_ber_sweep_above_the_worker_cap_exits_2(tmp_path, sweep_config, flag, env):
+    out = tmp_path / "o"
+    args = ("ber-sweep", "--config", str(sweep_config), "--out", str(out), *flag)
+    res = run_cli(*args, env_extra=env)
+    assert res.returncode == 2
+    assert "above the limit of 64 worker processes" in res.stderr
+    assert not out.exists()
+
+
 def test_ber_sweep_missing_field_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n_users": 4, "trials_per_point": 10}))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpc_perm import modem
 from dpc_perm.channel import stream
 from dpc_perm.exceptions import LengthMismatch
 from dpc_perm.modem import (
@@ -220,13 +222,52 @@ def test_candidate_table_is_used_from_16_qam_up():
     assert make_constellation(4)._table is None
     for order in (16, 64, 128):
         table = make_constellation(order)._table
-        assert table.labels.shape[1] <= 8
+        assert table.labels.shape[1] <= 5
         # rows hold distinct labels, ascending, padded at infinity
         valid = np.isfinite(table.points)
         for labels, ok in zip(table.labels, valid):
             assert np.all(np.diff(labels[ok]) > 0)
             assert ok[0] and np.all(ok[: ok.sum()])
-    assert make_constellation(128)._table.shape == (40, 40)
+    assert make_constellation(128)._table.shape == (80, 80)
+
+
+def test_candidate_table_build_is_small():
+    # The coarse-to-fine build never holds a (cells, order) array.
+    points = make_constellation(128).points
+    tracemalloc.start()
+    try:
+        modem._candidate_table(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+def test_candidate_table_equals_a_test_of_every_point(order):
+    # The coarse-to-fine build gives the lists of the candidate rule
+    # applied to every point of every cell at the final resolution.
+    points = make_constellation(order).points
+    table = make_constellation(order)._table
+    n_re, n_im = table.shape
+    lo = np.array([table.origin.real, table.origin.imag])
+    edges = [lo[a] + table.width * np.arange(n + 1) for a, n in enumerate(table.shape)]
+
+    def offsets(e, p):
+        near = np.maximum(0.0, np.maximum(e[:-1, None] - p, p - e[1:, None]))
+        far = np.maximum(np.abs(p - e[:-1, None]), np.abs(p - e[1:, None]))
+        return near**2, far**2
+
+    near_re, far_re = offsets(edges[0], points.real)
+    near_im, far_im = offsets(edges[1], points.imag)
+    for i in range(n_re):
+        bound = np.sqrt(np.sort(far_re[i] + far_im, axis=1)[:, 1:2]) + modem._CANDIDATE_SLACK
+        keep = np.sqrt(near_re[i] + near_im) <= bound
+        got = table.labels[i * n_im : (i + 1) * n_im]
+        for j in range(n_im):
+            kept = np.flatnonzero(keep[j])
+            assert got[j, : kept.size].tolist() == kept.tolist()
+            assert np.all(got[j, kept.size :] == order)
 
 
 @pytest.mark.parametrize("order", QAM_ORDERS)
@@ -241,6 +282,16 @@ def test_hard_decisions_match_on_half_spacing_grid(order):
     c = make_constellation(order)
     k = np.arange(-30, 31) * half_spacing(c)
     assert_matches_full_search((k[:, None] + 1j * k[None, :]).ravel(), c)
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+def test_hard_decisions_match_on_quarter_spacing_grid(order):
+    # The table's cell edges, and one ulp to either side of them.
+    c = make_constellation(order)
+    k = np.arange(-42, 43) * (half_spacing(c) / 2)
+    for re in (k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)):
+        for im in (k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)):
+            assert_matches_full_search((re[:, None] + 1j * im[None, :]).ravel(), c)
 
 
 def test_hard_decisions_match_at_cross_corners():

@@ -183,6 +183,29 @@ def test_resolve_workers_rejects_a_bad_environment_value(monkeypatch, env):
         resolve_workers(None)
 
 
+@pytest.mark.parametrize("workers", [sim._MAX_WORKERS + 1, 10**9])
+def test_resolve_workers_refuses_counts_above_the_cap(monkeypatch, workers):
+    monkeypatch.delenv("DPC_PERM_WORKERS", raising=False)
+    assert resolve_workers(sim._MAX_WORKERS) == sim._MAX_WORKERS
+    with pytest.raises(ConfigError, match=r"'workers': \d+ is above the limit of 64 worker"):
+        resolve_workers(workers)
+    monkeypatch.setenv("DPC_PERM_WORKERS", str(workers))
+    with pytest.raises(ConfigError, match="'DPC_PERM_WORKERS'.*above the limit of 64"):
+        resolve_workers(None)
+    monkeypatch.setenv("DPC_PERM_WORKERS", str(sim._MAX_WORKERS))
+    assert resolve_workers(None) == sim._MAX_WORKERS
+
+
+def test_sweep_above_the_worker_cap_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+    cfg = small_cfg(precoder="zf", snr_grid_db=(6.0,), trials_per_point=8)
+    with pytest.raises(ConfigError, match="above the limit"):
+        run_ber_sweep(cfg, workers=sim._MAX_WORKERS + 1)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -993,7 +1016,7 @@ def test_broken_worker_pool_is_a_worker_crash_with_context(monkeypatch):
     assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 
-@pytest.mark.parametrize("workers,expected", [(10**6, 2), (2, 2)])
+@pytest.mark.parametrize("workers,expected", [(sim._MAX_WORKERS, 2), (2, 2)])
 def test_parallel_sweep_starts_no_more_workers_than_chunks(monkeypatch, workers, expected):
     sizes = []
 
@@ -1045,6 +1068,54 @@ def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
     finally:
         tracemalloc.stop()
     assert peak < 2 * sim._chunk_bytes(cfg)
+
+
+@pytest.mark.parametrize(
+    "precoder, gain_mode, snr_db",
+    [
+        pytest.param("dpc-linear", "waterfill", 10.0, id="water-filled-with-muted-users"),
+        pytest.param("thp", "diag-L", 10.0, id="thp"),
+        pytest.param("zf", "diag-L", 0.0, id="zf-0dB-samples-outside-the-table"),
+    ],
+)
+def test_chunk_error_count_matches_a_bit_level_recount(monkeypatch, precoder, gain_mode, snr_db):
+    # A chunk counts bit errors as popcount(tx label ^ decided label); the
+    # recount unpacks both through hard_decisions, on the samples the chunk
+    # decided, paired with the bits of its active users.
+    cfg = SweepConfig(
+        n_users=10,
+        snr_grid_db=(snr_db,),
+        trials_per_point=512,
+        constellation_order=128,
+        channel_mode="fixed-channel",
+        precoder=precoder,
+        gain_mode=gain_mode,
+        seed=0,
+    ).validate()
+    c = make_constellation(128)
+    fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis], noise_variance(cfg, snr_db))
+    decided = []
+    decide = sim._decide
+    monkeypatch.setattr(sim, "_decide", lambda y, c: decided.append(y) or decide(y, c))
+    part = sim._simulate_chunk(cfg, 0, snr_db, 0, 512, fixed)
+    (y_hat,) = decided
+
+    _, bits, _, _ = sim._chunk_draws(cfg, 0, 0, 512, c, fixed.hs)
+    active = np.ones((512, cfg.n_users), dtype=bool)
+    if fixed.gains is not None:
+        active &= fixed.gains > 0
+    tx_bits = bits.reshape(512, cfg.n_users, c.bits_per_symbol)[active].ravel()
+    rx_bits, margins = hard_decisions(y_hat, c)
+    assert part["errors"] == np.count_nonzero(tx_bits != rx_bits) > 0
+    assert part["bits"] == tx_bits.size
+    assert part["min_margin"] == margins.min()
+    if gain_mode == "waterfill":
+        assert not active.all()  # the case needs muted users
+    if snr_db == 0.0:  # and samples that the full search decides
+        table = c._table
+        u = (y_hat - table.origin) / table.width
+        n_re, n_im = table.shape
+        assert np.any((u.real < 0) | (u.real >= n_re) | (u.imag < 0) | (u.imag >= n_im))
 
 
 # THP records at n = 10, 700 trials (one full chunk and one short one),
