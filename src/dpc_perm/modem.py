@@ -42,13 +42,31 @@ Zeger, IEEE TIT 2002):
   smaller, also as computed, since rounding is monotone. So the child's
   candidates, and the two points that attain its ``U``, are among its
   parent's, and its list is the one a test of every point would give.
-* Samples outside the box, and non-finite ones, are decided over the
-  full point set.
-* Candidates and full sets use the same arithmetic: ``d = |y - p|``, the
-  label from ``argmin(d**2)`` in label order and the margin from the two
-  smallest ``d`` (0 when both are inf: every point ties). The minimizers
-  of the computed distances are always candidates, so labels and margins
-  equal the full search's bit for bit.
+* A sample outside the box (4.5 spacings ``s`` beyond the outermost
+  points) but within a million spacings of it on each axis is decided
+  over an edge list: the two outermost points of every row toward the
+  right or left edge, or of every column toward the top or bottom edge
+  (24 points at 128-QAM, 16 at 64-QAM, 8 at 16-QAM), of an edge it is
+  beyond; a corner sample takes the right or left list. Beyond the right
+  edge, ``Re y >= max Re + 4.5 s``, so a point ``p`` of a row is farther
+  from ``y`` than each of the row's two outermost points ``q`` by
+  ``|y - p|**2 - |y - q|**2 = (Re q - Re p)(2 Re y - Re p - Re q) >= 9 s**2``
+  (``Re q - Re p >= s``). Within a million spacings on each axis,
+  ``|y - p|**2 < 2.1e12 s**2``, so the gap is over 4e-12 of it, thousands
+  of ulps of the computed distances: no point left out can be nearest,
+  second-nearest or tied with either. Farther samples, non-finite ones,
+  and all the outside samples of a call with fewer than
+  ``_EDGE_MIN_SAMPLES`` of them (the edge lists' extra passes cost more
+  than they save there) are decided over the full point set.
+* Candidates, edge lists and full sets use the same arithmetic:
+  ``d = |y - p|``, the label from ``argmin(d**2)`` in label order and the
+  margin from the two smallest ``d`` (0 when both are inf: every point
+  ties). The table pass keeps the two smallest of its at most 5 columns
+  as it runs (``m2 = min(m2, max(m1, d_j))``, then ``m1 = min(m1, d_j)``),
+  the others partition each row; ``min`` and ``max`` are exact, so both
+  give the same values. The minimizers of the computed distances are
+  always in the searched set, so labels and margins equal the full
+  search's bit for bit.
 * When the widest candidate list is more than half the constellation
   (QPSK keeps all 4 points), one pass over all points is cheaper, and
   the table is not used.
@@ -87,6 +105,16 @@ _CELLS_PER_SPACING = 4
 _PAD_SPACINGS = 4
 _CANDIDATE_SLACK = 1e-9
 
+# Exterior decisions (see the module docstring): a sample outside the
+# table's box but within this many point spacings of it on each axis is
+# decided over an edge list, when at least _EDGE_MIN_SAMPLES samples of one
+# call are outside. Below that count the edge lists' fixed cost (about
+# 15 µs a call) exceeds what they save over the full search (about 0.5 µs
+# a sample); on the sweeps' own decision inputs the two broke even at
+# 25-40 samples outside.
+_EDGE_REACH_SPACINGS = 1e6
+_EDGE_MIN_SAMPLES = 32
+
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
@@ -113,6 +141,8 @@ class _CandidateTable:
     and is row ``i * shape[1] + j`` of ``labels`` (candidate labels,
     ascending) and ``points`` (their points). Padding entries have the
     point at infinity and the label ``order``, which no sample can get.
+    Rows 0-3 of ``edge_labels`` (ascending) and ``edge_points`` are the
+    lists of the right, left, top and bottom edges of the box.
     """
 
     origin: complex
@@ -120,6 +150,8 @@ class _CandidateTable:
     shape: tuple[int, int]
     labels: np.ndarray
     points: np.ndarray
+    edge_labels: np.ndarray
+    edge_points: np.ndarray
 
 
 def modulation_name(order: int) -> str:
@@ -244,7 +276,33 @@ def _candidate_table(points: np.ndarray) -> _CandidateTable | None:
     if 2 * k > order:
         return None
     labels = cand.reshape(-1, k)
-    return _CandidateTable(origin, width, (n_re, n_im), labels, np.append(points, np.inf)[labels])
+    edge_labels = _edge_lists(points)
+    return _CandidateTable(
+        origin,
+        width,
+        (n_re, n_im),
+        labels,
+        np.append(points, np.inf)[labels],
+        edge_labels,
+        points[edge_labels],
+    )
+
+
+def _edge_lists(points: np.ndarray) -> np.ndarray:
+    """Labels ``(4, K)`` of the two outermost points of every row toward the
+    right and the left edge, and of every column toward the top and the
+    bottom edge; each list ascending."""
+    lists = []
+    for outward, line in (
+        (points.real, points.imag),
+        (-points.real, points.imag),
+        (points.imag, points.real),
+        (-points.imag, points.real),
+    ):
+        ranked = np.lexsort((outward, line))  # by line, outermost last
+        last = np.flatnonzero(np.diff(line[ranked], append=np.inf))
+        lists.append(np.sort(ranked[np.concatenate([last - 1, last])]))
+    return np.array(lists)
 
 
 def _nearest_two(y: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,14 +327,41 @@ def _table_pass(
     """Labels and margins of samples inside the table, at cell coordinates ``(u, v)``."""
     cell = u.astype(np.intp) * table.shape[1] + v.astype(np.intp)
     # np.take gathers the rows about twice as fast as indexing does.
-    nearest, margins = _nearest_two(y, np.take(table.points, cell, axis=0))
-    return table.labels[cell, nearest], margins
+    d = np.abs(y[:, np.newaxis] - np.take(table.points, cell, axis=0))
+    nearest = np.argmin(d**2, axis=1)
+    # The two smallest of at most 5 columns, kept as they run: min and max
+    # are exact, so these are the values a partition would give.
+    first, second = np.minimum(d[:, 0], d[:, 1]), np.maximum(d[:, 0], d[:, 1])
+    for j in range(2, d.shape[1]):
+        np.minimum(second, np.maximum(first, d[:, j]), out=second)
+        np.minimum(first, d[:, j], out=first)
+    return table.labels[cell, nearest], (second - first) / 2.0
+
+
+def _edge_pass(
+    y: np.ndarray, u: np.ndarray, v: np.ndarray, table: _CandidateTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and margins of samples outside the table's box but within reach
+    of it, at cell coordinates ``(u, v)``, each over the list of an edge it
+    is beyond."""
+    n_re, n_im = table.shape
+    # Right, left, top, bottom: a corner sample takes the right or left list.
+    side = np.where(u >= n_re, 0, np.where(u < 0, 1, np.where(v >= n_im, 2, 3)))
+    nearest, margins = _nearest_two(y, np.take(table.edge_points, side, axis=0))
+    return table.edge_labels[side, nearest], margins
 
 
 def _decide(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Labels and decision margins of the samples ``y``, complex128 ``(N,)``
     (see :func:`hard_decisions`); the sweep compares these labels with the
-    transmitted ones instead of unpacking bits."""
+    transmitted ones instead of unpacking bits.
+
+    A sample inside the candidate table's box is decided over its cell's
+    candidates. When at least ``_EDGE_MIN_SAMPLES`` samples are outside the
+    box, those within ``_EDGE_REACH_SPACINGS`` point spacings of it on each
+    axis are decided over an edge list. Every other sample is decided over
+    the full point set (module docstring).
+    """
     table = c._table
     if table is None:
         return _nearest_two(y, c.points)
@@ -284,15 +369,24 @@ def _decide(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):  # a huge sample's coordinate is inf: outside
         u = rel.real / table.width
         v = rel.imag / table.width
-    # False for NaN, so non-finite samples take the full search.
-    inside = (u >= 0) & (u < table.shape[0]) & (v >= 0) & (v < table.shape[1])
+    n_re, n_im = table.shape
+    # False for NaN, so non-finite samples are never inside or within reach.
+    inside = (u >= 0) & (u < n_re) & (v >= 0) & (v < n_im)
     if inside.all():
         return _table_pass(y, u, v, table)
     labels = np.empty(y.size, dtype=table.labels.dtype)
     margins = np.empty(y.size)
     labels[inside], margins[inside] = _table_pass(y[inside], u[inside], v[inside], table)
-    outside = ~inside
-    labels[outside], margins[outside] = _nearest_two(y[outside], c.points)
+    rest = np.flatnonzero(~inside)
+    if rest.size >= _EDGE_MIN_SAMPLES:
+        reach = _EDGE_REACH_SPACINGS * _CELLS_PER_SPACING
+        u, v = u[rest], v[rest]
+        near = (u >= -reach) & (u < n_re + reach) & (v >= -reach) & (v < n_im + reach)
+        edge = rest[near]
+        labels[edge], margins[edge] = _edge_pass(y[edge], u[near], v[near], table)
+        rest = rest[~near]
+    if rest.size:
+        labels[rest], margins[rest] = _nearest_two(y[rest], c.points)
     return labels, margins
 
 

@@ -57,12 +57,13 @@ import hashlib
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,6 +150,11 @@ _MAX_CHUNK_BYTES = 2**28
 # interpreter with its own numpy, so a mistyped count must not start
 # hundreds of them.
 _MAX_WORKERS = 64
+
+# Chunks a parallel sweep keeps submitted but not yet reduced, per worker:
+# one running and one queued keep a worker busy, and the bound keeps a
+# long sweep's queue of futures (and their results) from growing.
+_CHUNKS_IN_FLIGHT_PER_WORKER = 2
 
 # Largest power budget, about 1.3e154: a product of two powers stays finite.
 _MAX_POWER_BUDGET = math.sqrt(np.finfo(np.float64).max)
@@ -600,6 +606,28 @@ def _chunk_context(cfg: SweepConfig, task: tuple[int, float, int, int]):
     return _sweep_context(cfg, f"at {snr_db:g} dB, trials [{t0}, {t1})")
 
 
+def _sweep_tasks(cfg: SweepConfig) -> Iterator[tuple[int, float, int, int]]:
+    """The sweep's chunks ``(snr_idx, snr_db, t0, t1)`` in task order,
+    made one at a time: a sweep of 1e11 trials a point has 2e8 of them."""
+    for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
+        for t0 in range(0, cfg.trials_per_point, _CHUNK):
+            yield snr_idx, snr_db, t0, min(t0 + _CHUNK, cfg.trials_per_point)
+
+
+def _add_chunk(total: dict | None, part: dict) -> dict:
+    """A point's running sums after one more chunk's partial sums ``part``
+    (``total`` is None before its first chunk); the same values as summing
+    the chunks' sums in order with ``sum`` and ``min``."""
+    if total is None:
+        return part
+    return {
+        "errors": total["errors"] + part["errors"],
+        "bits": total["bits"] + part["bits"],
+        "tx_power_sum": total["tx_power_sum"] + part["tx_power_sum"],
+        "min_margin": min(total["min_margin"], part["min_margin"]),
+    }
+
+
 def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecord]:
     """Run the full SNR sweep described by ``cfg``.
 
@@ -615,13 +643,9 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     that dies raises :class:`WorkerCrashed` with the same context.
     """
     cfg.validate()
-    tasks = []
-    for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        for t0 in range(0, cfg.trials_per_point, _CHUNK):
-            t1 = min(t0 + _CHUNK, cfg.trials_per_point)
-            tasks.append((snr_idx, snr_db, t0, t1))
     # A pool starts all its workers on the first submit; start no idle ones.
-    n_workers = min(resolve_workers(workers), len(tasks))
+    chunks_per_point = -(-cfg.trials_per_point // _CHUNK)
+    n_workers = min(resolve_workers(workers), len(cfg.snr_grid_db) * chunks_per_point)
     # The design each point's chunks get; None with per-trial channels.
     fixed: list[_Design | None] = [None] * len(cfg.snr_grid_db)
     if cfg.channel_mode == "fixed-channel":
@@ -634,33 +658,41 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
             with _sweep_context(cfg, "on the fixed channel"):
                 fixed = [_design(cfg, hs)] * len(fixed)
 
-    # Both paths collect chunks in task order, so each point's float sums
-    # add up in the same order for any worker count.
-    partials: list[list[dict]] = [[] for _ in cfg.snr_grid_db]
+    # Both paths reduce chunks as they arrive, in task order, so each
+    # point's float sums add up in the same order for any worker count.
+    totals: list[dict | None] = [None] * len(cfg.snr_grid_db)
     if n_workers == 1:
-        for task in tasks:
+        for task in _sweep_tasks(cfg):
             with _chunk_context(cfg, task):
-                partials[task[0]].append(_simulate_chunk(cfg, *task, fixed[task[0]]))
+                part = _simulate_chunk(cfg, *task, fixed[task[0]])
+            totals[task[0]] = _add_chunk(totals[task[0]], part)
     else:
+        window = _CHUNKS_IN_FLIGHT_PER_WORKER * n_workers
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                (task, pool.submit(_simulate_chunk, cfg, *task, fixed[task[0]])) for task in tasks
-            ]
+            in_flight: deque = deque()
+
+            def collect_oldest() -> None:
+                task, fut = in_flight.popleft()
+                with _chunk_context(cfg, task):
+                    part = fut.result()
+                totals[task[0]] = _add_chunk(totals[task[0]], part)
+
             try:
-                for task, fut in futures:
-                    with _chunk_context(cfg, task):
-                        partials[task[0]].append(fut.result())
+                for task in _sweep_tasks(cfg):
+                    fut = pool.submit(_simulate_chunk, cfg, *task, fixed[task[0]])
+                    in_flight.append((task, fut))
+                    if len(in_flight) == window:
+                        collect_oldest()
+                while in_flight:
+                    collect_oldest()
             except BaseException:
                 # Leaving the block waits for every queued chunk; drop them.
                 pool.shutdown(cancel_futures=True)
                 raise
 
     records = []
-    for snr_db, parts in zip(cfg.snr_grid_db, partials):
-        errors = sum(p["errors"] for p in parts)
-        bits = sum(p["bits"] for p in parts)
-        power_sum = sum(p["tx_power_sum"] for p in parts)
-        margin = min(p["min_margin"] for p in parts)
+    for snr_db, total in zip(cfg.snr_grid_db, totals):
+        errors, bits = total["errors"], total["bits"]
         lo, hi = wilson_interval(errors, bits)
         records.append(
             BerRecord(
@@ -670,8 +702,8 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
                 ber=errors / bits,
                 ci_lo=lo,
                 ci_hi=hi,
-                measured_tx_power=power_sum / cfg.trials_per_point,
-                min_decision_margin=margin,
+                measured_tx_power=total["tx_power_sum"] / cfg.trials_per_point,
+                min_decision_margin=total["min_margin"],
             )
         )
     return records

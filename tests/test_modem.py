@@ -406,6 +406,127 @@ def test_hard_decisions_property_matches_full_search(order, y):
     assert_matches_full_search(np.array(y, dtype=np.complex128), make_constellation(order))
 
 
+# ---------------------------------------------------------------------------
+# Samples outside the candidate table's box: edge lists
+# ---------------------------------------------------------------------------
+
+
+def box_edges(c):
+    """The point spacing and the table box's low and high edge on each axis."""
+    t = c._table
+    lo = np.array([t.origin.real, t.origin.imag])
+    return t.width * modem._CELLS_PER_SPACING, lo, lo + t.width * np.array(t.shape)
+
+
+def edge_pass_spy(monkeypatch):
+    """Record how many samples each call of modem._edge_pass decides."""
+    sizes = []
+    real = modem._edge_pass
+
+    def spy(y, *args):
+        sizes.append(y.size)
+        return real(y, *args)
+
+    monkeypatch.setattr(modem, "_edge_pass", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("order, size", [(16, 8), (64, 16), (128, 24)])
+def test_edge_lists_hold_the_two_outermost_points_of_every_line(order, size):
+    c = make_constellation(order)
+    p = c.points
+    t = c._table
+    assert t.edge_labels.shape == (4, size)
+    sides = [(p.real, p.imag), (-p.real, p.imag), (p.imag, p.real), (-p.imag, p.real)]
+    for side, (outward, line) in enumerate(sides):  # right, left, top, bottom
+        want = []
+        for x in set(line.tolist()):
+            on = [i for i in range(order) if line[i] == x]
+            want += sorted(on, key=lambda i: outward[i])[-2:]
+        assert t.edge_labels[side].tolist() == sorted(want)
+        np.testing.assert_array_equal(t.edge_points[side], p[t.edge_labels[side]])
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+@pytest.mark.parametrize("spacings", [1.0, 10.0, 1e3, 1e6])
+def test_hard_decisions_match_beyond_each_edge_and_corner(monkeypatch, order, spacings):
+    # Lines beyond each edge at quarter-spacing steps through 0 (where the
+    # two rows or columns nearest the axis tie exactly), and a grid beyond
+    # each corner, whose diagonal ties points with their transposes.
+    c = make_constellation(order)
+    s, lo, hi = box_edges(c)
+    t = c._table
+    along = np.arange(-(t.shape[0] // 2), t.shape[0] // 2 + 1) * t.width
+    out = spacings * s
+    beyond = [hi[0] + out + 1j * along, lo[0] - out + 1j * along,
+              along + 1j * (hi[1] + out), along + 1j * (lo[1] - out)]
+    steps = out * np.array([0.25, 0.5, 1.0]) + 1e-3 * s
+    for sr in (1, -1):
+        for si in (1, -1):
+            re = sr * (hi[0] + steps)
+            beyond.append((re[:, None] + 1j * si * (hi[1] + steps)[None, :]).ravel())
+    y = np.concatenate(beyond)
+    sizes = edge_pass_spy(monkeypatch)
+    assert_matches_full_search(y, c)
+    if spacings < modem._EDGE_REACH_SPACINGS:
+        assert sizes == [y.size]
+    else:  # the edge lines lie on the reach limit, the corner grid partly inside it
+        assert 0 < sum(sizes) < y.size
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+def test_hard_decisions_match_either_side_of_the_reach_limit(order):
+    # One ulp inside and outside a million spacings beyond each edge, and
+    # samples far past it (up to 1e9 spacings) just beyond the right edge,
+    # where an edge list's rows would tie in the computed distances.
+    c = make_constellation(order)
+    s, lo, hi = box_edges(c)
+    reach = modem._EDGE_REACH_SPACINGS * s
+    along = np.linspace(lo[0], hi[0], 33)
+    samples = []
+    for limit in (hi[0] + reach, lo[0] - reach, hi[1] + reach, lo[1] - reach):
+        for x in (limit, np.nextafter(limit, -np.inf), np.nextafter(limit, np.inf)):
+            samples += [x + 1j * along, along + 1j * x]
+    far = reach * np.array([1.5, 10.0, 1e2, 3e2, 1e3])
+    for edge in hi[0] + s * np.array([0.01, 0.5, 2.0]):
+        samples += [edge + 1j * far, edge - 1j * far, -edge + 1j * far]
+    assert_matches_full_search(np.concatenate(samples), c)
+
+
+# Samples from the table's box out to the reach limit, log-uniform in
+# distance from the centre (in point spacings) and uniform in angle.
+_EXTERIOR = st.tuples(
+    st.floats(math.log(5.0), math.log(1e6)), st.floats(0.0, 2 * math.pi)
+)
+
+
+@given(
+    order=st.sampled_from([16, 64, 128]),
+    polar=st.lists(_EXTERIOR, min_size=modem._EDGE_MIN_SAMPLES, max_size=96),
+)
+@settings(max_examples=200, deadline=None)
+def test_hard_decisions_property_beyond_the_table(order, polar):
+    c = make_constellation(order)
+    s = box_edges(c)[0]
+    r, phi = np.array(polar).T
+    assert_matches_full_search(s * np.exp(r) * np.exp(1j * phi), c)
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+def test_edge_lists_start_at_the_sample_count_threshold(monkeypatch, order):
+    # Below the threshold every outside sample takes the full search; at it,
+    # every one within reach takes its edge list.
+    c = make_constellation(order)
+    s, _, hi = box_edges(c)
+    n = modem._EDGE_MIN_SAMPLES
+    outside = hi[0] + s * np.linspace(0.01, 50.0, n) + 0.5j * s * np.arange(n)
+    inside = c.points[: order // 2] * 0.9
+    for count in (n - 1, n):
+        sizes = edge_pass_spy(monkeypatch)
+        assert_matches_full_search(np.concatenate([inside, outside[:count]]), c)
+        assert sizes == ([count] if count >= n else [])
+
+
 @given(order=st.sampled_from(QAM_ORDERS), seed=st.integers(0, 2**32), count=st.integers(1, 256))
 @settings(max_examples=100, deadline=None)
 def test_modem_round_trip_property(order, seed, count):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpc_perm import sim
+from dpc_perm import modem, sim
 from dpc_perm.channel import sample_channel
 from dpc_perm.exceptions import (
     ConfigError,
@@ -1036,6 +1036,88 @@ def test_single_chunk_sweep_runs_serially(monkeypatch):
     assert run_ber_sweep(cfg, workers=8) == run_ber_sweep(cfg, workers=1)
 
 
+def chunks_then_failure(good_chunks):
+    """Stand-in for ``_simulate_chunk`` that returns ``good_chunks`` partial
+    sums and then raises; records the ``t0`` of every call."""
+    calls = []
+
+    def simulate(cfg, snr_idx, snr_db, t0, t1, fixed):
+        calls.append(t0)
+        if len(calls) > good_chunks:
+            raise NumericallySingular("injected failure")
+        return {"errors": 0, "bits": 1, "tx_power_sum": 0.0, "min_margin": 1.0}
+
+    return simulate, calls
+
+
+def test_huge_serial_sweep_fails_at_once_in_small_memory(monkeypatch):
+    # Chunks are made as they run: a sweep of 2e8 chunks builds no list.
+    simulate, calls = chunks_then_failure(3)
+    monkeypatch.setattr(sim, "_simulate_chunk", simulate)
+    cfg = small_cfg(precoder="zf", snr_grid_db=(10.0,), trials_per_point=10**11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericallySingular, match=r"at 10 dB, trials \[1536, 2048\)"):
+            run_ber_sweep(cfg, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [0, 512, 1024, 1536]
+    assert peak < 2**20
+
+
+class WindowPool(InlinePool):
+    """Stand-in pool that records its worker count and the most futures it
+    has handed out whose result was not yet read (chunks in flight)."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.in_flight = set()
+        self.peak = 0
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        done = super().submit(fn, *args)
+        fut = Future()
+        pool = self
+
+        def result(timeout=None):
+            pool.in_flight.discard(fut)
+            return done.result(timeout)
+
+        fut.result = result
+        self.in_flight.add(fut)
+        self.submitted += 1
+        self.peak = max(self.peak, len(self.in_flight))
+        return fut
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_sweep_keeps_a_bounded_window_of_chunks_in_flight(monkeypatch, workers):
+    pools = []
+
+    def window_pool(max_workers):
+        pools.append(WindowPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", window_pool)
+    window = sim._CHUNKS_IN_FLIGHT_PER_WORKER * workers
+    # Nine chunks, more than the window: the records equal the serial ones.
+    cfg = small_cfg(precoder="zf", trials_per_point=1100)
+    assert run_ber_sweep(cfg, workers=workers) == run_ber_sweep(cfg, workers=1)
+    assert pools[0].peak == window and pools[0].submitted == 9
+    # 2e8 chunks: the worker count is computed without a list of them, and
+    # the failure of the fourth surfaces after at most a window more.
+    simulate, calls = chunks_then_failure(3)
+    monkeypatch.setattr(sim, "_simulate_chunk", simulate)
+    huge = small_cfg(precoder="zf", snr_grid_db=(10.0,), trials_per_point=10**11)
+    with pytest.raises(NumericallySingular, match=r"at 10 dB, trials \[1536, 2048\)"):
+        run_ber_sweep(huge, workers=workers)
+    pool = pools[-1]
+    assert pool.max_workers == workers
+    assert pool.peak == window and pool.submitted == len(calls) <= 4 + window
+
+
 @pytest.mark.parametrize(
     "n_users, channel_mode",
     [
@@ -1071,21 +1153,26 @@ def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
 
 
 @pytest.mark.parametrize(
-    "precoder, gain_mode, snr_db",
+    "precoder, gain_mode, snr_db, trials",
     [
-        pytest.param("dpc-linear", "waterfill", 10.0, id="water-filled-with-muted-users"),
-        pytest.param("thp", "diag-L", 10.0, id="thp"),
-        pytest.param("zf", "diag-L", 0.0, id="zf-0dB-samples-outside-the-table"),
+        pytest.param("dpc-linear", "waterfill", 10.0, 512, id="water-filled-with-muted-users"),
+        pytest.param("thp", "diag-L", 10.0, 512, id="thp"),
+        pytest.param("zf", "diag-L", 0.0, 512, id="zf-0dB-samples-outside-the-table"),
+        # 160 samples, 4 of them outside: too few for the edge lists.
+        pytest.param("bd", "diag-L", 0.0, 16, id="bd-0dB-few-samples-outside"),
     ],
 )
-def test_chunk_error_count_matches_a_bit_level_recount(monkeypatch, precoder, gain_mode, snr_db):
+def test_chunk_error_count_matches_a_bit_level_recount(
+    monkeypatch, precoder, gain_mode, snr_db, trials
+):
     # A chunk counts bit errors as popcount(tx label ^ decided label); the
     # recount unpacks both through hard_decisions, on the samples the chunk
-    # decided, paired with the bits of its active users.
+    # decided, paired with the bits of its active users, and checks the
+    # decisions against a search of every point.
     cfg = SweepConfig(
         n_users=10,
         snr_grid_db=(snr_db,),
-        trials_per_point=512,
+        trials_per_point=trials,
         constellation_order=128,
         channel_mode="fixed-channel",
         precoder=precoder,
@@ -1097,25 +1184,34 @@ def test_chunk_error_count_matches_a_bit_level_recount(monkeypatch, precoder, ga
     decided = []
     decide = sim._decide
     monkeypatch.setattr(sim, "_decide", lambda y, c: decided.append(y) or decide(y, c))
-    part = sim._simulate_chunk(cfg, 0, snr_db, 0, 512, fixed)
+    part = sim._simulate_chunk(cfg, 0, snr_db, 0, trials, fixed)
     (y_hat,) = decided
 
-    _, bits, _, _ = sim._chunk_draws(cfg, 0, 0, 512, c, fixed.hs)
-    active = np.ones((512, cfg.n_users), dtype=bool)
+    _, bits, _, _ = sim._chunk_draws(cfg, 0, 0, trials, c, fixed.hs)
+    active = np.ones((trials, cfg.n_users), dtype=bool)
     if fixed.gains is not None:
         active &= fixed.gains > 0
-    tx_bits = bits.reshape(512, cfg.n_users, c.bits_per_symbol)[active].ravel()
+    tx_bits = bits.reshape(trials, cfg.n_users, c.bits_per_symbol)[active].ravel()
     rx_bits, margins = hard_decisions(y_hat, c)
     assert part["errors"] == np.count_nonzero(tx_bits != rx_bits) > 0
     assert part["bits"] == tx_bits.size
     assert part["min_margin"] == margins.min()
+    d = np.abs(y_hat[:, np.newaxis] - c.points)
+    full_labels = np.argmin(d**2, axis=1)
+    shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
+    np.testing.assert_array_equal(rx_bits, ((full_labels[:, np.newaxis] >> shifts) & 1).ravel())
+    d.sort(axis=1)
+    np.testing.assert_array_equal(margins, (d[:, 1] - d[:, 0]) / 2)
     if gain_mode == "waterfill":
         assert not active.all()  # the case needs muted users
-    if snr_db == 0.0:  # and samples that the full search decides
+    if snr_db == 0.0:  # and samples outside the table's box
         table = c._table
         u = (y_hat - table.origin) / table.width
         n_re, n_im = table.shape
-        assert np.any((u.real < 0) | (u.real >= n_re) | (u.imag < 0) | (u.imag >= n_im))
+        out = np.count_nonzero((u.real < 0) | (u.real >= n_re) | (u.imag < 0) | (u.imag >= n_im))
+        # enough for the edge lists in zf's chunk, too few in bd's
+        edge_lists = modem._EDGE_MIN_SAMPLES
+        assert out >= edge_lists if trials == 512 else 0 < out < edge_lists
 
 
 # THP records at n = 10, 700 trials (one full chunk and one short one),
