@@ -335,7 +335,8 @@ def _table_pass(
     for j in range(2, d.shape[1]):
         np.minimum(second, np.maximum(first, d[:, j]), out=second)
         np.minimum(first, d[:, j], out=first)
-    return table.labels[cell, nearest], (second - first) / 2.0
+    # A flat take gathers the labels about twice as fast as 2-D indexing.
+    return np.take(table.labels, cell * d.shape[1] + nearest), (second - first) / 2.0
 
 
 def _edge_pass(
