@@ -129,7 +129,7 @@ def as_channel_stack(h: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"channel must be a square matrix or a stack (m, n, n) of them, got shape {h.shape}"
         )
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise ValueError("channel entries must be finite")
     return stack
 
@@ -342,11 +342,10 @@ def svd_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         If some channel's smallest singular value is at most ``EPS_SING``
         times its largest.
     """
-    f = svd_decompose(as_channel_stack(h))
-    if not np.all(f.sigma[:, -1] > EPS_SING * f.sigma[:, 0]):
+    f = svd_decompose(h)
+    if not (f.sigma[..., -1] > EPS_SING * f.sigma[..., 0]).all():
         raise NumericallySingular(f"singular value ratio sigma_min/sigma_max below {EPS_SING:g}")
-    w = f.v @ (f.u.conj().transpose(0, 2, 1) / f.sigma[:, :, np.newaxis])
-    return (w, f.sigma) if np.ndim(h) == 3 else (w[0], f.sigma[0])
+    return f.v @ (f.u.conj().swapaxes(-2, -1) / f.sigma[..., np.newaxis]), f.sigma
 
 
 # ---------------------------------------------------------------------------

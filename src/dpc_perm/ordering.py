@@ -11,14 +11,30 @@ precoded signal by permuting a diagonal gain matrix inside
 
 so its factorization count stays at one while the naive count grows as
 n factorial. After that one factorization nothing is done per order in
-Python. The lexicographic table of all n! orders and its inverse ``inv``
-(``inv[j, slot]`` is the user order j puts in ``slot``) are built once
-per n. Order j's signal is ``(k[inv[j]] * s) @ b.T`` with
-``b = v @ diag(1/sigma) @ u^H``, its left factor gathered through ``inv``
-from the per-user, per-slot table ``k[i] * s[slot]``; each chunk of
-orders, sized to bound memory, is one matrix product. The objectives are
-reductions along axes, sharing one power pass. ``min-power`` needs no
-signals at all: it sums ``k[i]**2 / sigma[slot]**2``, gathered the same way.
+Python. The lexicographic table of all n! orders is built once per n,
+with a flat index ``flat[j, slot] = inv[j, slot] * n + slot``, where
+``inv[j, slot]`` is the user order j puts in ``slot``. Order j's signal
+is ``(k[inv[j]] * s) @ b.T`` with ``b = v @ diag(1/sigma) @ u^H``; its
+left factor is one gather through ``flat`` from the flattened C-ordered
+per-user, per-slot table ``k[i] * s[slot]``, and each chunk of orders,
+sized to bound memory, is one matrix product. ``min-power`` needs no
+signals at all: it sums ``k[i]**2 / sigma[slot]**2``, gathered the same
+way.
+
+The objectives reduce each order's n slots, one power pass shared by AP
+and PAPR. The rows are short and many (n <= 8, up to 8! of them), so a
+reduction along ``axis=1`` costs far more in numpy's per-row overhead than
+in arithmetic; :func:`_row_sums` and :func:`_row_max` instead loop over
+the n slot columns, each step one operation on all rows. They give the
+``axis=1`` reductions' values bit for bit. A maximum is exact, so any
+order of comparisons gives it. A sum is not, so :func:`_row_sums` adds in
+numpy's order, which is pairwise per row (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2002, §4): below 8 entries left to right from
+0.0; from 8 to 128 entries in eight strided partial sums
+``r[j] = p[j] + p[j + 8] + ...`` over the whole blocks of eight, combined
+as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+``n mod 8`` leftover entries added one by one. Longer rows take numpy's
+own sum. The mean is that sum over n, as ``mean`` divides.
 
 Both engines score orders with the same reductions and pick the winner
 with the same tie rule (:func:`_select`). They therefore produce
@@ -62,6 +78,11 @@ OBJECTIVES = ("average-power", "papr", "min-power")
 # Relative tolerance of the tie rule (see _select).
 _TIE_RTOL = 1e-12
 
+# Rows up to numpy's pairwise block (PW_BLOCKSIZE) are reduced one slot
+# column at a time; longer ones, which only the objectives can be given,
+# take numpy's own reductions (see the module docstring).
+_SLOT_LOOP_MAX = 128
+
 # Signals are built for as many orders at a time as fit in this many
 # complex entries (128 KiB), and for at least one order: n entries an
 # order in the diagonal search, n * n in the naive oracle, whose chunks
@@ -82,18 +103,69 @@ def objective_papr(x: np.ndarray) -> float:
 
 def _as_signal_block(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
+    if x.size == 0:
+        raise ValueError("signal must have at least one entry")
     return x.reshape(1, x.size)
 
 
 def _signal_values(kinds: tuple[str, ...], signals: np.ndarray) -> list[np.ndarray]:
     """Each objective in ``kinds``, one per row of ``(orders, n)``, from one power pass."""
-    if not np.all(np.isfinite(signals)):
-        raise ValueError("signal must be finite")
-    power = signals.real**2 + signals.imag**2
-    mean = power.mean(axis=1)
-    if "papr" in kinds and np.any(mean == 0.0):
+    # A non-finite mean is refused below, so an overflow warning would only
+    # pre-empt that error (and raise instead of it under "-W error").
+    with np.errstate(over="ignore"):
+        power = signals.real**2
+        power += signals.imag**2
+        mean = _row_sums(power) / power.shape[1]
+    if not np.isfinite(mean).all():
+        if not np.isfinite(signals).all():
+            raise ValueError("signal must be finite")
+        raise ValueError("signal power |x|**2 overflows float64")
+    if "papr" in kinds and (mean == 0.0).any():
         raise DegenerateGain("PAPR is undefined for the all-zero signal")
-    return [mean if kind == "average-power" else power.max(axis=1) / mean for kind in kinds]
+    return [mean if kind == "average-power" else _row_max(power) / mean for kind in kinds]
+
+
+def _min_power_values(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Every order's transmit power ``sum k[inv[j, slot]]**2 / lam[slot]``."""
+    # As in _signal_values: the values are checked, so their warnings (an
+    # overflow, or a division by a squared singular value that underflowed
+    # to 0) would only pre-empt the error.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = _row_sums(_by_order(k[:, np.newaxis] ** 2 / lam))
+    if not np.isfinite(values).all():
+        raise ValueError("transmit power k**2 / sigma**2 overflows float64")
+    return values
+
+
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """``p.sum(axis=1)`` of an ``(m, n)`` array bit for bit, one slot column
+    at a time, in numpy's pairwise order (see the module docstring)."""
+    m, n = p.shape
+    if n > _SLOT_LOOP_MAX:
+        return p.sum(axis=1)
+    if n < 8:
+        total = np.zeros(m)
+        for slot in range(n):
+            total += p[:, slot]
+        return total
+    whole = n - n % 8
+    r = [p[:, j] for j in range(8)]
+    for block in range(8, whole, 8):
+        r = [r[j] + p[:, block + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for slot in range(whole, n):
+        total += p[:, slot]
+    return total
+
+
+def _row_max(p: np.ndarray) -> np.ndarray:
+    """``p.max(axis=1)`` of an ``(m, n)`` array, one slot column at a time."""
+    if p.shape[1] > _SLOT_LOOP_MAX:
+        return p.max(axis=1)
+    peak = p[:, 0].copy()
+    for slot in range(1, p.shape[1]):
+        np.maximum(peak, p[:, slot], out=peak)
+    return peak
 
 
 def _select(values: np.ndarray) -> int:
@@ -104,7 +176,7 @@ def _select(values: np.ndarray) -> int:
     (lexicographically smallest) wins. It depends on the values only,
     never on the order in which they were computed.
     """
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("objective values must be finite")
     best = values.min()
     return int(np.argmax(values - best <= _TIE_RTOL * abs(best)))
@@ -128,18 +200,25 @@ def _lex_orders(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _inverse_orders(n: int) -> np.ndarray:
-    """The inverse of each order in ``_lex_orders(n)``, ``inv[j, orders[j, i]] = i``:
-    ``inv[j, slot]`` is the user that order j puts in ``slot``. Cached read-only."""
-    inv = np.argsort(_lex_orders(n), axis=1)
-    inv.setflags(write=False)
-    return inv
+def _flat_index(n: int) -> np.ndarray:
+    """``flat[j, slot] = inv[j, slot] * n + slot`` for the orders of ``_lex_orders(n)``,
+    where ``inv[j, slot]`` (the inverse of order j, ``inv[j, orders[j, i]] = i``) is
+    the user order j puts in ``slot``: each slot's index into a C-ordered
+    ``(user, slot)`` table. Cached read-only."""
+    flat = np.argsort(_lex_orders(n), axis=1)
+    # In place: no second n!-row array at any time, so no rise in peak memory.
+    flat *= n
+    flat += np.arange(n)
+    flat.setflags(write=False)
+    return flat
 
 
 def _by_order(table: np.ndarray, chunk: slice = slice(None)) -> np.ndarray:
     """``out[j, slot] = table[inv[j, slot], slot]`` for the orders of ``chunk``: from
-    a per-user, per-slot table, each slot's entry for the user order j puts there."""
-    return table[_inverse_orders(len(table))[chunk], np.arange(len(table))]
+    a C-ordered per-user, per-slot table, each slot's entry for the user order j
+    puts there, in one flat gather."""
+    # Indexing, not np.take: np.take copies a read-only index array first.
+    return table.ravel()[_flat_index(len(table))[chunk]]
 
 
 def _order_values(
@@ -221,17 +300,15 @@ def naive_order_search(
     n = h.shape[0]
     orders = _lex_orders(n)
     signals = np.empty(orders.shape, dtype=np.complex128)
-    values = np.empty(orders.shape[0])
     with count_decompositions() as counter:
         for chunk in _chunks(orders.shape[0], n * n):
             block = orders[chunk]
             # One LQ per order: the rows of h permuted by each order, stacked.
             signals[chunk] = successive_encode(lq_decompose(h[block]), k, s[block])
-            if objective != "min-power":
-                (values[chunk],) = _signal_values((objective,), signals[chunk])
     if objective == "min-power":
-        lam = np.linalg.svd(h, compute_uv=False) ** 2
-        values = _by_order(k[:, np.newaxis] ** 2 / lam).sum(axis=1)
+        values = _min_power_values(k, np.linalg.svd(h, compute_uv=False) ** 2)
+    else:
+        (values,) = _signal_values((objective,), signals)
     best = _select(values)
     return OrderSearchResult(
         best_order=orders[best].copy(),
@@ -257,16 +334,17 @@ def diagonal_order_search(
     h, k, s = _search_inputs(h, s, gains, objective)
     with count_decompositions() as counter:
         b, sigma = svd_inverse(h)
-    orders = _lex_orders(h.shape[0])
+    n = h.shape[0]
+    orders = _lex_orders(n)
     if objective == "min-power":
-        values = _by_order(k[:, np.newaxis] ** 2 / sigma**2).sum(axis=1)
+        values = _min_power_values(k, sigma**2)
     else:
         (values,) = _order_values((objective,), b, k, s)
     best = _select(values)
     return OrderSearchResult(
         best_order=orders[best].copy(),
         best_value=float(values[best]),
-        best_signal=b @ (k[_inverse_orders(h.shape[0])[best]] * s),
+        best_signal=b @ (k[_flat_index(n)[best] // n] * s),
         decompositions_performed=counter.total,
         permutations_evaluated=orders.shape[0],
     )

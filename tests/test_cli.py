@@ -416,9 +416,12 @@ def test_complexity_prints_wall_time_ratios_and_keeps_them_out_of_the_csv(tmp_pa
         for n, line in enumerate(lines, start=1):
             model, measured = line.split(", measured ")
             assert model.startswith(f"n={n}: model ratio ")
-            counts, wall = measured.split(", wall-time ratio ")
+            counts, timings = measured.split(", wall-time ratio ")
             assert counts == f"{math.factorial(n)} vs 1"
-            assert wall.endswith(" dB") and math.isfinite(float(wall[: -len(" dB")]))
+            wall, per_order = timings.split(" dB, ")
+            assert math.isfinite(float(wall))
+            naive_us, diagonal_us = per_order.removesuffix(" us per order").split(" vs ")
+            assert float(naive_us) > 0 and float(diagonal_us) > 0
     # The printed timings vary from run to run; the CSVs must not.
     csv_a, csv_b = ((tmp_path / d / "complexity.csv").read_bytes() for d in "ab")
     assert csv_a == csv_b

@@ -1,6 +1,7 @@
 """Tests for the order-search engines and objectives."""
 
 import math
+import warnings
 from itertools import permutations
 from unittest import mock
 
@@ -70,6 +71,31 @@ def test_objective_papr_scale_invariant():
 def test_objective_papr_degenerate():
     with pytest.raises(DegenerateGain):
         objective_papr(np.zeros(4))
+
+
+@pytest.mark.parametrize("warning_filter", ["error", "ignore"])
+def test_empty_and_overflowing_signals_raise_one_value_error(warning_filter):
+    # An empty signal has no mean, and a finite signal whose power |x|**2
+    # overflows has no finite one: under any warning filter each is one
+    # ValueError naming it, not a RuntimeWarning, nan or inf.
+    h = random_channel(63, 3)
+    s = qpsk(np.random.default_rng(3), 3)
+    k = lq_decompose(h).diag
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter)
+        for objective in (objective_ap, objective_papr):
+            with pytest.raises(ValueError, match="at least one entry"):
+                objective([])
+            with pytest.raises(ValueError, match="overflows"):
+                objective([1e200, 1.0])
+        for search in (naive_order_search, diagonal_order_search):
+            for objective in ("average-power", "papr"):
+                with pytest.raises(ValueError, match="overflows"):
+                    search(h, 1e160 * s, k, objective)
+            with pytest.raises(ValueError, match="overflows"):
+                search(h, s, 1e160 * k, "min-power")
+        with pytest.raises(ValueError, match="overflows"):
+            order_table(h, 1e160 * s, k)
 
 
 def test_ap_expectation_matches_eigen_closed_form_when_u_trivial():
@@ -150,17 +176,56 @@ def test_exact_tie_breaks_lexicographically():
 def test_cached_orders_are_lexicographic_read_only_and_permute_like_the_loop():
     for n in range(1, 9):
         orders = ordering._lex_orders(n)
-        inv = ordering._inverse_orders(n)
+        flat = ordering._flat_index(n)
         assert orders.tolist() == [list(p) for p in permutations(range(n))]
         assert not orders.flags.writeable
-        assert not inv.flags.writeable
-        # inv[j, orders[j, i]] == i for every order j and user i.
-        inverted = np.take_along_axis(inv, orders, axis=1)
-        np.testing.assert_array_equal(inverted, np.broadcast_to(np.arange(n), orders.shape))
+        assert not flat.flags.writeable
+        # flat[j, slot] = inv[j, slot] * n + slot, with inv[j, orders[j, i]] == i
+        # for every order j and user i.
+        slots = np.broadcast_to(np.arange(n), orders.shape)
+        np.testing.assert_array_equal(flat % n, slots)
+        np.testing.assert_array_equal(np.take_along_axis(flat // n, orders, axis=1), slots)
     k = np.array([0.3, 1.7, 0.0, 2.2])
     gathered = ordering._by_order(np.repeat(k[:, np.newaxis], 4, axis=1))
     for p, k_p in zip(ordering._lex_orders(4), gathered):
         np.testing.assert_array_equal(k_p, diagonal_permute(k, p))
+
+
+def test_flat_gather_equals_the_two_dimensional_gather():
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        table = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        inv = np.argsort(ordering._lex_orders(n), axis=1)
+        for chunk in (slice(None), slice(1, 4), slice(len(inv) // 3, None)):
+            np.testing.assert_array_equal(
+                ordering._by_order(table, chunk), table[inv[chunk], np.arange(n)]
+            )
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_slot_reductions_equal_numpy_row_reductions_bit_for_bit():
+    # Entries of one magnitude make a sum's rounding depend on its order;
+    # rows spread over 1e-150..1e150, zeros and exactly tied entries are the
+    # cases a reordering mishandles. n = 8 is where numpy's row sum switches
+    # to eight partial sums, 128 the end of that block, past which the
+    # helpers take numpy's reductions.
+    rng = np.random.default_rng(29)
+    for n in [*range(1, 17), 127, 128, 129, 200]:
+        p = rng.random((64, n))
+        p[32:] = 10.0 ** rng.uniform(-150, 150, size=(32, n))
+        p[rng.random(p.shape) < 0.1] = 0.0
+        p[:8] = rng.choice([0.0, 0.5, 1.0, 3.0], size=(8, n))
+        p[8] = 0.0
+        p[9] = 1.0
+        for rows in (p, p[5:40], p[1::3]):
+            np.testing.assert_array_equal(bits(ordering._row_sums(rows)), bits(rows.sum(axis=1)))
+            np.testing.assert_array_equal(
+                bits(ordering._row_sums(rows) / n), bits(rows.mean(axis=1))
+            )
+            np.testing.assert_array_equal(bits(ordering._row_max(rows)), bits(rows.max(axis=1)))
 
 
 def scatter_reference(h, s, k):
@@ -193,16 +258,7 @@ def values_seen_by_the_tie_rule(search, *args):
     return select.call_args.args[0]
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    gains=st.integers(1, 6)
-    .flatmap(lambda n: st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]), min_size=n, max_size=n))
-    .filter(any),
-)
-def test_gathered_values_and_table_equal_the_scatter_reference_bit_for_bit(seed, gains):
-    # Zero gains mute users and repeated gains make whole groups of orders
-    # tie exactly; every value must still be the scatter route's, bit for bit.
+def assert_values_equal_the_scatter_reference(seed, gains):
     n = len(gains)
     h = random_channel(seed, n)
     s = qpsk(np.random.default_rng(seed), n)
@@ -216,6 +272,34 @@ def test_gathered_values_and_table_equal_the_scatter_reference_bit_for_bit(seed,
     rows = [(row["order"], row["ap"], row["papr"]) for row in order_table(h, s, k)]
     orders = [tuple(p) for p in permutations(range(n))]
     assert rows == list(zip(orders, ref["average-power"].tolist(), ref["papr"].tolist()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    gains=st.integers(1, 6)
+    .flatmap(lambda n: st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]), min_size=n, max_size=n))
+    .filter(any),
+)
+def test_gathered_values_and_table_equal_the_scatter_reference_bit_for_bit(seed, gains):
+    # Zero gains mute users and repeated gains make whole groups of orders
+    # tie exactly; every value must still be the scatter route's, bit for bit.
+    assert_values_equal_the_scatter_reference(seed, gains)
+
+
+@pytest.mark.parametrize(
+    "seed, gains",
+    [
+        (7, [1.0, 0.25, 3.5, 0.0, 1.0, 0.25, 3.5]),
+        (70, [0.9, 1.1, 0.3, 2.0, 1.7, 0.6, 1.2]),
+        (8, [3.5, 0.0, 1.0, 0.25, 1.0, 3.5, 0.25, 1.0]),
+        (80, [0.9, 1.1, 0.3, 2.0, 1.7, 0.6, 1.2, 0.8]),
+    ],
+)
+def test_gathered_values_equal_the_scatter_reference_at_seven_and_eight_users(seed, gains):
+    # At 8 slots numpy's row sum switches from left to right to eight
+    # partial sums; the slot-wise sums must follow it there too.
+    assert_values_equal_the_scatter_reference(seed, gains)
 
 
 def first_within_tie(values):
@@ -268,6 +352,19 @@ def test_chunked_evaluation_matches_unchunked_and_naive(monkeypatch, objective):
         assert res.best_order.tolist() == whole.best_order.tolist()
         assert res.best_value == pytest.approx(whole.best_value, rel=1e-12)
         np.testing.assert_allclose(res.best_signal, whole.best_signal, rtol=1e-10)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_naive_values_do_not_depend_on_the_chunk_size(monkeypatch, objective):
+    n = 5
+    h = random_channel(64, n)
+    s = qpsk(np.random.default_rng(4), n)
+    k = lq_decompose(h).diag
+    whole = values_seen_by_the_tie_rule(naive_order_search, h, s, k, objective)
+    # 7 orders a chunk: 120 orders leave a ragged last chunk of one.
+    monkeypatch.setattr(ordering, "_CHUNK_ENTRIES", 7 * n * n)
+    chunked = values_seen_by_the_tie_rule(naive_order_search, h, s, k, objective)
+    np.testing.assert_array_equal(bits(chunked), bits(whole))
 
 
 def test_all_zero_gains_papr_is_degenerate():
