@@ -255,7 +255,7 @@ def _search_inputs(
     h: np.ndarray, s: np.ndarray, gains: np.ndarray, objective: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked ``(h, k, s)`` of a search: a square channel within the
-    enumeration guard, a known objective, n gains and n symbols."""
+    enumeration guard, a known objective, n gains and n finite symbols."""
     if np.ndim(h) != 2:
         raise ValueError(f"channel must be a square matrix, got shape {np.shape(h)}")
     h = as_channel_stack(h)[0]
@@ -270,6 +270,8 @@ def _search_inputs(
     s = np.asarray(s, dtype=np.complex128)
     if s.shape != (n,):
         raise ValueError(f"symbol vector must have shape ({n},), got {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("symbol vector must be finite")
     return h, k, s
 
 

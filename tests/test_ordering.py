@@ -487,6 +487,27 @@ def test_symbol_vector_must_have_one_symbol_per_user(length):
     with pytest.raises(ValueError, match="shape"):
         order_table(h, s, k)
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+def test_non_finite_symbols_are_refused_before_any_order(bad):
+    # Every search and objective refuses the symbols up front, under
+    # "-W error" too: no factorization runs, and min-power does not return
+    # a winner with an all-nan best_signal.
+    h = random_channel(58, 3)
+    s = np.array([1.0, bad, 1j])
+    k = lq_decompose(h).diag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with count_decompositions() as counter:
+            for search in (naive_order_search, diagonal_order_search):
+                for objective in OBJECTIVES:
+                    with pytest.raises(ValueError, match="symbol vector must be finite"):
+                        search(h, s, k, objective)
+            with pytest.raises(ValueError, match="symbol vector must be finite"):
+                order_table(h, s, k)
+    assert counter.total == 0
+
+
 def test_ap_papr_spread_for_seeded_16qam_instance():
     # Orders must genuinely spread both statistics on a generic channel.
     h = random_channel(2024, 4)

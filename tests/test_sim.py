@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpc_perm import modem, sim
-from dpc_perm.channel import sample_channel
+from dpc_perm.channel import sample_channel, stream
 from dpc_perm.exceptions import (
     ConfigError,
     DpcPermError,
@@ -476,6 +476,41 @@ def test_both_channel_modes_draw_the_same_pilot_batch():
     assert fixed.shape == (1, sim._THP_PILOTS, 4)
     assert per_trial.shape == (1, sim._THP_PILOTS, 4)
     assert np.array_equal(fixed, per_trial)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    key=st.lists(st.integers(0, 2**32 - 1), max_size=5),
+    size=st.integers(1, 5000),
+    b=st.sampled_from([1] + [make_constellation(order).bits_per_symbol for order in QAM_ORDERS]),
+)
+@example(seed=0, key=[2, 0, 0, 1], size=8, b=1)
+@example(seed=3, key=[2, 1, 2, 3], size=5000, b=7)
+@settings(max_examples=300, deadline=None)
+def test_uint8_draws_are_numpys_integers_bit_for_bit(seed, key, size, b):
+    # The bits (b = 1) and every QAM order's pilot labels are read from the
+    # Philox words; they must equal numpy's own draw from a fresh stream.
+    got = sim._uint8_draws(stream(seed, *key), (size,), b)
+    want = stream(seed, *key).integers(0, 2**b, size, dtype=np.uint8)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", QAM_ORDERS)
+def test_chunk_bits_and_pilots_are_numpys_integers(order):
+    # The chunk's kind-1 and kind-3 draws, in their (m, n·b) and
+    # (1, _THP_PILOTS, n) shapes, are the integers calls they replace.
+    cfg = small_cfg(precoder="thp", constellation_order=order, seed=11)
+    _, bits, _, labels = chunk_draws(cfg, 1, 512, 812)
+    b = make_constellation(order).bits_per_symbol
+
+    def rng(kind):
+        return stream(cfg.seed, sim._NS_CHUNK, 1, 1, kind)
+
+    want_bits = rng(sim._KIND_BITS).integers(0, 2, size=(300, 4 * b), dtype=np.uint8)
+    want_labels = rng(sim._KIND_PILOTS).integers(0, order, size=(1, sim._THP_PILOTS, 4), dtype=np.uint8)
+    assert np.array_equal(bits, want_bits) and bits.shape == want_bits.shape
+    assert np.array_equal(labels, want_labels) and labels.shape == want_labels.shape
 
 
 def test_fixed_channel_thp_chunk_is_calibrated_once():
