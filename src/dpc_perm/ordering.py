@@ -44,7 +44,6 @@ expose the work difference.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -271,9 +270,7 @@ def _search_inputs(
     s = np.asarray(s, dtype=np.complex128)
     if s.shape != (n,):
         raise ValueError(f"symbol vector must have shape ({n},), got {s.shape}")
-    # At most MAX_ENUM_USERS symbols: a Python pass costs a third of a
-    # ufunc plus a reduction, which shows in a search's per-order time.
-    if not all(map(cmath.isfinite, s.tolist())):
+    if not np.isfinite(s).all():
         raise ValueError("symbol vector must be finite")
     return h, k, s
 
