@@ -407,7 +407,7 @@ def _chunk_draws(
 
 def _uint8_draws(rng: np.random.Generator, shape: tuple[int, ...], b: int) -> np.ndarray:
     """numpy's ``integers`` draw of ``shape`` uint8 values in ``[0, 2**b)``
-    from a fresh Philox ``rng``, bit for bit, at about a quarter of its cost.
+    from a fresh Philox ``rng``, bit for bit, at under a third of its cost.
 
     numpy's ``integers`` takes uint8 draws from the bytes of 32-bit draws,
     lowest byte first, and for a power-of-two range its multiply-shift

@@ -488,7 +488,9 @@ def test_symbol_vector_must_have_one_symbol_per_user(length):
         order_table(h, s, k)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]
+)
 def test_non_finite_symbols_are_refused_before_any_order(bad):
     # Every search and objective refuses the symbols up front, under
     # "-W error" too: no factorization runs, and min-power does not return

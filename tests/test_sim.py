@@ -508,7 +508,8 @@ def test_chunk_bits_and_pilots_are_numpys_integers(order):
         return stream(cfg.seed, sim._NS_CHUNK, 1, 1, kind)
 
     want_bits = rng(sim._KIND_BITS).integers(0, 2, size=(300, 4 * b), dtype=np.uint8)
-    want_labels = rng(sim._KIND_PILOTS).integers(0, order, size=(1, sim._THP_PILOTS, 4), dtype=np.uint8)
+    pilot_shape = (1, sim._THP_PILOTS, 4)
+    want_labels = rng(sim._KIND_PILOTS).integers(0, order, size=pilot_shape, dtype=np.uint8)
     assert np.array_equal(bits, want_bits) and bits.shape == want_bits.shape
     assert np.array_equal(labels, want_labels) and labels.shape == want_labels.shape
 
