@@ -2,8 +2,8 @@
 """Desk-scale Monte Carlo BER comparison, 10 users, QPSK.
 
 Both DPC implementations see identical random draws (channels, bits
-and noise are a function of seed, SNR point and trial only), so their
-error counts match bit for bit. The baselines are normalized to
+and noise are a function of seed and trial only, shared by every SNR
+point), so their error counts match bit for bit. The baselines are normalized to
 the same transmit power budget. CSVs land in demos/out/ with
 provenance headers; rerunning reproduces them byte for byte.
 

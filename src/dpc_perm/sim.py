@@ -32,28 +32,32 @@ Conventions, since the source figures never define them:
 * Water-filled sweeps may mute users (zero gain); muted users transmit
   nothing and their bits are excluded from the error accounting.
 
-Random draws (scheme ``philox-ss-v4``, named in every CSV header and
+Random draws (scheme ``philox-ss-v5``, named in every CSV header and
 manifest): trials are grouped in chunks of ``_CHUNK = 512``, and chunk
-``t // 512`` of SNR point ``snr_index`` draws from four Philox streams,
-one per kind, keyed ``(seed, snr_index, chunk, kind)``: 0 the channels
-(``sample_channel(rng, n, m)``, per-trial mode only), 1 the data bits
-(``(m, n * bits_per_symbol)`` uint8), 2 the noise (``(m, 2, n)``
-standard normals, real then imaginary parts) and 3 the THP pilot labels
-(``(1, _THP_PILOTS, n)`` uint8, THP only), one pilot batch per chunk in
-both channel modes, shared by every channel of the chunk. Kinds 0-2 are
-one array each with the trial on the leading axis, so trial t's draws are
-row ``t % 512`` and depend only on ``(seed, snr_index, t)``: not on
-``trials_per_point``, the worker count, the precoder or the channel mode.
-A fixed-channel sweep and a per-trial sweep see the same bits and noise,
+``t // 512`` draws from four Philox streams, one per kind, keyed
+``(seed, chunk, kind)``: 0 the channels (``sample_channel(rng, n, m)``,
+per-trial mode only), 1 the data bits (``(m, n * bits_per_symbol)``
+uint8), 2 the unit noise (``(m, 2, n)`` standard normals, real then
+imaginary parts) and 3 the THP pilot labels (``(1, _THP_PILOTS, n)``
+uint8, THP only), one pilot batch per chunk in both channel modes,
+shared by every channel of the chunk. Kinds 0-2 are one array each with
+the trial on the leading axis, so trial t's draws are row ``t % 512``
+and depend only on ``(seed, t)``: not on the SNR point,
+``trials_per_point``, the worker count, the precoder or the channel
+mode. Every point of the SNR grid reuses them (common random numbers):
+a chunk draws, designs and transmits once, and each point adds the one
+unit noise draw scaled by its ``sqrt(nv / 2)``; only mmse, whose design
+reads the noise variance, designs and transmits per point. So a curve's
+points are positively correlated estimates, not independent ones. A
+fixed-channel sweep and a per-trial sweep see the same bits and noise,
 and THP's pilots shift nobody's draws; the pilot batch depends only on
-``(seed, snr_index, chunk)``. The bits and pilot labels are the values
-of numpy's ``integers`` with ``(0, 2**b)`` and ``dtype=np.uint8`` (``b``
-1 for bits, ``bits_per_symbol`` for labels), read in flat C order as the
-top ``b`` bits of the bytes of the stream's 64-bit Philox words in
-little-endian order (:func:`_uint8_draws`); reading them so is no change
-of scheme. The chunk size and this layout are part of the
-reproducibility contract; README's Reproducibility section keeps the
-history of earlier schemes.
+``(seed, chunk)``. The bits and pilot labels are the values of numpy's
+``integers`` with ``(0, 2**b)`` and ``dtype=np.uint8`` (``b`` 1 for
+bits, ``bits_per_symbol`` for labels), read in flat C order as the top
+``b`` bits of the bytes of the stream's 64-bit Philox words in
+little-endian order (:func:`_uint8_draws`). The chunk size and this
+layout are part of the reproducibility contract; README's
+Reproducibility section keeps the history of earlier schemes.
 """
 
 from __future__ import annotations
@@ -129,10 +133,12 @@ GRAY_LABELING_NOTE = (
 )
 
 # Name of the random-draw contract; a change to it gets a new name.
-RNG_SCHEME = "philox-ss-v4"
+RNG_SCHEME = "philox-ss-v5"
 
 # Stream namespaces (first spawn_key element). Namespace 0, the per-trial
 # streams of philox-ss-v1, is not reused, so no later stream repeats a v1 one.
+# A chunk's key (_NS_CHUNK, chunk, kind) is one element shorter than the
+# earlier chunk schemes' keys, which also held the SNR index.
 _NS_FIXED_CHANNEL = 1
 _NS_CHUNK = 2
 
@@ -384,25 +390,29 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _chunk_draws(
-    cfg: SweepConfig, snr_idx: int, t0: int, t1: int, c: Constellation, fixed_hs: np.ndarray | None
+    cfg: SweepConfig, t0: int, t1: int, c: Constellation, fixed_hs: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Random inputs of trials [t0, t1) of one SNR point, ``t0`` a multiple
-    of ``_CHUNK``, drawn as the module docstring lays them out: the channel
-    stack (``fixed_hs``, the fixed channel's ``(1, n, n)``, when given), the
-    data bits, complex noise ``(m, n)`` of unit variance per component and,
-    for THP, the pilot labels (else None)."""
+    """Random inputs of trials [t0, t1), ``t0`` a multiple of ``_CHUNK``,
+    shared by every SNR point and drawn as the module docstring lays them
+    out: the channel stack (``fixed_hs``, the fixed channel's
+    ``(1, n, n)``, when given), the data bits, complex noise ``(m, n)`` of
+    unit variance per component and, for THP, the pilot labels (else
+    None)."""
     n, m, chunk = cfg.n_users, t1 - t0, t0 // _CHUNK
 
     def rng(kind: int) -> np.random.Generator:
-        return stream(cfg.seed, _NS_CHUNK, snr_idx, chunk, kind)
+        return stream(cfg.seed, _NS_CHUNK, chunk, kind)
 
     hs = sample_channel(rng(_KIND_CHANNEL), n, m) if fixed_hs is None else fixed_hs
     bits = _uint8_draws(rng(_KIND_BITS), (m, n * c.bits_per_symbol), 1)
     z = rng(_KIND_NOISE).standard_normal((m, 2, n))
+    # Written part by part, as sample_channel writes its stack.
+    noise = np.empty((m, n), dtype=np.complex128)
+    noise.real, noise.imag = z[:, 0], z[:, 1]
     labels = None
     if cfg.precoder == "thp":
         labels = _uint8_draws(rng(_KIND_PILOTS), (1, _THP_PILOTS, n), c.bits_per_symbol)
-    return hs, bits, z[:, 0] + 1j * z[:, 1], labels
+    return hs, bits, noise, labels
 
 
 def _uint8_draws(rng: np.random.Generator, shape: tuple[int, ...], b: int) -> np.ndarray:
@@ -489,36 +499,60 @@ def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Desig
     return _Design(hs, w=w, alpha=alpha, gains=alpha[:, np.newaxis] * hw_diag)
 
 
-def _simulate_chunk(
-    cfg: SweepConfig,
-    snr_idx: int,
-    snr_db: float,
-    t0: int,
-    t1: int,
-    fixed: _Design | None,
-) -> dict:
-    """Simulate trials [t0, t1) of one SNR point and return partial sums.
+def _simulate_chunk(cfg: SweepConfig, t0: int, t1: int, fixed: _Design | None) -> list[dict]:
+    """Simulate trials [t0, t1) at every SNR point; returns one dict of
+    partial sums per point, in grid order.
 
-    ``fixed`` is None with per-trial channels, whose stack is designed
-    here; on the fixed channel it is that channel's design, made by
-    :func:`run_ber_sweep` for the chunk's point.
+    The draws and, for every precoder but mmse, the design, the transmit
+    and ``H x`` are made once for all points; each point adds its scaled
+    noise, equalizes, decides and counts. mmse's design reads the noise
+    variance, so it is designed and transmitted per point. ``fixed`` is
+    None with per-trial channels, whose stack is designed here; on the
+    fixed channel it is that channel's design, made by
+    :func:`run_ber_sweep` (for mmse, only the channel). A failure in a
+    point's own stage carries that point as ``snr_db`` (see
+    :func:`_chunk_context`).
     """
     c = make_constellation(cfg.constellation_order)
-    m = t1 - t0
-    nv = noise_variance(cfg, snr_db)
-    fixed_hs = None if fixed is None else fixed.hs
-    hs, bits, noise, pilots = _chunk_draws(cfg, snr_idx, t0, t1, c, fixed_hs)
-    tx = _bit_labels(bits, c).reshape(m, cfg.n_users)
+    hs, bits, noise, pilots = _chunk_draws(cfg, t0, t1, c, None if fixed is None else fixed.hs)
+    tx = _bit_labels(bits, c).reshape(t1 - t0, cfg.n_users)
     s = c.points[tx]
+    shared = None
+    if cfg.precoder != "mmse":
+        shared = _transmit(cfg, _design(cfg, hs) if fixed is None else fixed, s, pilots, c)
 
-    design = _design(cfg, hs, nv) if fixed is None else fixed
-    is_thp = pilots is not None
-    if is_thp:
-        x, g = _thp_transmit(cfg, design.factors, s, pilots, c)
+    parts = []
+    for snr_db in cfg.snr_grid_db:
+        nv = noise_variance(cfg, snr_db)
+        try:
+            sent = shared or _transmit(cfg, _design(cfg, hs, nv), s, pilots, c)
+            parts.append(_point_sums(sent, tx, noise, nv, c, pilots is not None))
+        except DpcPermError as exc:
+            exc.snr_db = snr_db
+            raise
+    return parts
+
+
+def _transmit(
+    cfg: SweepConfig, design: _Design, s: np.ndarray, labels: np.ndarray | None, c: Constellation
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Transmit one chunk's symbols ``s`` with ``design`` (THP when given
+    pilot ``labels``); returns the effective gains, ``H x`` and the sum of
+    ``|x|**2``."""
+    if labels is not None:
+        x, g = _thp_transmit(cfg, design.factors, s, labels, c)
     else:
         x, g = _linear_transmit(design, s)
+    return g, _apply(design.hs, x), float(np.sum(np.abs(x) ** 2))
 
-    y = _apply(hs, x)
+
+def _point_sums(
+    sent: tuple, tx: np.ndarray, noise: np.ndarray, nv: float, c: Constellation, is_thp: bool
+) -> dict:
+    """One SNR point's partial sums of a chunk: the transmit ``sent`` (see
+    :func:`_transmit`) received with ``noise`` scaled to variance ``nv``,
+    equalized, decided and counted against the labels ``tx``."""
+    g, y, tx_power_sum = sent
     if nv > 0.0:
         y = y + math.sqrt(nv / 2.0) * noise
 
@@ -533,12 +567,10 @@ def _simulate_chunk(
         y_hat = modulo_lattice(y_hat, _thp_base(c.order))
 
     rx, margins = _decide(y_hat.ravel(), c)
-    errors = int(np.bitwise_count(tx.ravel() ^ rx).sum())
-
     return {
-        "errors": errors,
+        "errors": int(np.bitwise_count(tx.ravel() ^ rx).sum()),
         "bits": tx.size * c.bits_per_symbol,
-        "tx_power_sum": float(np.sum(np.abs(x) ** 2)),
+        "tx_power_sum": tx_power_sum,
         "min_margin": float(margins.min()) if margins.size else math.inf,
     }
 
@@ -619,18 +651,26 @@ def _sweep_context(cfg: SweepConfig, place: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _chunk_context(cfg: SweepConfig, task: tuple[int, float, int, int]):
-    """:func:`_sweep_context` of one chunk: its SNR point and trial range."""
-    _, snr_db, t0, t1 = task
-    return _sweep_context(cfg, f"at {snr_db:g} dB, trials [{t0}, {t1})")
+@contextmanager
+def _chunk_context(cfg: SweepConfig, t0: int, t1: int):
+    """:func:`_sweep_context` of one chunk: "at X dB, trials [t0, t1)" for a
+    failure in one SNR point's own stage (it carries ``snr_db``, set by
+    :func:`_simulate_chunk`), "in trials [t0, t1)" for one in the stage the
+    points share or a dead worker."""
+    trials = f"trials [{t0}, {t1})"
+    try:
+        yield
+    except (BrokenProcessPool, DpcPermError) as exc:
+        point = getattr(exc, "snr_db", None)
+        with _sweep_context(cfg, f"in {trials}" if point is None else f"at {point:g} dB, {trials}"):
+            raise
 
 
-def _sweep_tasks(cfg: SweepConfig) -> Iterator[tuple[int, float, int, int]]:
-    """The sweep's chunks ``(snr_idx, snr_db, t0, t1)`` in task order,
-    made one at a time: a sweep of 1e11 trials a point has 2e8 of them."""
-    for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        for t0 in range(0, cfg.trials_per_point, _CHUNK):
-            yield snr_idx, snr_db, t0, min(t0 + _CHUNK, cfg.trials_per_point)
+def _sweep_tasks(cfg: SweepConfig) -> Iterator[tuple[int, int]]:
+    """The sweep's chunks ``(t0, t1)`` in task order, made one at a time: a
+    sweep of 1e11 trials a point has 2e8 of them."""
+    for t0 in range(0, cfg.trials_per_point, _CHUNK):
+        yield t0, min(t0 + _CHUNK, cfg.trials_per_point)
 
 
 def _add_chunk(total: dict | None, part: dict) -> dict:
@@ -651,55 +691,51 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     """Run the full SNR sweep described by ``cfg``.
 
     Results are a pure function of the config: per-chunk streams make the
-    error counts identical for any worker count. A per-trial sweep designs
-    each chunk's channel stack in that chunk. A fixed-channel sweep designs
-    its one channel before any chunk, once per sweep, and sends that design
-    to every chunk; mmse, whose design reads the noise variance, is
-    designed once per SNR point. Precoder failures abort the sweep with the
-    precoder, seed, offending SNR point (in dB) and the chunk's trial range
-    attached, or with "on the fixed channel" ("on the fixed channel at X
-    dB" for mmse) when the fixed channel's design fails; a worker process
-    that dies raises :class:`WorkerCrashed` with the same context.
+    error counts identical for any worker count. A task is one chunk of
+    trials for the whole SNR grid (:func:`_simulate_chunk`), and the
+    chunks' per-point sums are reduced in task order. A per-trial sweep
+    designs each chunk's channel stack in that chunk. A fixed-channel sweep
+    designs its one channel before any chunk, once per sweep, and sends
+    that design to every chunk; mmse, whose design reads the noise
+    variance, is designed per point in each chunk. Precoder failures abort
+    the sweep with the precoder and seed attached, and with where it
+    stopped: "at X dB, trials [t0, t1)" for a failure in one SNR point's
+    own stage (mmse's design, the decisions), "in trials [t0, t1)" for one
+    in the chunk's shared stage (the draws, the design and the transmit),
+    or "on the fixed channel" when the fixed channel's design fails; a
+    worker process that dies raises :class:`WorkerCrashed` with the
+    chunk's trial range.
     """
     cfg.validate()
     # A pool starts all its workers on the first submit; start no idle ones.
-    chunks_per_point = -(-cfg.trials_per_point // _CHUNK)
-    n_workers = min(resolve_workers(workers), len(cfg.snr_grid_db) * chunks_per_point)
-    # The design each point's chunks get; None with per-trial channels.
-    fixed: list[_Design | None] = [None] * len(cfg.snr_grid_db)
+    n_workers = min(resolve_workers(workers), -(-cfg.trials_per_point // _CHUNK))
+    fixed = None
     if cfg.channel_mode == "fixed-channel":
         hs = fixed_channel_for(cfg)[np.newaxis]
-        if cfg.precoder == "mmse":
-            for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-                with _sweep_context(cfg, f"on the fixed channel at {snr_db:g} dB"):
-                    fixed[snr_idx] = _design(cfg, hs, noise_variance(cfg, snr_db))
-        else:
-            with _sweep_context(cfg, "on the fixed channel"):
-                fixed = [_design(cfg, hs)] * len(fixed)
+        with _sweep_context(cfg, "on the fixed channel"):
+            fixed = _Design(hs) if cfg.precoder == "mmse" else _design(cfg, hs)
 
     # Both paths reduce chunks as they arrive, in task order, so each
     # point's float sums add up in the same order for any worker count.
     totals: list[dict | None] = [None] * len(cfg.snr_grid_db)
     if n_workers == 1:
-        for task in _sweep_tasks(cfg):
-            with _chunk_context(cfg, task):
-                part = _simulate_chunk(cfg, *task, fixed[task[0]])
-            totals[task[0]] = _add_chunk(totals[task[0]], part)
+        for t0, t1 in _sweep_tasks(cfg):
+            with _chunk_context(cfg, t0, t1):
+                totals = list(map(_add_chunk, totals, _simulate_chunk(cfg, t0, t1, fixed)))
     else:
         window = _CHUNKS_IN_FLIGHT_PER_WORKER * n_workers
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             in_flight: deque = deque()
 
             def collect_oldest() -> None:
-                task, fut = in_flight.popleft()
-                with _chunk_context(cfg, task):
-                    part = fut.result()
-                totals[task[0]] = _add_chunk(totals[task[0]], part)
+                nonlocal totals
+                (t0, t1), fut = in_flight.popleft()
+                with _chunk_context(cfg, t0, t1):
+                    totals = list(map(_add_chunk, totals, fut.result()))
 
             try:
                 for task in _sweep_tasks(cfg):
-                    fut = pool.submit(_simulate_chunk, cfg, *task, fixed[task[0]])
-                    in_flight.append((task, fut))
+                    in_flight.append((task, pool.submit(_simulate_chunk, cfg, *task, fixed)))
                     if len(in_flight) == window:
                         collect_oldest()
                 while in_flight:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,37 @@ def test_ber_sweep_seed_override(tmp_path, sweep_config):
     assert res.returncode == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["sweeps"][0]["config"]["seed"] == 99
+
+
+# The fixed-channel 128-QAM sweeps (thp, bd, zf, water-filled dpc-linear;
+# seed 3), the byte-for-byte gate of the fixed-channel paths: the channel's
+# design, made once per sweep and sent to every worker, and THP's one pilot
+# batch per chunk. zf has the most samples outside the decision table's box
+# (its 0 dB point), so it gates the edge-list decisions. CI runs the same
+# config file with the same pins.
+FIXED_CHANNEL_SWEEPS = Path(__file__).with_name("fixed_channel_sweeps.json")
+FIXED_CHANNEL_SHA256 = {
+    "ber_thp_128-qam.csv": "21ca3118472a15c91bd8814ff31b751255cc6e08646c2206c65a4a2356212ff4",
+    "ber_bd_128-qam.csv": "2e0ca4e70e9771866e8ce1be56664762b85486c68e275fe5ed9eff2efeae1d5f",
+    "ber_zf_128-qam.csv": "0e920a7b3eae1a3cb0c90d8c851e3906b0a548588ca9320332a8f798865651ff",
+    "ber_dpc-linear_128-qam.csv": "0c5b09222e90add7a49a6d4e723c7dac0cb846f9e60081cecd526507dc1de55f",
+    "manifest.json": "37b1e04f60203b181fe50b82ec18e56f72621abb12f22fbe195d7ed592d95372",
+}
+
+
+def test_fixed_channel_sweeps_are_pinned_and_worker_count_free(tmp_path):
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"fixed-{workers}"
+        args = ("--config", str(FIXED_CHANNEL_SWEEPS), "--out", str(out), "--workers", workers)
+        res = run_cli("ber-sweep", *args)
+        assert res.returncode == 0, res.stderr
+        outs.append(out)
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(FIXED_CHANNEL_SHA256)
+    for name, digest in FIXED_CHANNEL_SHA256.items():
+        data = (outs[0] / name).read_bytes()
+        assert data == (outs[1] / name).read_bytes(), name
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_order_search_table_and_verify(tmp_path):

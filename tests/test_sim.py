@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from dpc_perm import modem, sim
 from dpc_perm.channel import sample_channel, stream
 from dpc_perm.exceptions import (
     ConfigError,
+    DegenerateGain,
     DpcPermError,
     InfeasibleBlocking,
     NumericallySingular,
@@ -423,21 +425,21 @@ def test_worker_count_does_not_change_results():
 
 
 # ---------------------------------------------------------------------------
-# Random-draw contract (philox-ss-v4)
+# Random-draw contract (philox-ss-v5)
 # ---------------------------------------------------------------------------
 
 
-def chunk_draws(cfg, snr_idx, t0, t1):
+def chunk_draws(cfg, t0, t1):
     c = make_constellation(cfg.constellation_order)
     fixed_hs = fixed_channel_for(cfg)[np.newaxis] if cfg.channel_mode == "fixed-channel" else None
-    return sim._chunk_draws(cfg, snr_idx, t0, t1, c, fixed_hs)
+    return sim._chunk_draws(cfg, t0, t1, c, fixed_hs)
 
 
 @pytest.mark.parametrize("t0", [0, 512])
 def test_short_chunk_draws_are_the_rows_of_a_full_chunk(t0):
     cfg = small_cfg(precoder="thp")
-    short = chunk_draws(cfg, 1, t0, t0 + 300)
-    full = chunk_draws(cfg, 1, t0, t0 + 512)
+    short = chunk_draws(cfg, t0, t0 + 300)
+    full = chunk_draws(cfg, t0, t0 + 512)
     names = ("channels", "bits", "noise")
     for name, a, b in zip(names, short, full):
         assert a.shape[0] == 300 and b.shape[0] == 512, name
@@ -448,9 +450,9 @@ def test_short_chunk_draws_are_the_rows_of_a_full_chunk(t0):
 
 
 def test_trial_draws_do_not_depend_on_precoder_mode_or_trial_count():
-    zf = chunk_draws(small_cfg(precoder="zf", trials_per_point=40), 2, 0, 40)
-    thp = chunk_draws(small_cfg(precoder="thp", trials_per_point=9000), 2, 0, 40)
-    fixed = chunk_draws(small_cfg(precoder="zf", channel_mode="fixed-channel"), 2, 0, 40)
+    zf = chunk_draws(small_cfg(precoder="zf", trials_per_point=40), 0, 40)
+    thp = chunk_draws(small_cfg(precoder="thp", trials_per_point=9000), 0, 40)
+    fixed = chunk_draws(small_cfg(precoder="zf", channel_mode="fixed-channel"), 0, 40)
     assert zf[3] is None and fixed[3] is None and thp[3].shape == (1, sim._THP_PILOTS, 4)
     assert np.array_equal(zf[0], thp[0])
     assert fixed[0].shape == (1, 4, 4)
@@ -459,20 +461,56 @@ def test_trial_draws_do_not_depend_on_precoder_mode_or_trial_count():
         assert np.array_equal(zf[2], other[2])  # noise
 
 
-def test_draws_differ_between_snr_points_and_chunks():
-    cfg = small_cfg(precoder="thp")
-    base = chunk_draws(cfg, 0, 0, 8)
-    for other in (chunk_draws(cfg, 1, 0, 8), chunk_draws(cfg, 0, 512, 520)):
-        for a, b in zip(base, other):
-            assert not np.array_equal(a, b)
+def test_chunks_draw_apart_and_points_draw_alike(monkeypatch):
+    # Chunks draw apart: every kind of draw differs between chunks 0 and 1.
+    cfg = small_cfg(precoder="thp", trials_per_point=600)
+    for a, b in zip(chunk_draws(cfg, 0, 8), chunk_draws(cfg, 512, 520)):
+        assert not np.array_equal(a, b)
+    # Points draw alike: a sweep builds each chunk's four streams once, keyed
+    # without an SNR index, and every point of the grid reads them.
+    keys = []
+    real = sim.stream
+
+    def recorded(seed, *key):
+        keys.append((seed, *key))
+        return real(seed, *key)
+
+    monkeypatch.setattr(sim, "stream", recorded)
+    run_ber_sweep(cfg, workers=1)
+    assert keys == [(5, sim._NS_CHUNK, chunk, kind) for chunk in (0, 1) for kind in range(4)]
+
+
+@pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
+@pytest.mark.parametrize(
+    "precoder,gain_mode",
+    [(p, "diag-L") for p in sim.PRECODERS] + [(p, "waterfill") for p in sim._DPC_FAMILY],
+)
+def test_a_point_of_a_grid_is_the_sweep_of_that_point_alone(precoder, gain_mode, channel_mode):
+    # Trial t's draws depend only on (seed, t), and a point's stage reads
+    # only its own noise variance, so each record of a grid is the one
+    # record of a sweep over that point alone, to the last bit.
+    cfg = small_cfg(
+        precoder=precoder,
+        gain_mode=gain_mode,
+        channel_mode=channel_mode,
+        snr_grid_db=(0.0, 8.0, math.inf),
+        trials_per_point=600,  # two chunks
+    )
+
+    def fields(r):
+        return r.bits_sent, r.bit_errors, r.measured_tx_power.hex(), r.min_decision_margin.hex()
+
+    for snr_db, record in zip(cfg.snr_grid_db, run_ber_sweep(cfg)):
+        (alone,) = run_ber_sweep(replace(cfg, snr_grid_db=(snr_db,)))
+        assert fields(record) == fields(alone), snr_db
 
 
 def test_both_channel_modes_draw_the_same_pilot_batch():
     # One pilot batch per chunk in both channel modes: the fixed channel and
     # every per-trial channel of the chunk feed back the same (1, 128, n)
     # labels.
-    fixed = chunk_draws(small_cfg(precoder="thp", channel_mode="fixed-channel"), 1, 512, 812)[3]
-    per_trial = chunk_draws(small_cfg(precoder="thp"), 1, 512, 812)[3]
+    fixed = chunk_draws(small_cfg(precoder="thp", channel_mode="fixed-channel"), 512, 812)[3]
+    per_trial = chunk_draws(small_cfg(precoder="thp"), 512, 812)[3]
     assert fixed.shape == (1, sim._THP_PILOTS, 4)
     assert per_trial.shape == (1, sim._THP_PILOTS, 4)
     assert np.array_equal(fixed, per_trial)
@@ -501,11 +539,11 @@ def test_chunk_bits_and_pilots_are_numpys_integers(order):
     # The chunk's kind-1 and kind-3 draws, in their (m, n·b) and
     # (1, _THP_PILOTS, n) shapes, are the integers calls they replace.
     cfg = small_cfg(precoder="thp", constellation_order=order, seed=11)
-    _, bits, _, labels = chunk_draws(cfg, 1, 512, 812)
+    _, bits, _, labels = chunk_draws(cfg, 512, 812)
     b = make_constellation(order).bits_per_symbol
 
     def rng(kind):
-        return stream(cfg.seed, sim._NS_CHUNK, 1, 1, kind)
+        return stream(cfg.seed, sim._NS_CHUNK, 1, kind)
 
     want_bits = rng(sim._KIND_BITS).integers(0, 2, size=(300, 4 * b), dtype=np.uint8)
     pilot_shape = (1, sim._THP_PILOTS, 4)
@@ -517,7 +555,7 @@ def test_chunk_bits_and_pilots_are_numpys_integers(order):
 def test_fixed_channel_thp_chunk_is_calibrated_once():
     cfg = small_cfg(precoder="thp", channel_mode="fixed-channel", constellation_order=16)
     c = make_constellation(cfg.constellation_order)
-    hs, bits, _, labels = chunk_draws(cfg, 0, 0, 300)
+    hs, bits, _, labels = chunk_draws(cfg, 0, 300)
     s = qam_modulate(bits.ravel(), c).reshape(300, cfg.n_users)
     factors = lq_decompose(hs)
     x, g = sim._thp_transmit(cfg, factors, s, labels, c)
@@ -540,9 +578,9 @@ def test_fixed_channel_thp_chunk_is_calibrated_once():
 def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     monkeypatch, precoder, gain_mode
 ):
-    # The fixed channel is designed once per sweep (mmse: once per point); a
-    # per-trial sweep whose every trial draws that same channel designs each
-    # copy, on the same bits and noise.
+    # The fixed channel is designed once per sweep (mmse: per point in each
+    # chunk); a per-trial sweep whose every trial draws that same channel
+    # designs each copy, on the same bits and noise.
     cfg = small_cfg(
         precoder=precoder,
         gain_mode=gain_mode,
@@ -578,7 +616,8 @@ DESIGN_POINTS, DESIGN_TRIALS = (0.0, 10.0), 1100  # 3 chunks a point: 512, 512, 
 )
 def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd, channel_mode):
     # The design reads only the channel: the fixed channel is factored once
-    # for every point and chunk, a per-trial sweep once per trial. The
+    # for every point and chunk, a per-trial sweep once per trial for the
+    # whole grid. The
     # water-fill's SVD yields only the singular values; dpc-linear's matrix
     # is an inverse, which no counter sees.
     cfg = small_cfg(
@@ -590,15 +629,15 @@ def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd
     )
     with count_decompositions() as counter:
         run_ber_sweep(cfg, workers=1)
-    per = 1 if channel_mode == "fixed-channel" else len(DESIGN_POINTS) * DESIGN_TRIALS
+    per = 1 if channel_mode == "fixed-channel" else DESIGN_TRIALS
     assert (counter.lq, counter.svd) == (lq * per, svd * per)
 
 
 @pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
 @pytest.mark.parametrize("precoder", ["zf", "bd", "mmse"])
 def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, channel_mode):
-    # mmse's design reads the point's noise variance, so it is made once per
-    # point.
+    # A chunk's stack is inverted once for the whole grid. mmse's design
+    # reads the point's noise variance, so each chunk makes it per point.
     name = f"{precoder}_precode"
     real = getattr(sim, name)
     stacks = []
@@ -615,18 +654,21 @@ def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, chann
         trials_per_point=DESIGN_TRIALS,
     )
     run_ber_sweep(cfg, workers=1)
-    chunks = [512, 512, 76] * len(DESIGN_POINTS)
+    chunks = [512, 512, 76]
+    if precoder == "mmse":
+        chunks = [m for m in chunks for _ in DESIGN_POINTS]
     if channel_mode == "per-trial-channel":
         assert stacks == chunks
     else:
-        assert stacks == [1] * (len(DESIGN_POINTS) if precoder == "mmse" else 1)
+        assert stacks == [1] * (len(chunks) if precoder == "mmse" else 1)
 
 
 @pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
 @pytest.mark.parametrize("precoder", sim._DPC_FAMILY)
 def test_a_chunk_is_water_filled_in_one_call(monkeypatch, precoder, channel_mode):
     # One batched water-fill per design: a chunk's stack of singular values
-    # per chunk, the fixed channel's one row once per sweep.
+    # once per chunk for the whole grid, the fixed channel's one row once per
+    # sweep.
     real = sim.waterfill
     stacks = []
 
@@ -645,7 +687,7 @@ def test_a_chunk_is_water_filled_in_one_call(monkeypatch, precoder, channel_mode
     run_ber_sweep(cfg, workers=1)
     n = cfg.n_users
     if channel_mode == "per-trial-channel":
-        assert stacks == [(m, n) for m in [512, 512, 76] * len(DESIGN_POINTS)]
+        assert stacks == [(m, n) for m in [512, 512, 76]]
     else:
         assert stacks == [(1, n)]
 
@@ -705,8 +747,10 @@ def scalar_reference_transmit(cfg, h, s, nv, pilots, c):
 def test_sweep_matches_a_scalar_reference_trial_by_trial(
     precoder, gain_mode, channel_mode, n_users, order, trials, snr_grid_db, budget, seed
 ):
-    # Every chunk's draws, then per trial: the public precoder on one
-    # channel, the channel, the noise and a hard decision. This checks the
+    # Every chunk's draws, shared by the points, then per trial: the public
+    # precoder on one channel, the channel, the noise and a hard decision.
+    # So each point's counts are those of that point alone fed the chunk's
+    # one set of draws. This checks the
     # batched layouts (stacked or shared factors, broadcast gains, the
     # muting mask of water-filled gains, the stacked water-fill) against
     # the one-channel path.
@@ -728,7 +772,7 @@ def test_sweep_matches_a_scalar_reference_trial_by_trial(
         power = 0.0
         for t0 in range(0, trials, sim._CHUNK):
             t1 = min(t0 + sim._CHUNK, trials)
-            hs, bits, noise, labels = chunk_draws(cfg, snr_idx, t0, t1)
+            hs, bits, noise, labels = chunk_draws(cfg, t0, t1)
             for t in range(t1 - t0):
                 # The fixed channel is row 0, and so is THP's one pilot
                 # batch, which every trial's channel feeds back.
@@ -858,11 +902,13 @@ def test_conventional_and_linear_share_error_counts():
 @pytest.mark.parametrize("precoder", ["zf", "mmse", "thp", "bd"])
 def test_baseline_transmit_power_tracks_budget(precoder):
     # The per-vector power s^H W^H W s fluctuates around tr(W W^H) = P,
-    # so the 1% check needs a decent pool of vectors to concentrate.
+    # so the 1% check needs a decent pool of vectors to concentrate. The
+    # points share their trials' vectors (and THP its pilot batches), so
+    # the pool is one point's 16000 trials: 32 pilot batches.
     cfg = small_cfg(
         precoder=precoder,
         channel_mode="fixed-channel",
-        trials_per_point=4000,
+        trials_per_point=16000,
         snr_grid_db=(3.0, 6.0, 9.0, 12.0),
         seed=13,
     )
@@ -904,26 +950,36 @@ def test_singular_trial_channel_aborts_sweep_with_context(monkeypatch, precoder,
         run_ber_sweep(cfg)
 
 
+FIXED = "on the fixed channel"
+
+
 @pytest.mark.parametrize(
     "precoder,error,place",
     [
-        pytest.param("zf", NumericallySingular, "", id="zf-NumericallySingular"),
-        pytest.param("bd", InfeasibleBlocking, "", id="bd-InfeasibleBlocking"),
-        pytest.param("dpc-linear", NumericallySingular, "", id="dpc-linear-NumericallySingular"),
-        pytest.param("thp", NumericallySingular, "", id="thp-NumericallySingular"),
-        # mmse is designed once per point; the regularized inverse of the
-        # finite points exists, the plain inverse of the inf point does not.
-        pytest.param("mmse", NumericallySingular, " at inf dB", id="mmse-NumericallySingular"),
+        pytest.param("zf", NumericallySingular, FIXED, id="zf-NumericallySingular"),
+        pytest.param("bd", InfeasibleBlocking, FIXED, id="bd-InfeasibleBlocking"),
+        pytest.param("dpc-linear", NumericallySingular, FIXED, id="dpc-linear-NumericallySingular"),
+        pytest.param("thp", NumericallySingular, FIXED, id="thp-NumericallySingular"),
+        # mmse is designed per point in each chunk; the regularized inverse
+        # of the finite points exists, the plain inverse of the inf point
+        # does not.
+        pytest.param(
+            "mmse",
+            NumericallySingular,
+            r"at inf dB, trials \[0, 300\)",
+            id="mmse-NumericallySingular",
+        ),
     ],
 )
 def test_singular_fixed_channel_aborts_sweep_with_context(monkeypatch, precoder, error, place):
     # The fixed channel is designed before any chunk, so no trial range is
-    # to blame: the failure names the fixed channel (and mmse's point).
+    # to blame: the failure names the fixed channel (mmse: its point and
+    # the chunk that designs it).
     monkeypatch.setattr(sim, "fixed_channel_for", lambda cfg: np.ones((4, 4), dtype=complex))
     cfg = small_cfg(
         precoder=precoder, channel_mode="fixed-channel", snr_grid_db=(0.0, 6.0, math.inf)
     )
-    pattern = rf"^sweep aborted \({precoder}, seed 5\) on the fixed channel{place}: "
+    pattern = rf"^sweep aborted \({precoder}, seed 5\) {place}: "
     with pytest.raises(error, match=pattern):
         run_ber_sweep(cfg)
 
@@ -1009,6 +1065,15 @@ def test_sweep_failure_names_snr_point_and_trial_range(monkeypatch, workers):
         run_ber_sweep(cfg, workers=workers)
 
 
+def test_point_failure_names_its_point_from_a_worker_process():
+    # The point a failure carries crosses the process boundary: mmse's power
+    # scale overflows at -1600 dB in both chunks, each in a worker.
+    cfg = small_cfg(precoder="mmse", snr_grid_db=(0.0, -1600.0), trials_per_point=600)
+    pattern = r"^sweep aborted \(mmse, seed 5\) at -1600 dB, trials \[0, 512\): "
+    with pytest.raises(DegenerateGain, match=pattern):
+        run_ber_sweep(cfg, workers=2)
+
+
 class PendingPool(InlinePool):
     """Stand-in pool whose first future fails and whose others stay
     pending, like chunks still queued; records how it is shut down."""
@@ -1034,8 +1099,8 @@ class PendingPool(InlinePool):
 def test_failing_parallel_sweep_cancels_queued_chunks(monkeypatch):
     pool = PendingPool(max_workers=2)
     monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda max_workers: pool)
-    cfg = small_cfg(precoder="zf", snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=8)
-    with pytest.raises(NumericallySingular, match=r"at 0 dB, trials \[0, 8\): injected failure"):
+    cfg = small_cfg(precoder="zf", snr_grid_db=(0.0, 3.0, 6.0), trials_per_point=1100)
+    with pytest.raises(NumericallySingular, match=r"in trials \[0, 512\): injected failure"):
         run_ber_sweep(cfg, workers=2)
     assert pool.cancel_futures is True
     assert len(pool.futures) == 3
@@ -1045,7 +1110,7 @@ def test_failing_parallel_sweep_cancels_queued_chunks(monkeypatch):
 def test_broken_worker_pool_is_a_worker_crash_with_context(monkeypatch):
     monkeypatch.setattr(sim, "ProcessPoolExecutor", BrokenPool)
     cfg = small_cfg(precoder="zf", snr_grid_db=(math.inf, 3.0), trials_per_point=600)
-    pattern = r"sweep aborted \(zf, seed 5\) at inf dB, trials \[0, 512\): a worker process died"
+    pattern = r"sweep aborted \(zf, seed 5\) in trials \[0, 512\): a worker process died"
     with pytest.raises(WorkerCrashed, match=pattern) as info:
         run_ber_sweep(cfg, workers=2)
     assert isinstance(info.value, DpcPermError)
@@ -1061,7 +1126,7 @@ def test_parallel_sweep_starts_no_more_workers_than_chunks(monkeypatch, workers,
         return InlinePool(max_workers)
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool)
-    cfg = small_cfg(precoder="zf", snr_grid_db=(0.0, 6.0), trials_per_point=8)
+    cfg = small_cfg(precoder="zf", snr_grid_db=(0.0, 6.0), trials_per_point=600)
     assert run_ber_sweep(cfg, workers=workers) == run_ber_sweep(cfg, workers=1)
     assert sizes == [expected]
 
@@ -1073,15 +1138,17 @@ def test_single_chunk_sweep_runs_serially(monkeypatch):
 
 
 def chunks_then_failure(good_chunks):
-    """Stand-in for ``_simulate_chunk`` that returns ``good_chunks`` partial
-    sums and then raises; records the ``t0`` of every call."""
+    """Stand-in for ``_simulate_chunk`` that returns ``good_chunks`` chunks'
+    partial sums and then raises; records the ``t0`` of every call."""
     calls = []
 
-    def simulate(cfg, snr_idx, snr_db, t0, t1, fixed):
+    def simulate(cfg, t0, t1, fixed):
         calls.append(t0)
         if len(calls) > good_chunks:
             raise NumericallySingular("injected failure")
-        return {"errors": 0, "bits": 1, "tx_power_sum": 0.0, "min_margin": 1.0}
+        return [{"errors": 0, "bits": 1, "tx_power_sum": 0.0, "min_margin": 1.0}] * len(
+            cfg.snr_grid_db
+        )
 
     return simulate, calls
 
@@ -1093,7 +1160,7 @@ def test_huge_serial_sweep_fails_at_once_in_small_memory(monkeypatch):
     cfg = small_cfg(precoder="zf", snr_grid_db=(10.0,), trials_per_point=10**11)
     tracemalloc.start()
     try:
-        with pytest.raises(NumericallySingular, match=r"at 10 dB, trials \[1536, 2048\)"):
+        with pytest.raises(NumericallySingular, match=r"in trials \[1536, 2048\)"):
             run_ber_sweep(cfg, workers=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1139,7 +1206,7 @@ def test_parallel_sweep_keeps_a_bounded_window_of_chunks_in_flight(monkeypatch, 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", window_pool)
     window = sim._CHUNKS_IN_FLIGHT_PER_WORKER * workers
     # Nine chunks, more than the window: the records equal the serial ones.
-    cfg = small_cfg(precoder="zf", trials_per_point=1100)
+    cfg = small_cfg(precoder="zf", trials_per_point=8 * 512 + 100)
     assert run_ber_sweep(cfg, workers=workers) == run_ber_sweep(cfg, workers=1)
     assert pools[0].peak == window and pools[0].submitted == 9
     # 2e8 chunks: the worker count is computed without a list of them, and
@@ -1147,7 +1214,7 @@ def test_parallel_sweep_keeps_a_bounded_window_of_chunks_in_flight(monkeypatch, 
     simulate, calls = chunks_then_failure(3)
     monkeypatch.setattr(sim, "_simulate_chunk", simulate)
     huge = small_cfg(precoder="zf", snr_grid_db=(10.0,), trials_per_point=10**11)
-    with pytest.raises(NumericallySingular, match=r"at 10 dB, trials \[1536, 2048\)"):
+    with pytest.raises(NumericallySingular, match=r"in trials \[1536, 2048\)"):
         run_ber_sweep(huge, workers=workers)
     pool = pools[-1]
     assert pool.max_workers == workers
@@ -1178,10 +1245,10 @@ def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
     fixed = None
     if channel_mode == "fixed-channel":
         fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis])
-    sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed)  # fill the per-order caches first
+    sim._simulate_chunk(cfg, 0, 512, fixed)  # fill the per-order caches first
     tracemalloc.start()
     try:
-        sim._simulate_chunk(cfg, 0, 10.0, 0, 512, fixed)
+        sim._simulate_chunk(cfg, 0, 512, fixed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1220,10 +1287,10 @@ def test_chunk_error_count_matches_a_bit_level_recount(
     decided = []
     decide = sim._decide
     monkeypatch.setattr(sim, "_decide", lambda y, c: decided.append(y) or decide(y, c))
-    part = sim._simulate_chunk(cfg, 0, snr_db, 0, trials, fixed)
+    (part,) = sim._simulate_chunk(cfg, 0, trials, fixed)
     (y_hat,) = decided
 
-    _, bits, _, _ = sim._chunk_draws(cfg, 0, 0, trials, c, fixed.hs)
+    _, bits, _, _ = sim._chunk_draws(cfg, 0, trials, c, fixed.hs)
     active = np.ones((trials, cfg.n_users), dtype=bool)
     if fixed.gains is not None:
         active &= fixed.gains > 0
@@ -1252,29 +1319,31 @@ def test_chunk_error_count_matches_a_bit_level_recount(
 
 # THP records at n = 10, 700 trials (one full chunk and one short one),
 # seed 0, over 0, 10, 20 and inf dB: (bits_sent, bit_errors,
-# measured_tx_power.hex(), min_decision_margin.hex()) per point.
+# measured_tx_power.hex(), min_decision_margin.hex()) per point. The
+# points share their trials' transmit (philox-ss-v5), so each record's
+# measured_tx_power is the same at every point.
 THP_PINNED_RECORDS = {
-    # Each trial's channel feeds back the chunk's one pilot batch
-    # (philox-ss-v4), so alpha is one number per trial.
+    # Each trial's channel feeds back the chunk's one pilot batch, so
+    # alpha is one number per trial.
     (4, "per-trial-channel"): [
-        (14000, 1617, "0x1.420db6e4a1690p+3", "0x1.3e661e8c6d000p-14"),
-        (14000, 174, "0x1.3fbe61c74ec8ap+3", "0x1.142025c0ce800p-12"),
-        (14000, 20, "0x1.409850945bb7fp+3", "0x1.8727298f62000p-13"),
-        (14000, 0, "0x1.3ef442a096648p+3", "0x1.6a09e667f3a9ep-1"),
+        (14000, 1598, "0x1.3d2c23dd8ffa7p+3", "0x1.0c2536d782000p-15"),
+        (14000, 167, "0x1.3d2c23dd8ffa7p+3", "0x1.4e918052b6480p-9"),
+        (14000, 25, "0x1.3d2c23dd8ffa7p+3", "0x1.069c623218000p-8"),
+        (14000, 0, "0x1.3d2c23dd8ffa7p+3", "0x1.6a09e667f3b1ap-1"),
     ],
     (16, "per-trial-channel"): [
-        (28000, 5669, "0x1.3f5c237e13722p+3", "0x1.6b02049f5c000p-17"),
-        (28000, 778, "0x1.4741f7553bdd1p+3", "0x1.1f88d8ab59400p-13"),
-        (28000, 85, "0x1.3d3cc5023161dp+3", "0x1.ff8869db36980p-10"),
-        (28000, 0, "0x1.450a3c91b0543p+3", "0x1.43d1362484533p-2"),
+        (28000, 5763, "0x1.3d82200fa707ep+3", "0x1.67d1a5f7f8000p-16"),
+        (28000, 774, "0x1.3d82200fa707ep+3", "0x1.02d2e09bd8c00p-12"),
+        (28000, 87, "0x1.3d82200fa707ep+3", "0x1.5a754d25c3900p-11"),
+        (28000, 0, "0x1.3d82200fa707ep+3", "0x1.43d13624845edp-2"),
     ],
-    # One channel and one pilot batch per chunk (unchanged since
-    # philox-ss-v3), so alpha is one number per chunk of trials.
+    # One channel and one pilot batch per chunk, so alpha is one number
+    # per chunk of trials.
     (128, "fixed-channel"): [
-        (49000, 17814, "0x1.464b00fc97be7p+3", "0x1.11e9356d88000p-19"),
-        (49000, 6507, "0x1.438330ba0def6p+3", "0x1.3c3f268628000p-19"),
-        (49000, 447, "0x1.406cadf053712p+3", "0x1.86b3327759000p-15"),
-        (49000, 0, "0x1.3f2f5d089f13fp+3", "0x1.c453d90f056f9p-4"),
+        (49000, 17755, "0x1.3dc001494e125p+3", "0x1.d4c9b69b80000p-18"),
+        (49000, 6707, "0x1.3dc001494e125p+3", "0x1.95ddb8ecd5000p-17"),
+        (49000, 406, "0x1.3dc001494e125p+3", "0x1.d2b955dbd3a00p-14"),
+        (49000, 0, "0x1.3dc001494e125p+3", "0x1.c453d90f05702p-4"),
     ],
 }
 
@@ -1303,172 +1372,172 @@ def test_thp_sweep_records_are_pinned(order, channel_mode):
 # gain_mode, constellation_order, channel_mode).
 SWEEP_PINNED_RECORDS = {
     ("zf", "diag-L", 4, "per-trial-channel"): [
-        (14000, 3406, "0x1.4185a5423da39p+3", "0x1.bd4152d708000p-17"),
-        (14000, 618, "0x1.4818ecd7c3994p+3", "0x1.045ca7d616800p-11"),
-        (14000, 77, "0x1.392b446f2e4b2p+3", "0x1.b27dad73fa100p-10"),
-        (14000, 0, "0x1.3c6c0cf6d952bp+3", "0x1.6a09e667f3a89p-1"),
+        (14000, 3352, "0x1.3b7213bbac7adp+3", "0x1.8fcf86875c000p-14"),
+        (14000, 666, "0x1.3b7213bbac7adp+3", "0x1.bd3dbeca3e800p-12"),
+        (14000, 83, "0x1.3b7213bbac7adp+3", "0x1.b51a79ff81800p-12"),
+        (14000, 0, "0x1.3b7213bbac7adp+3", "0x1.6a09e667f3a48p-1"),
     ],
     ("zf", "diag-L", 4, "fixed-channel"): [
-        (14000, 1683, "0x1.37fc914426c63p+3", "0x1.899bb7f5ae000p-15"),
-        (14000, 1, "0x1.3dccdb54b475bp+3", "0x1.2fc1ec9352700p-5"),
-        (14000, 0, "0x1.496ef0f2c6c03p+3", "0x1.e2078e5a6f786p-2"),
-        (14000, 0, "0x1.3b9b98f8c39a0p+3", "0x1.6a09e667f3bb4p-1"),
+        (14000, 1740, "0x1.2f3716ded540ap+3", "0x1.47a25a22b8000p-17"),
+        (14000, 2, "0x1.2f3716ded540ap+3", "0x1.3bbead82e6280p-8"),
+        (14000, 0, "0x1.2f3716ded540ap+3", "0x1.d73eb1867daf8p-2"),
+        (14000, 0, "0x1.2f3716ded540ap+3", "0x1.6a09e667f3bb4p-1"),
     ],
     ("zf", "diag-L", 128, "per-trial-channel"): [
-        (49000, 21798, "0x1.541ef23c1913dp+3", "0x1.f01b973980000p-19"),
-        (49000, 15471, "0x1.428ac426c7c56p+3", "0x1.4350724a88000p-19"),
-        (49000, 5769, "0x1.542e9fa0c0c7bp+3", "0x1.1bd9f63168000p-18"),
-        (49000, 0, "0x1.42cbf34f0490fp+3", "0x1.c453d90f04fb1p-4"),
+        (49000, 21893, "0x1.449cec33a9b65p+3", "0x1.4f818bbfd0000p-17"),
+        (49000, 15606, "0x1.449cec33a9b65p+3", "0x1.cc63464af2000p-16"),
+        (49000, 5895, "0x1.449cec33a9b65p+3", "0x1.b419a3b62f000p-17"),
+        (49000, 0, "0x1.449cec33a9b65p+3", "0x1.c453d90f0461bp-4"),
     ],
     ("zf", "diag-L", 128, "fixed-channel"): [
-        (49000, 20044, "0x1.3bbde652a8ac5p+3", "0x1.5451bdf348000p-19"),
-        (49000, 11011, "0x1.396d1a30fa806p+3", "0x1.976d4bf0e8000p-18"),
-        (49000, 1224, "0x1.42adb3c6ba46bp+3", "0x1.b220e81bb6000p-17"),
-        (49000, 0, "0x1.3ac3e92336fd3p+3", "0x1.c453d90f056dfp-4"),
+        (49000, 20152, "0x1.3e8dce750c57fp+3", "0x1.33112c2ce0000p-19"),
+        (49000, 10948, "0x1.3e8dce750c57fp+3", "0x1.58ee794a1a000p-18"),
+        (49000, 1260, "0x1.3e8dce750c57fp+3", "0x1.21f004fdb1000p-16"),
+        (49000, 0, "0x1.3e8dce750c57fp+3", "0x1.c453d90f0569cp-4"),
     ],
     ("mmse", "diag-L", 4, "per-trial-channel"): [
-        (14000, 1282, "0x1.3f5daba478e41p+3", "0x1.82b85e006cc00p-12"),
-        (14000, 219, "0x1.4410439b43806p+3", "0x1.1df69f0fa3000p-11"),
-        (14000, 19, "0x1.3765afcc26684p+3", "0x1.2ed0270e8f400p-10"),
-        (14000, 0, "0x1.3c6c0cf6d952bp+3", "0x1.6a09e667f3a89p-1"),
+        (14000, 1264, "0x1.40a8b0d2e6ecdp+3", "0x1.652bb7b488000p-15"),
+        (14000, 197, "0x1.3da5abed586e0p+3", "0x1.baa197980cc00p-11"),
+        (14000, 18, "0x1.3cf38f5386264p+3", "0x1.093c5afeac280p-9"),
+        (14000, 0, "0x1.3b7213bbac7adp+3", "0x1.6a09e667f3a48p-1"),
     ],
     ("mmse", "diag-L", 4, "fixed-channel"): [
-        (14000, 1212, "0x1.42418bf5c783cp+3", "0x1.01cd743efe000p-14"),
-        (14000, 88, "0x1.401d80c4e4983p+3", "0x1.df43d1fd3e400p-11"),
-        (14000, 0, "0x1.485c713c21085p+3", "0x1.860e1d12f3012p-2"),
-        (14000, 0, "0x1.3b9b98f8c39a0p+3", "0x1.6a09e667f3bb4p-1"),
+        (14000, 1180, "0x1.435ba27b72103p+3", "0x1.a52f3b87f1a00p-11"),
+        (14000, 64, "0x1.3e6100938eb0ap+3", "0x1.3a5a274380000p-14"),
+        (14000, 0, "0x1.325d46fd54a45p+3", "0x1.a155103848d10p-2"),
+        (14000, 0, "0x1.2f3716ded540ap+3", "0x1.6a09e667f3bb4p-1"),
     ],
     ("mmse", "diag-L", 128, "per-trial-channel"): [
-        (49000, 19196, "0x1.3b5a332094c98p+3", "0x1.63bb773c40000p-21"),
-        (49000, 14259, "0x1.419f59ee29ef4p+3", "0x1.d1f9dfebc0000p-22"),
-        (49000, 7424, "0x1.4f94c8f7c6168p+3", "0x1.88c97dfc00000p-20"),
-        (49000, 0, "0x1.42cbf34f0490fp+3", "0x1.c453d90f04fb1p-4"),
+        (49000, 19144, "0x1.4419157141448p+3", "0x1.839701a622000p-18"),
+        (49000, 14303, "0x1.403ca1de94ae9p+3", "0x1.638a21e372000p-18"),
+        (49000, 7352, "0x1.436ce6f21bd3ap+3", "0x1.7a050954ba000p-16"),
+        (49000, 0, "0x1.449cec33a9b65p+3", "0x1.c453d90f0461bp-4"),
     ],
     ("mmse", "diag-L", 128, "fixed-channel"): [
-        (49000, 19223, "0x1.3fb528815c29bp+3", "0x1.e66f77c3da000p-17"),
-        (49000, 13685, "0x1.41c1f3374581ep+3", "0x1.f0b9bcc800000p-21"),
-        (49000, 3361, "0x1.41f4cdf04f07fp+3", "0x1.8aeac27664000p-19"),
-        (49000, 0, "0x1.3ac3e92336fd3p+3", "0x1.c453d90f056dfp-4"),
+        (49000, 19362, "0x1.44267e70f0c0ap+3", "0x1.00be55cf34000p-18"),
+        (49000, 13568, "0x1.421396ebdd6b0p+3", "0x1.9bb407bf00000p-21"),
+        (49000, 3324, "0x1.3f557470eae8cp+3", "0x1.d25330cb60000p-19"),
+        (49000, 0, "0x1.3e8dce750c57fp+3", "0x1.c453d90f0569cp-4"),
     ],
     ("bd", "diag-L", 4, "per-trial-channel"): [
-        (14000, 3406, "0x1.4185a5423da39p+3", "0x1.bd4152d708000p-17"),
-        (14000, 618, "0x1.4818ecd7c3994p+3", "0x1.045ca7d616800p-11"),
-        (14000, 77, "0x1.392b446f2e4b2p+3", "0x1.b27dad73fa100p-10"),
-        (14000, 0, "0x1.3c6c0cf6d952bp+3", "0x1.6a09e667f3a89p-1"),
+        (14000, 3352, "0x1.3b7213bbac7adp+3", "0x1.8fcf86875c000p-14"),
+        (14000, 666, "0x1.3b7213bbac7adp+3", "0x1.bd3dbeca3e800p-12"),
+        (14000, 83, "0x1.3b7213bbac7adp+3", "0x1.b51a79ff81800p-12"),
+        (14000, 0, "0x1.3b7213bbac7adp+3", "0x1.6a09e667f3a48p-1"),
     ],
     ("bd", "diag-L", 4, "fixed-channel"): [
-        (14000, 1683, "0x1.37fc914426c63p+3", "0x1.899bb7f5ae000p-15"),
-        (14000, 1, "0x1.3dccdb54b475bp+3", "0x1.2fc1ec9352700p-5"),
-        (14000, 0, "0x1.496ef0f2c6c03p+3", "0x1.e2078e5a6f786p-2"),
-        (14000, 0, "0x1.3b9b98f8c39a0p+3", "0x1.6a09e667f3bb4p-1"),
+        (14000, 1740, "0x1.2f3716ded540ap+3", "0x1.47a25a22b8000p-17"),
+        (14000, 2, "0x1.2f3716ded540ap+3", "0x1.3bbead82e6280p-8"),
+        (14000, 0, "0x1.2f3716ded540ap+3", "0x1.d73eb1867daf8p-2"),
+        (14000, 0, "0x1.2f3716ded540ap+3", "0x1.6a09e667f3bb4p-1"),
     ],
     ("bd", "diag-L", 128, "per-trial-channel"): [
-        (49000, 21798, "0x1.541ef23c1913dp+3", "0x1.f01b973980000p-19"),
-        (49000, 15471, "0x1.428ac426c7c56p+3", "0x1.4350724a88000p-19"),
-        (49000, 5769, "0x1.542e9fa0c0c7bp+3", "0x1.1bd9f63168000p-18"),
-        (49000, 0, "0x1.42cbf34f0490fp+3", "0x1.c453d90f04fb1p-4"),
+        (49000, 21893, "0x1.449cec33a9b65p+3", "0x1.4f818bbfd0000p-17"),
+        (49000, 15606, "0x1.449cec33a9b65p+3", "0x1.cc63464af2000p-16"),
+        (49000, 5895, "0x1.449cec33a9b65p+3", "0x1.b419a3b62f000p-17"),
+        (49000, 0, "0x1.449cec33a9b65p+3", "0x1.c453d90f0461bp-4"),
     ],
     ("bd", "diag-L", 128, "fixed-channel"): [
-        (49000, 20044, "0x1.3bbde652a8ac5p+3", "0x1.5451bdf348000p-19"),
-        (49000, 11011, "0x1.396d1a30fa806p+3", "0x1.976d4bf0e8000p-18"),
-        (49000, 1224, "0x1.42adb3c6ba46bp+3", "0x1.b220e81bb6000p-17"),
-        (49000, 0, "0x1.3ac3e92336fd3p+3", "0x1.c453d90f056dfp-4"),
+        (49000, 20152, "0x1.3e8dce750c57fp+3", "0x1.33112c2ce0000p-19"),
+        (49000, 10948, "0x1.3e8dce750c57fp+3", "0x1.58ee794a1a000p-18"),
+        (49000, 1260, "0x1.3e8dce750c57fp+3", "0x1.21f004fdb1000p-16"),
+        (49000, 0, "0x1.3e8dce750c57fp+3", "0x1.c453d90f0569cp-4"),
     ],
     ("dpc-conventional", "diag-L", 4, "per-trial-channel"): [
-        (14000, 683, "0x1.da63636a0283dp+9", "0x1.8e3a9b0951800p-12"),
-        (14000, 55, "0x1.6f7de94d0017dp+8", "0x1.05a48b096af00p-10"),
-        (14000, 6, "0x1.529cac04a0710p+8", "0x1.baef7dbad57c0p-7"),
-        (14000, 0, "0x1.cb5d6abdfeaa8p+8", "0x1.6a09e667f3379p-1"),
+        (14000, 652, "0x1.1d9716b40aa35p+8", "0x1.8ac8ff28e7000p-14"),
+        (14000, 82, "0x1.1d9716b40aa35p+8", "0x1.af145aef03600p-11"),
+        (14000, 11, "0x1.1d9716b40aa35p+8", "0x1.6e52d044ef800p-9"),
+        (14000, 0, "0x1.1d9716b40aa35p+8", "0x1.6a09e667f2339p-1"),
     ],
     ("dpc-conventional", "diag-L", 4, "fixed-channel"): [
-        (14000, 439, "0x1.2ed7f1dfc5d4ap+5", "0x1.1317821708000p-15"),
-        (14000, 0, "0x1.3268ba3be1432p+5", "0x1.534ec74277f00p-8"),
-        (14000, 0, "0x1.3c594989f367fp+5", "0x1.a88355ea86334p-2"),
-        (14000, 0, "0x1.32822526aa1fdp+5", "0x1.6a09e667f3ba8p-1"),
+        (14000, 437, "0x1.26530c9293cb8p+5", "0x1.8a68f11058800p-12"),
+        (14000, 3, "0x1.26530c9293cb8p+5", "0x1.8f1ce6c570000p-15"),
+        (14000, 0, "0x1.26530c9293cb8p+5", "0x1.ca97b1699266dp-2"),
+        (14000, 0, "0x1.26530c9293cb8p+5", "0x1.6a09e667f3badp-1"),
     ],
     ("dpc-conventional", "diag-L", 128, "per-trial-channel"): [
-        (49000, 16136, "0x1.607366a9315f1p+11", "0x1.145c59a000000p-21"),
-        (49000, 6126, "0x1.526c2bfb910a7p+8", "0x1.8351b49d63c00p-15"),
-        (49000, 770, "0x1.114b1f4a23271p+8", "0x1.1bb5443519000p-16"),
-        (49000, 0, "0x1.3f38faa03baf1p+8", "0x1.c453d90eeaa61p-4"),
+        (49000, 16018, "0x1.028e628e2ee20p+9", "0x1.a297719f8c000p-19"),
+        (49000, 6252, "0x1.028e628e2ee20p+9", "0x1.8569cbc47b000p-16"),
+        (49000, 798, "0x1.028e628e2ee20p+9", "0x1.a8632abecd000p-16"),
+        (49000, 0, "0x1.028e628e2ee20p+9", "0x1.c453d90ede377p-4"),
     ],
     ("dpc-conventional", "diag-L", 128, "fixed-channel"): [
-        (49000, 15968, "0x1.2ffa0726682bdp+5", "0x1.ee148ca300000p-22"),
-        (49000, 5563, "0x1.3260d47e422a5p+5", "0x1.44a715dc6a000p-17"),
-        (49000, 354, "0x1.36352a7fb508fp+5", "0x1.1d15cd5c21400p-14"),
-        (49000, 0, "0x1.3285d76a50a7dp+5", "0x1.c453d90f05659p-4"),
+        (49000, 15878, "0x1.367e823263852p+5", "0x1.28a6184e68000p-17"),
+        (49000, 5703, "0x1.367e823263852p+5", "0x1.2a6d455800000p-27"),
+        (49000, 311, "0x1.367e823263852p+5", "0x1.afc1686244000p-17"),
+        (49000, 0, "0x1.367e823263852p+5", "0x1.c453d90f0567cp-4"),
     ],
     ("dpc-linear", "diag-L", 4, "per-trial-channel"): [
-        (14000, 683, "0x1.da63636a02701p+9", "0x1.8e3a9b0950800p-12"),
-        (14000, 55, "0x1.6f7de94d001a5p+8", "0x1.05a48b0971a00p-10"),
-        (14000, 6, "0x1.529cac04a06f2p+8", "0x1.baef7dbaca0c0p-7"),
-        (14000, 0, "0x1.cb5d6abdfeaffp+8", "0x1.6a09e667f2ec4p-1"),
+        (14000, 652, "0x1.1d9716b40aa52p+8", "0x1.8ac8ff28ec000p-14"),
+        (14000, 82, "0x1.1d9716b40aa52p+8", "0x1.af145aef05c00p-11"),
+        (14000, 11, "0x1.1d9716b40aa52p+8", "0x1.6e52d04518400p-9"),
+        (14000, 0, "0x1.1d9716b40aa52p+8", "0x1.6a09e667f2c50p-1"),
     ],
     ("dpc-linear", "diag-L", 4, "fixed-channel"): [
-        (14000, 439, "0x1.2ed7f1dfc5d4ap+5", "0x1.13178216e8000p-15"),
-        (14000, 0, "0x1.3268ba3be1431p+5", "0x1.534ec74277b80p-8"),
-        (14000, 0, "0x1.3c594989f367ep+5", "0x1.a88355ea86334p-2"),
-        (14000, 0, "0x1.32822526aa1fdp+5", "0x1.6a09e667f3bb0p-1"),
+        (14000, 437, "0x1.26530c9293cb8p+5", "0x1.8a68f11055c00p-12"),
+        (14000, 3, "0x1.26530c9293cb8p+5", "0x1.8f1ce6c54c000p-15"),
+        (14000, 0, "0x1.26530c9293cb8p+5", "0x1.ca97b1699266dp-2"),
+        (14000, 0, "0x1.26530c9293cb8p+5", "0x1.6a09e667f3baep-1"),
     ],
     ("dpc-linear", "diag-L", 128, "per-trial-channel"): [
-        (49000, 16136, "0x1.607366a931487p+11", "0x1.145c599d80000p-21"),
-        (49000, 6126, "0x1.526c2bfb910e1p+8", "0x1.8351b49d68000p-15"),
-        (49000, 770, "0x1.114b1f4a2326ep+8", "0x1.1bb54434cb800p-16"),
-        (49000, 0, "0x1.3f38faa03bb1dp+8", "0x1.c453d90ef83fcp-4"),
+        (49000, 16018, "0x1.028e628e2ee7bp+9", "0x1.a297719e48000p-19"),
+        (49000, 6252, "0x1.028e628e2ee7bp+9", "0x1.8569cbc518000p-16"),
+        (49000, 798, "0x1.028e628e2ee7bp+9", "0x1.a8632abe0d000p-16"),
+        (49000, 0, "0x1.028e628e2ee7bp+9", "0x1.c453d90ee1adep-4"),
     ],
     ("dpc-linear", "diag-L", 128, "fixed-channel"): [
-        (49000, 15968, "0x1.2ffa0726682bdp+5", "0x1.ee148ca400000p-22"),
-        (49000, 5563, "0x1.3260d47e422a4p+5", "0x1.44a715dc5e000p-17"),
-        (49000, 354, "0x1.36352a7fb508ep+5", "0x1.1d15cd5c2a000p-14"),
-        (49000, 0, "0x1.3285d76a50a7cp+5", "0x1.c453d90f056a0p-4"),
+        (49000, 15878, "0x1.367e823263852p+5", "0x1.28a6184e92000p-17"),
+        (49000, 5703, "0x1.367e823263852p+5", "0x1.2a6d437000000p-27"),
+        (49000, 311, "0x1.367e823263852p+5", "0x1.afc168637a000p-17"),
+        (49000, 0, "0x1.367e823263852p+5", "0x1.c453d90f056aep-4"),
     ],
     ("dpc-conventional", "waterfill", 4, "per-trial-channel"): [
-        (11682, 395, "0x1.3379d6750b625p+11", "0x1.d47e5e9f50000p-18"),
-        (11654, 56, "0x1.1594cf6ce539dp+10", "0x1.9d5de51efcf20p-7"),
-        (11650, 7, "0x1.f7cd05e10aa81p+9", "0x1.770662e832ba0p-6"),
-        (11644, 0, "0x1.480b60ea1f8b7p+10", "0x1.6a09e667f29e9p-1"),
+        (11692, 412, "0x1.a9477a08f84d0p+9", "0x1.b17cac4065000p-13"),
+        (11692, 64, "0x1.a9477a08f84d0p+9", "0x1.2c368efc21a00p-9"),
+        (11692, 8, "0x1.a9477a08f84d0p+9", "0x1.5b70f0946c4e8p-5"),
+        (11692, 0, "0x1.a9477a08f84d0p+9", "0x1.6a09e667f34e7p-1"),
     ],
     ("dpc-conventional", "waterfill", 4, "fixed-channel"): [
-        (11200, 174, "0x1.9abd17cebc572p+6", "0x1.01f9336a2c000p-14"),
-        (11200, 0, "0x1.a0fe006f8174fp+6", "0x1.4d7e551c789a6p-3"),
-        (11200, 0, "0x1.a716041af1127p+6", "0x1.16a0157a52266p-1"),
-        (11200, 0, "0x1.9e7ff4b8c259bp+6", "0x1.6a09e667f3b8dp-1"),
+        (11200, 164, "0x1.90dc50a16ffc8p+6", "0x1.0b2447127e800p-10"),
+        (11200, 0, "0x1.90dc50a16ffc8p+6", "0x1.384fd12418674p-3"),
+        (11200, 0, "0x1.90dc50a16ffc8p+6", "0x1.1020fadee5b40p-1"),
+        (11200, 0, "0x1.90dc50a16ffc8p+6", "0x1.6a09e667f3b8fp-1"),
     ],
     ("dpc-conventional", "waterfill", 128, "per-trial-channel"): [
-        (40887, 10437, "0x1.96662976d57a1p+12", "0x1.f4d16a1240000p-20"),
-        (40789, 3181, "0x1.e945e9ec19f56p+9", "0x1.e40f4998d7000p-17"),
-        (40775, 572, "0x1.7f56f86577774p+9", "0x1.9e859f8852000p-17"),
-        (40754, 0, "0x1.e7b19a2d8a827p+9", "0x1.c453d90eff1d6p-4"),
+        (40922, 10312, "0x1.ac5775f71bc3dp+10", "0x1.6ccb98b268000p-18"),
+        (40922, 3382, "0x1.ac5775f71bc3dp+10", "0x1.4788a80460000p-19"),
+        (40922, 606, "0x1.ac5775f71bc3dp+10", "0x1.6e5568b771000p-16"),
+        (40922, 0, "0x1.ac5775f71bc3dp+10", "0x1.c453d90effd90p-4"),
     ],
     ("dpc-conventional", "waterfill", 128, "fixed-channel"): [
-        (39200, 9841, "0x1.98279e3fc3a4cp+6", "0x1.15348a5340000p-22"),
-        (39200, 2451, "0x1.a2096570c572ap+6", "0x1.b5877c71b3800p-16"),
-        (39200, 71, "0x1.a6da9a23a881cp+6", "0x1.207d13e4e0800p-14"),
-        (39200, 0, "0x1.a1f5cc11d6ae7p+6", "0x1.c453d90f0558ap-4"),
+        (39200, 9665, "0x1.a421306001ec4p+6", "0x1.891b750836000p-17"),
+        (39200, 2545, "0x1.a421306001ec4p+6", "0x1.31ad2426ce000p-17"),
+        (39200, 71, "0x1.a421306001ec4p+6", "0x1.119d61c238200p-14"),
+        (39200, 0, "0x1.a421306001ec4p+6", "0x1.c453d90f0553ap-4"),
     ],
     ("dpc-linear", "waterfill", 4, "per-trial-channel"): [
-        (11682, 395, "0x1.3379d6750b55ep+11", "0x1.d47e5ea210000p-18"),
-        (11654, 56, "0x1.1594cf6ce53b0p+10", "0x1.9d5de51efd000p-7"),
-        (11650, 7, "0x1.f7cd05e10aa43p+9", "0x1.770662e835570p-6"),
-        (11644, 0, "0x1.480b60ea1f8ddp+10", "0x1.6a09e667f3038p-1"),
+        (11692, 412, "0x1.a9477a08f84fap+9", "0x1.b17cac4060000p-13"),
+        (11692, 64, "0x1.a9477a08f84fap+9", "0x1.2c368efc1fd00p-9"),
+        (11692, 8, "0x1.a9477a08f84fap+9", "0x1.5b70f0946c488p-5"),
+        (11692, 0, "0x1.a9477a08f84fap+9", "0x1.6a09e667f38b1p-1"),
     ],
     ("dpc-linear", "waterfill", 4, "fixed-channel"): [
-        (11200, 174, "0x1.9abd17cebc571p+6", "0x1.01f9336a45000p-14"),
-        (11200, 0, "0x1.a0fe006f8174cp+6", "0x1.4d7e551c78a7ap-3"),
-        (11200, 0, "0x1.a716041af1126p+6", "0x1.16a0157a52267p-1"),
-        (11200, 0, "0x1.9e7ff4b8c259ap+6", "0x1.6a09e667f3b93p-1"),
+        (11200, 164, "0x1.90dc50a16ffc7p+6", "0x1.0b2447127ec00p-10"),
+        (11200, 0, "0x1.90dc50a16ffc7p+6", "0x1.384fd12418674p-3"),
+        (11200, 0, "0x1.90dc50a16ffc7p+6", "0x1.1020fadee5b3fp-1"),
+        (11200, 0, "0x1.90dc50a16ffc7p+6", "0x1.6a09e667f3b98p-1"),
     ],
     ("dpc-linear", "waterfill", 128, "per-trial-channel"): [
-        (40887, 10437, "0x1.96662976d560dp+12", "0x1.f4d16a0780000p-20"),
-        (40789, 3181, "0x1.e945e9ec19f9fp+9", "0x1.e40f499878000p-17"),
-        (40775, 572, "0x1.7f56f86577766p+9", "0x1.9e859f8530000p-17"),
-        (40754, 0, "0x1.e7b19a2d8a858p+9", "0x1.c453d90efef7bp-4"),
+        (40922, 10312, "0x1.ac5775f71bccbp+10", "0x1.6ccb98aef8000p-18"),
+        (40922, 3382, "0x1.ac5775f71bccbp+10", "0x1.4788a807f0000p-19"),
+        (40922, 606, "0x1.ac5775f71bccbp+10", "0x1.6e5568b7fd800p-16"),
+        (40922, 0, "0x1.ac5775f71bccbp+10", "0x1.c453d90f0172dp-4"),
     ],
     ("dpc-linear", "waterfill", 128, "fixed-channel"): [
-        (39200, 9841, "0x1.98279e3fc3a49p+6", "0x1.15348a4940000p-22"),
-        (39200, 2451, "0x1.a2096570c5729p+6", "0x1.b5877c7143800p-16"),
-        (39200, 71, "0x1.a6da9a23a881ap+6", "0x1.207d13e4ea800p-14"),
-        (39200, 0, "0x1.a1f5cc11d6ae6p+6", "0x1.c453d90f05572p-4"),
+        (39200, 9665, "0x1.a421306001ec3p+6", "0x1.891b750838000p-17"),
+        (39200, 2545, "0x1.a421306001ec3p+6", "0x1.31ad24268d000p-17"),
+        (39200, 71, "0x1.a421306001ec3p+6", "0x1.119d61c23e800p-14"),
+        (39200, 0, "0x1.a421306001ec3p+6", "0x1.c453d90f05599p-4"),
     ],
 }
 
@@ -1571,7 +1640,7 @@ def test_csv_deterministic_and_schema(tmp_path):
     assert any("config_hash=" in ln for ln in provenance)
     assert any(f"seed={cfg.seed}" in ln for ln in provenance)
     assert any("gray_labeling=" in ln for ln in provenance)
-    assert "# rng_scheme=philox-ss-v4" in provenance
+    assert "# rng_scheme=philox-ss-v5" in provenance
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header == "snr_db,bits,errors,ber,ci_lo,ci_hi,precoder,modulation,n_users,seed"
     data = [ln for ln in lines if not ln.startswith("#")][1:]
@@ -1587,7 +1656,7 @@ def test_manifest_mirrors_config(tmp_path):
     write_manifest([(cfg, records)], path)
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == 1
-    assert payload["rng_scheme"] == "philox-ss-v4"
+    assert payload["rng_scheme"] == "philox-ss-v5"
     sweep = payload["sweeps"][0]
     assert sweep["config"]["n_users"] == 4
     assert sweep["config"]["snr_grid_db"] == [0.0, "inf"]
