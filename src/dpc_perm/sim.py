@@ -137,8 +137,8 @@ RNG_SCHEME = "philox-ss-v5"
 
 # Stream namespaces (first spawn_key element). Namespace 0, the per-trial
 # streams of philox-ss-v1, is not reused, so no later stream repeats a v1 one.
-# A chunk's key (_NS_CHUNK, chunk, kind) is one element shorter than the
-# earlier chunk schemes' keys, which also held the SNR index.
+# A chunk's key (_NS_CHUNK, chunk, kind) has no SNR index, so it is one
+# element shorter than any earlier chunk scheme's key and repeats none.
 _NS_FIXED_CHANNEL = 1
 _NS_CHUNK = 2
 

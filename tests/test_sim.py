@@ -766,8 +766,8 @@ def test_sweep_matches_a_scalar_reference_trial_by_trial(
         seed=seed,
     )
     c = make_constellation(cfg.constellation_order)
-    for snr_idx, record in enumerate(run_ber_sweep(cfg, workers=1)):
-        nv = noise_variance(cfg, cfg.snr_grid_db[snr_idx])
+    for snr_db, record in zip(cfg.snr_grid_db, run_ber_sweep(cfg, workers=1)):
+        nv = noise_variance(cfg, snr_db)
         errors = sent = 0
         power = 0.0
         for t0 in range(0, trials, sim._CHUNK):
