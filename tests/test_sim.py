@@ -617,9 +617,8 @@ DESIGN_POINTS, DESIGN_TRIALS = (0.0, 10.0), 1100  # 3 chunks a point: 512, 512, 
 def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd, channel_mode):
     # The design reads only the channel: the fixed channel is factored once
     # for every point and chunk, a per-trial sweep once per trial for the
-    # whole grid. The
-    # water-fill's SVD yields only the singular values; dpc-linear's matrix
-    # is an inverse, which no counter sees.
+    # whole grid. The water-fill's SVD yields only the singular values;
+    # dpc-linear's matrix is an inverse, which no counter sees.
     cfg = small_cfg(
         precoder=precoder,
         gain_mode=gain_mode,
@@ -750,10 +749,9 @@ def test_sweep_matches_a_scalar_reference_trial_by_trial(
     # Every chunk's draws, shared by the points, then per trial: the public
     # precoder on one channel, the channel, the noise and a hard decision.
     # So each point's counts are those of that point alone fed the chunk's
-    # one set of draws. This checks the
-    # batched layouts (stacked or shared factors, broadcast gains, the
-    # muting mask of water-filled gains, the stacked water-fill) against
-    # the one-channel path.
+    # one set of draws. This checks the batched layouts (stacked or shared
+    # factors, broadcast gains, the muting mask of water-filled gains, the
+    # stacked water-fill) against the one-channel path.
     cfg = SweepConfig(
         n_users=n_users,
         snr_grid_db=tuple(snr_grid_db),
