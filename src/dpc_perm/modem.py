@@ -61,12 +61,14 @@ Zeger, IEEE TIT 2002):
 * Candidates, edge lists and full sets use the same arithmetic:
   ``d = |y - p|``, the label from ``argmin(d**2)`` in label order and the
   margin from the two smallest ``d`` (0 when both are inf: every point
-  ties). The table pass keeps the two smallest of its at most 5 columns
-  as it runs (``m2 = min(m2, max(m1, d_j))``, then ``m1 = min(m1, d_j)``),
-  the others partition each row; ``min`` and ``max`` are exact, so both
-  give the same values. The minimizers of the computed distances are
-  always in the searched set, so labels and margins equal the full
-  search's bit for bit.
+  ties). Short lists (a cell's at most 5 candidates, QPSK's 4 points)
+  lie candidate-major, ``(K, N)``: the label comes from argmin over the
+  candidate axis, and the two smallest from the running
+  ``m2 = min(m2, max(m1, d_j))``, ``m1 = min(m1, d_j)``. Long lists (the
+  8-24 edge points, the full 16-128) partition each row. ``min`` and
+  ``max`` are exact, so both give a sort's values. The minimizers of the
+  computed distances are always in the searched set, so labels and
+  margins equal the full search's bit for bit.
 * When the widest candidate list is more than half the constellation
   (QPSK keeps all 4 points), one pass over all points is cheaper, and
   the table is not used.
@@ -115,6 +117,11 @@ _CANDIDATE_SLACK = 1e-9
 _EDGE_REACH_SPACINGS = 1e6
 _EDGE_MIN_SAMPLES = 32
 
+# Lists of at most _SHORT_LIST candidates (QPSK's 4 points, a cell's at
+# most 5) are reduced candidate-major by _short_list; on the longer edge
+# lists and full sets, running loops measured slower than partition.
+_SHORT_LIST = 5
+
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
@@ -139,8 +146,9 @@ class _CandidateTable:
 
     Cell ``(i, j)`` spans ``origin + width * ([i, i+1) + 1j * [j, j+1))``
     and is row ``i * shape[1] + j`` of ``labels`` (candidate labels,
-    ascending) and ``points`` (their points). Padding entries have the
-    point at infinity and the label ``order``, which no sample can get.
+    ascending) and column ``i * shape[1] + j`` of ``points`` (their points,
+    candidate-major). Padding entries have the point at infinity and the
+    label ``order``, which no sample can get.
     Rows 0-3 of ``edge_labels`` (ascending) and ``edge_points`` are the
     lists of the right, left, top and bottom edges of the box.
     """
@@ -282,7 +290,7 @@ def _candidate_table(points: np.ndarray) -> _CandidateTable | None:
         width,
         (n_re, n_im),
         labels,
-        np.append(points, np.inf)[labels],
+        np.ascontiguousarray(np.append(points, np.inf)[labels].T),
         edge_labels,
         points[edge_labels],
     )
@@ -305,19 +313,36 @@ def _edge_lists(points: np.ndarray) -> np.ndarray:
     return np.array(lists)
 
 
+def _short_list(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index of the smallest ``d**2`` (the first on ties) and the two
+    smallest values of each column of the candidate-major distances ``d``
+    ``(K, N)``, ``2 <= K <= _SHORT_LIST``; each column NaN-free or all NaN."""
+    nearest = np.argmin(d**2, axis=0)
+    # min and max are exact, so these are the values a sort gives.
+    first, second = np.minimum(d[0], d[1]), np.maximum(d[0], d[1])
+    for row in d[2:]:
+        np.minimum(second, np.maximum(first, row), out=second)
+        np.minimum(first, row, out=first)
+    return nearest, first, second
+
+
 def _nearest_two(y: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest of ``points`` (per sample ``(N, K)``, or one set
     ``(K,)``) and the decision margin, for each sample of ``y`` ``(N,)``."""
-    d = np.abs(y[:, np.newaxis] - points)
     # Past about 1.3e154 every point's squared distance rounds to the same
-    # value (inf), and argmin's tie rule then picks the smallest label, as
-    # the full search does; so the overflow is harmless and not reported.
+    # value (inf), and the tie rule then picks the smallest label, as the
+    # full search does; so the overflow is harmless and not reported.
     with np.errstate(over="ignore"):
-        nearest = np.argmin(d**2, axis=1)
-    d.partition(1, axis=1)
+        if points.ndim == 1 and points.size <= _SHORT_LIST:
+            nearest, first, second = _short_list(np.abs(y - points[:, np.newaxis]))
+        else:
+            d = np.abs(y[:, np.newaxis] - points)
+            nearest = np.argmin(d**2, axis=1)
+            d.partition(1, axis=1)
+            first, second = d[:, 0], d[:, 1]
     # Past about 1e308 every distance itself is inf: every point ties, so
     # the margin is 0 (inf - inf is never computed).
-    gap = np.subtract(d[:, 1], d[:, 0], out=np.zeros(y.size), where=d[:, 0] != np.inf)
+    gap = np.subtract(second, first, out=np.zeros(y.size), where=first != np.inf)
     return nearest, gap / 2.0
 
 
@@ -326,17 +351,10 @@ def _table_pass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and margins of samples inside the table, at cell coordinates ``(u, v)``."""
     cell = u.astype(np.intp) * table.shape[1] + v.astype(np.intp)
-    # np.take gathers the rows about twice as fast as indexing does.
-    d = np.abs(y[:, np.newaxis] - np.take(table.points, cell, axis=0))
-    nearest = np.argmin(d**2, axis=1)
-    # The two smallest of at most 5 columns, kept as they run: min and max
-    # are exact, so these are the values a partition would give.
-    first, second = np.minimum(d[:, 0], d[:, 1]), np.maximum(d[:, 0], d[:, 1])
-    for j in range(2, d.shape[1]):
-        np.minimum(second, np.maximum(first, d[:, j]), out=second)
-        np.minimum(first, d[:, j], out=first)
+    # np.take gathers the candidates about twice as fast as indexing does.
+    nearest, first, second = _short_list(np.abs(y - np.take(table.points, cell, axis=1)))
     # A flat take gathers the labels about twice as fast as 2-D indexing.
-    return np.take(table.labels, cell * d.shape[1] + nearest), (second - first) / 2.0
+    return np.take(table.labels, cell * table.labels.shape[1] + nearest), (second - first) / 2.0
 
 
 def _edge_pass(

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +18,6 @@ from dpc_perm.exceptions import WorkerCrashed
 
 
 def run_cli(*args, env_extra=None, cwd=None):
-    import os
-
     env = dict(os.environ)
     env.pop("DPC_PERM_WORKERS", None)
     if env_extra:
@@ -145,6 +145,49 @@ def test_fixed_channel_sweeps_are_pinned_and_worker_count_free(tmp_path):
         data = (outs[0] / name).read_bytes()
         assert data == (outs[1] / name).read_bytes(), name
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# Demo 05's committed outputs: five per-trial QPSK sweeps at 1000 trials a
+# point and their manifest. CI regenerates them in the checkout and runs
+# git diff; this test runs a copy of the script, which writes next to
+# itself, so the checkout is left alone.
+DEMO_BER_SWEEP = Path(__file__).resolve().parents[1] / "demos" / "05_ber_sweep.py"
+DEMO_OUTPUTS = (
+    "ber_dpc-conventional_qpsk.csv",
+    "ber_dpc-linear_qpsk.csv",
+    "ber_thp_qpsk.csv",
+    "ber_mmse_qpsk.csv",
+    "ber_zf_qpsk.csv",
+    "manifest.json",
+)
+
+
+def csv_columns(path, count):
+    """The first ``count`` columns of a CSV's lines that are not comments."""
+    lines = path.read_text().splitlines()
+    return [line.split(",")[:count] for line in lines if not line.startswith("#")]
+
+
+def test_demo_ber_sweep_reproduces_demos_out_at_1_and_2_workers(tmp_path):
+    script = tmp_path / DEMO_BER_SWEEP.name
+    shutil.copyfile(DEMO_BER_SWEEP, script)
+    committed = DEMO_BER_SWEEP.parent / "out"
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for workers in ("1", "2"):
+        shutil.rmtree(out, ignore_errors=True)
+        env["DPC_PERM_WORKERS"] = workers
+        res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(DEMO_OUTPUTS)
+        for name in DEMO_OUTPUTS:
+            assert (out / name).read_bytes() == (committed / name).read_bytes(), (workers, name)
+        # Theorem 1: both DPC curves count the same errors at every point.
+        conventional, linear = (out / name for name in DEMO_OUTPUTS[:2])
+        assert csv_columns(conventional, 3) == csv_columns(linear, 3)
+        assert "conventional and linear DPC error counts identical: True" in res.stdout
 
 
 def test_order_search_table_and_verify(tmp_path):

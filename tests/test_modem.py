@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpc_perm import modem
 from dpc_perm.channel import stream
@@ -224,7 +225,7 @@ def test_candidate_table_is_used_from_16_qam_up():
         table = make_constellation(order)._table
         assert table.labels.shape[1] <= 5
         # rows hold distinct labels, ascending, padded at infinity
-        valid = np.isfinite(table.points)
+        valid = np.isfinite(table.points.T)
         for labels, ok in zip(table.labels, valid):
             assert np.all(np.diff(labels[ok]) > 0)
             assert ok[0] and np.all(ok[: ok.sum()])
@@ -404,6 +405,39 @@ _SAMPLES = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_hard_decisions_property_matches_full_search(order, y):
     assert_matches_full_search(np.array(y, dtype=np.complex128), make_constellation(order))
+
+
+# Distances with exact ties: repeated values, squares that underflow to 0
+# or overflow to inf from distinct values, zeros, and inf (table padding).
+_DISTANCES = st.sampled_from([0.0, 1e-170, 3e-170, 0.5, 1.0, 1e200, 3e200, np.inf])
+
+
+@given(
+    d=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(2, 5)), elements=_DISTANCES),
+    nan_rows=st.lists(st.booleans(), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_short_list_reduction_matches_argmin_and_a_sort(d, nan_rows):
+    # The candidate-major reduction against argmin and a sort of the
+    # sample-major rows; an all-NaN row is a NaN sample.
+    d[np.flatnonzero(nan_rows[: len(d)])] = np.nan
+    with np.errstate(over="ignore"):
+        nearest, first, second = modem._short_list(np.ascontiguousarray(d.T))
+        want = np.argmin(d**2, axis=1)
+    two = np.sort(d, axis=1)[:, :2]
+    np.testing.assert_array_equal(nearest, want)
+    assert first.tobytes() == np.ascontiguousarray(two[:, 0]).tobytes()
+    assert second.tobytes() == np.ascontiguousarray(two[:, 1]).tobytes()
+
+
+def test_qpsk_decisions_match_on_the_axes_at_every_magnitude():
+    # On an axis two QPSK points tie, at the origin all four; past 1.3e154
+    # every squared distance overflows, past 1e308 every distance.
+    magnitudes = [0.0, 1e-300, 0.5, 1.0, 1e154, 1e308, np.inf]
+    axes = [complex(*z) for a in magnitudes for z in ((a, 0.0), (-a, 0.0), (0.0, a), (0.0, -a))]
+    nan = np.array([complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.nan),
+                    complex(np.nan, np.inf), complex(-np.inf, np.nan)])
+    assert_matches_full_search(np.concatenate([axes, nan]), make_constellation(4))
 
 
 # ---------------------------------------------------------------------------

@@ -1254,43 +1254,48 @@ def test_thp_chunk_peak_memory_stays_near_the_estimate(n_users, channel_mode):
 
 
 @pytest.mark.parametrize(
-    "precoder, gain_mode, snr_db, trials",
+    "precoder, gain_mode, snr_db, trials, order",
     [
-        pytest.param("dpc-linear", "waterfill", 10.0, 512, id="water-filled-with-muted-users"),
-        pytest.param("thp", "diag-L", 10.0, 512, id="thp"),
-        pytest.param("zf", "diag-L", 0.0, 512, id="zf-0dB-samples-outside-the-table"),
+        pytest.param("dpc-linear", "waterfill", 10.0, 512, 128, id="water-filled-with-muted-users"),
+        pytest.param("thp", "diag-L", 10.0, 512, 128, id="thp"),
+        pytest.param("zf", "diag-L", 0.0, 512, 128, id="zf-0dB-samples-outside-the-table"),
         # 160 samples, 4 of them outside: too few for the edge lists.
-        pytest.param("bd", "diag-L", 0.0, 16, id="bd-0dB-few-samples-outside"),
+        pytest.param("bd", "diag-L", 0.0, 16, 128, id="bd-0dB-few-samples-outside"),
+        # QPSK on per-trial channels, the paper's curves.
+        pytest.param("dpc-conventional", "diag-L", 4.0, 512, 4, id="qpsk-per-trial"),
     ],
 )
 def test_chunk_error_count_matches_a_bit_level_recount(
-    monkeypatch, precoder, gain_mode, snr_db, trials
+    monkeypatch, precoder, gain_mode, snr_db, trials, order
 ):
     # A chunk counts bit errors as popcount(tx label ^ decided label); the
     # recount unpacks both through hard_decisions, on the samples the chunk
     # decided, paired with the bits of its active users, and checks the
     # decisions against a search of every point.
+    per_trial = order == 4
     cfg = SweepConfig(
         n_users=10,
         snr_grid_db=(snr_db,),
         trials_per_point=trials,
-        constellation_order=128,
-        channel_mode="fixed-channel",
+        constellation_order=order,
+        channel_mode="per-trial-channel" if per_trial else "fixed-channel",
         precoder=precoder,
         gain_mode=gain_mode,
         seed=0,
     ).validate()
-    c = make_constellation(128)
-    fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis], noise_variance(cfg, snr_db))
+    c = make_constellation(order)
+    fixed = None
+    if not per_trial:
+        fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis], noise_variance(cfg, snr_db))
     decided = []
     decide = sim._decide
     monkeypatch.setattr(sim, "_decide", lambda y, c: decided.append(y) or decide(y, c))
     (part,) = sim._simulate_chunk(cfg, 0, trials, fixed)
     (y_hat,) = decided
 
-    _, bits, _, _ = sim._chunk_draws(cfg, 0, trials, c, fixed.hs)
+    _, bits, _, _ = sim._chunk_draws(cfg, 0, trials, c, None if per_trial else fixed.hs)
     active = np.ones((trials, cfg.n_users), dtype=bool)
-    if fixed.gains is not None:
+    if fixed is not None and fixed.gains is not None:
         active &= fixed.gains > 0
     tx_bits = bits.reshape(trials, cfg.n_users, c.bits_per_symbol)[active].ravel()
     rx_bits, margins = hard_decisions(y_hat, c)
