@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_apply_qh, lq_decompose
+from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_apply_qh, lq_decompose, svd_decompose
 
 # 1/sigma**2 is finite and positive exactly for sigma in [1/_SIGMA_MAX, _SIGMA_MAX].
 _SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max))
@@ -195,16 +195,20 @@ def waterfill(sigma: np.ndarray, p_total: float) -> np.ndarray:
 
 
 def power_scale(w: np.ndarray, power: float) -> np.ndarray:
-    """Factor ``sqrt(power / tr(w w^H))`` that scales a precoding matrix, or
-    each matrix of a stack ``(m, n, n)``, to ``tr(w w^H) == power``.
+    """Factor ``sqrt(power / tr(w w^H))`` that scales a precoding matrix, or each
+    of a stack ``(m, n, n)``, to ``tr(w w^H) == power``, as :func:`_scale_to_power`."""
+    return _scale_to_power(np.sum(np.abs(w) ** 2, axis=(-2, -1)), power)
 
-    Raises :class:`DegenerateGain` for an all-zero matrix, and for one so
-    small that ``power / tr(w w^H)`` would overflow (an MMSE matrix at a
-    huge noise variance); the check runs before the division.
+
+def _scale_to_power(total: np.ndarray, power: float) -> np.ndarray:
+    """Factor ``sqrt(power / total)`` for precoders of transmit power
+    ``total = tr(w w^H)`` (the sweep's MMSE: the closed form ``sum(d**2)``).
+    Raises :class:`DegenerateGain` for an all-zero precoder, and for one so
+    small that ``power / total`` would overflow (an MMSE matrix at a huge
+    noise variance); the check runs before the division.
     """
     if not power > 0:
         raise ValueError(f"power must be positive, got {power}")
-    total = np.sum(np.abs(w) ** 2, axis=(-2, -1))
     if np.any(total == 0.0):
         raise DegenerateGain("cannot power-scale an all-zero precoder")
     if np.any(total <= power / np.finfo(np.float64).max):
@@ -239,7 +243,9 @@ def zf_precode(h: np.ndarray) -> np.ndarray:
 
 
 def mmse_precode(h: np.ndarray, noise_var: float) -> np.ndarray:
-    """Regularized channel inversion ``w = h^H (h h^H + n * noise_var * I)^{-1}``.
+    """Regularized channel inversion ``w = h^H (h h^H + n * noise_var * I)^{-1}``
+    as ``v diag(d) u^H`` from one SVD ``h = u diag(sigma) v^H``, with
+    ``d = sigma / (sigma**2 + n * noise_var)`` (:func:`_mmse_weights`).
 
     The regularizer sums the noise over the n users. As ``noise_var``
     goes to zero the direction converges to the zero-forcing one, and
@@ -247,17 +253,21 @@ def mmse_precode(h: np.ndarray, noise_var: float) -> np.ndarray:
     with its singularity rule. For ``noise_var > 0`` the matrix stays
     finite even for singular channels. ``h`` is a channel ``(n, n)`` or a
     stack ``(m, n, n)``. The matrix is unscaled; :func:`power_scale` gives
-    the factor to ``tr(w w^H) = power``.
+    the factor to ``tr(w w^H) = power``, which is ``sum(d**2)``.
     """
     if not noise_var >= 0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
     if noise_var == 0:
         return zf_precode(h)
-    hs = as_channel_stack(h)
-    n = hs.shape[1]
-    hh = hs.conj().transpose(0, 2, 1)
-    w = hh @ np.linalg.inv(hs @ hh + (n * noise_var) * np.eye(n))
-    return w if np.ndim(h) == 3 else w[0]
+    f = svd_decompose(h)
+    d = _mmse_weights(f.sigma, noise_var)
+    return (f.v * d[..., np.newaxis, :]) @ f.u.conj().swapaxes(-2, -1)
+
+
+def _mmse_weights(sigma: np.ndarray, noise_var: float) -> np.ndarray:
+    """MMSE's singular values ``d`` for a channel's ``sigma`` ``(..., n)`` and
+    ``noise_var > 0`` (Peel, Hochwald & Swindlehurst, IEEE TCOM 2005)."""
+    return sigma / (sigma**2 + sigma.shape[-1] * noise_var)
 
 
 def modulo_lattice(z: np.ndarray, base: float) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 Trials are simulated in chunks, each one channel stack ``(m, n, n)``.
 Precoding is two steps. The design reads only the channels: the factors,
-the gains, the precoding matrix and, for zf, mmse and bd, the power
-scale, from one call into :mod:`precoding` (:func:`run_ber_sweep` says
-when a design is made). The transmit reads the symbols: ``w @ s``,
-``successive_encode``, or THP's buffer of data and pilots
-(:func:`_thp_transmit`). So the tested precoders are the ones that make
-the BER curves; this module picks the precoder, designs the gains and
-calibrates the transmit power.
+the gains, the precoding matrix and, for zf and bd, the power scale, from
+one call into :mod:`precoding` (:func:`run_ber_sweep` says when a design
+is made). The transmit reads the symbols: ``w @ s``,
+``successive_encode``, THP's buffer of data and pilots
+(:func:`_thp_transmit`), or mmse's singular vectors, whose weights
+:func:`_mmse_transmit` rescales at each point. So the tested precoders
+are the ones that make the BER curves; this module picks the precoder,
+designs the gains and calibrates the transmit power.
 
 Conventions, since the source figures never define them:
 
@@ -46,9 +47,9 @@ and depend only on ``(seed, t)``: not on the SNR point,
 ``trials_per_point``, the worker count, the precoder or the channel
 mode. Every point of the SNR grid reuses them (common random numbers):
 a chunk draws, designs and transmits once, and each point adds the one
-unit noise draw scaled by its ``sqrt(nv / 2)``; only mmse, whose design
-reads the noise variance, designs and transmits per point. So a curve's
-points are positively correlated estimates, not independent ones. A
+unit noise draw scaled by its ``sqrt(nv / 2)``; mmse transmits per point
+from the chunk's one SVD. So a curve's points are positively correlated
+estimates, not independent ones. A
 fixed-channel sweep and a per-trial sweep see the same bits and noise,
 and THP's pilots shift nobody's draws; the pilot batch depends only on
 ``(seed, chunk)``. The bits and pilot labels are the values of numpy's
@@ -79,7 +80,8 @@ import numpy as np
 from . import __version__ as _version
 from .channel import sample_channel, stream
 from .exceptions import ConfigError, DpcPermError, WorkerCrashed
-from .linalg import LqFactors, lq_apply_qh, lq_decompose, lq_diagonal, singular_values
+from .linalg import LqFactors, SvdFactors, lq_apply_qh, lq_decompose, lq_diagonal
+from .linalg import singular_values, svd_decompose
 from .modem import (
     Constellation,
     QAM_ORDERS,
@@ -90,9 +92,10 @@ from .modem import (
     wilson_interval,
 )
 from .precoding import (
+    _mmse_weights,
+    _scale_to_power,
     bd_precode,
     dpc_linear,
-    mmse_precode,
     modulo_lattice,
     power_scale,
     successive_encode,
@@ -439,18 +442,18 @@ def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Design:
     """What a precoder derives from a channel stack ``hs`` ``(k, n, n)``
-    alone (mmse: and the noise variance), before any symbol is seen.
+    alone, before any symbol is seen.
 
     ``factors`` is the LQ of ``hs`` (dpc-conventional, THP): ``l`` and the
     QR's reflectors for a chunk's stack, plus the formed ``q`` for the
-    fixed channel (:func:`_successive_factors`). ``w`` is the precoding
-    matrices (dpc-linear, zf, mmse, bd), ``alpha`` ``(k,)`` their power
-    scale (zf, mmse, bd) and ``gains`` ``(k, n)`` the effective gains (all
-    but THP, whose scale comes from each chunk's pilots).
+    fixed channel (:func:`_successive_factors`); for mmse, the SVD of ``hs``
+    for every point (:func:`_mmse_transmit`). ``w`` is the precoding matrices
+    (dpc-linear, zf, bd), ``alpha`` ``(k,)`` their power scale (zf, bd) and
+    ``gains`` ``(k, n)`` the effective gains (the DPC pair, zf and bd).
     """
 
     hs: np.ndarray
-    factors: LqFactors | None = None
+    factors: LqFactors | SvdFactors | None = None
     w: np.ndarray | None = None
     alpha: np.ndarray | None = None
     gains: np.ndarray | None = None
@@ -466,12 +469,14 @@ def _successive_factors(hs: np.ndarray) -> LqFactors:
     return factors
 
 
-def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Design:
+def _design(cfg: SweepConfig, hs: np.ndarray) -> _Design:
     """Design the precoder of ``hs``, a chunk's stack ``(m, n, n)`` or the
-    fixed channel ``(1, n, n)``. Only mmse reads the noise variance ``nv``."""
+    fixed channel ``(1, n, n)``, for every point of the grid."""
     precoder = cfg.precoder
     if precoder == "thp":
         return _Design(hs, factors=_successive_factors(hs))
+    if precoder == "mmse":
+        return _Design(hs, factors=svd_decompose(hs))
 
     if precoder in _DPC_FAMILY:
         # Transmitted unrescaled (see the module docstring's conventions).
@@ -486,14 +491,14 @@ def _design(cfg: SweepConfig, hs: np.ndarray, nv: float | None = None) -> _Desig
             return _Design(hs, factors=factors, gains=k)
         return _Design(hs, w=dpc_linear(hs, k), gains=k)
 
-    if precoder == "zf":
-        w = zf_precode(hs)
-    elif precoder == "mmse":
-        w = mmse_precode(hs, nv)
-    else:
-        # BD of a square channel is its inverse, so this is the ZF matrix,
-        # with BD's per-user feasibility rule in place of ZF's bound.
-        w = bd_precode(hs)
+    # BD of a square channel is its inverse, so this is the ZF matrix,
+    # with BD's per-user feasibility rule in place of ZF's bound.
+    return _scaled_design(cfg, hs, zf_precode(hs) if precoder == "zf" else bd_precode(hs))
+
+
+def _scaled_design(cfg: SweepConfig, hs: np.ndarray, w: np.ndarray) -> _Design:
+    """The design of the linear precoding matrices ``w`` of ``hs``, scaled to
+    ``tr(w w^H) = power_budget``: zf, bd and mmse's infinite-SNR point."""
     alpha = power_scale(w, cfg.power_budget)
     hw_diag = np.real(np.einsum("mij,mji->mi", hs, w))
     return _Design(hs, w=w, alpha=alpha, gains=alpha[:, np.newaxis] * hw_diag)
@@ -503,13 +508,13 @@ def _simulate_chunk(cfg: SweepConfig, t0: int, t1: int, fixed: _Design | None) -
     """Simulate trials [t0, t1) at every SNR point; returns one dict of
     partial sums per point, in grid order.
 
-    The draws and, for every precoder but mmse, the design, the transmit
+    The draws, the design and, for every precoder but mmse, the transmit
     and ``H x`` are made once for all points; each point adds its scaled
-    noise, equalizes, decides and counts. mmse's design reads the noise
-    variance, so it is designed and transmitted per point. ``fixed`` is
-    None with per-trial channels, whose stack is designed here; on the
-    fixed channel it is that channel's design, made by
-    :func:`run_ber_sweep` (for mmse, only the channel). A failure in a
+    noise, equalizes, decides and counts. mmse's weights read the noise
+    variance, so it rotates the symbols by ``u^H`` once and transmits per
+    point (:func:`_mmse_transmit`). ``fixed`` is None with per-trial
+    channels, whose stack is designed here; on the fixed channel it is
+    that channel's design, made by :func:`run_ber_sweep`. A failure in a
     point's own stage carries that point as ``snr_db`` (see
     :func:`_chunk_context`).
     """
@@ -517,15 +522,17 @@ def _simulate_chunk(cfg: SweepConfig, t0: int, t1: int, fixed: _Design | None) -
     hs, bits, noise, pilots = _chunk_draws(cfg, t0, t1, c, None if fixed is None else fixed.hs)
     tx = _bit_labels(bits, c).reshape(t1 - t0, cfg.n_users)
     s = c.points[tx]
-    shared = None
-    if cfg.precoder != "mmse":
-        shared = _transmit(cfg, _design(cfg, hs) if fixed is None else fixed, s, pilots, c)
+    design = _design(cfg, hs) if fixed is None else fixed
+    shared = None if cfg.precoder == "mmse" else _transmit(cfg, design, s, pilots, c)
+    if shared is None:  # mmse: u^H s and |u|**2 once, for every point
+        u = design.factors.u
+        rotated = _apply(u.conj().transpose(0, 2, 1), s), np.abs(u) ** 2
 
     parts = []
     for snr_db in cfg.snr_grid_db:
         nv = noise_variance(cfg, snr_db)
         try:
-            sent = shared or _transmit(cfg, _design(cfg, hs, nv), s, pilots, c)
+            sent = shared or _mmse_transmit(cfg, design, s, rotated, nv)
             parts.append(_point_sums(sent, tx, noise, nv, c, pilots is not None))
         except DpcPermError as exc:
             exc.snr_db = snr_db
@@ -536,14 +543,39 @@ def _simulate_chunk(cfg: SweepConfig, t0: int, t1: int, fixed: _Design | None) -
 def _transmit(
     cfg: SweepConfig, design: _Design, s: np.ndarray, labels: np.ndarray | None, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Transmit one chunk's symbols ``s`` with ``design`` (THP when given
-    pilot ``labels``); returns the effective gains, ``H x`` and the sum of
-    ``|x|**2``."""
+    """Transmit one chunk's symbols ``s`` ``(m, n)`` with ``design`` (THP when
+    given pilot ``labels``); returns the effective gains, ``H x`` and the sum
+    of ``|x|**2``. A design of one shared channel precodes every trial, its
+    gains of shape ``(1, n)``."""
+    g = design.gains
     if labels is not None:
         x, g = _thp_transmit(cfg, design.factors, s, labels, c)
+    elif design.w is None:
+        x = successive_encode(design.factors, g, s)
     else:
-        x, g = _linear_transmit(design, s)
+        x = _apply(design.w, s)
+        if design.alpha is not None:
+            x = design.alpha[:, np.newaxis] * x
     return g, _apply(design.hs, x), float(np.sum(np.abs(x) ** 2))
+
+
+def _mmse_transmit(
+    cfg: SweepConfig, design: _Design, s: np.ndarray, rotated: tuple, nv: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One point's MMSE transmit, as :func:`_transmit`, from the chunk's SVD
+    ``h = u diag(sigma) v^H`` and ``rotated = (u^H s, |u|**2)``, in O(n^2) a
+    trial: ``x = v (alpha d * u^H s)`` with the weights ``d`` of
+    :func:`precoding.mmse_precode`, ``tr(w w^H) = sum(d**2)`` as ``u`` and
+    ``v`` are unitary, and gains ``|u|**2 @ (alpha sigma d)``. The
+    infinite-SNR point is zf's design, with its inverse and singularity rule.
+    """
+    if nv == 0.0:
+        return _transmit(cfg, _scaled_design(cfg, design.hs, zf_precode(design.hs)), s, None, None)
+    (uhs, u2), f = rotated, design.factors
+    d = _mmse_weights(f.sigma, nv)
+    ad = _scale_to_power(np.sum(d * d, axis=1), cfg.power_budget)[:, np.newaxis] * d
+    x = _apply(f.v, ad * uhs)
+    return _apply(u2, f.sigma * ad), _apply(design.hs, x), float(np.sum(np.abs(x) ** 2))
 
 
 def _point_sums(
@@ -573,18 +605,6 @@ def _point_sums(
         "tx_power_sum": tx_power_sum,
         "min_margin": float(margins.min()) if margins.size else math.inf,
     }
-
-
-def _linear_transmit(design: _Design, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Precode the symbols ``s`` ``(m, n)`` of one chunk with a linear
-    method's design; returns (x, effective gains). A design of one shared
-    channel precodes every trial, its gains of shape ``(1, n)``."""
-    if design.w is None:
-        return successive_encode(design.factors, design.gains, s), design.gains
-    x = _apply(design.w, s)
-    if design.alpha is not None:
-        x = design.alpha[:, np.newaxis] * x
-    return x, design.gains
 
 
 @lru_cache(maxsize=None)
@@ -696,15 +716,14 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     chunks' per-point sums are reduced in task order. A per-trial sweep
     designs each chunk's channel stack in that chunk. A fixed-channel sweep
     designs its one channel before any chunk, once per sweep, and sends
-    that design to every chunk; mmse, whose design reads the noise
-    variance, is designed per point in each chunk. Precoder failures abort
-    the sweep with the precoder and seed attached, and with where it
-    stopped: "at X dB, trials [t0, t1)" for a failure in one SNR point's
-    own stage (mmse's design, the decisions), "in trials [t0, t1)" for one
-    in the chunk's shared stage (the draws, the design and the transmit),
-    or "on the fixed channel" when the fixed channel's design fails; a
-    worker process that dies raises :class:`WorkerCrashed` with the
-    chunk's trial range.
+    that design to every chunk (mmse: its SVD, rescaled at each point).
+    Precoder failures abort the sweep with the precoder and seed attached,
+    and with where it stopped: "at X dB, trials [t0, t1)" for a failure in
+    one SNR point's own stage (mmse's transmit, the decisions), "in trials
+    [t0, t1)" for one in the chunk's shared stage (the draws, the design and
+    the transmit), or "on the fixed channel" when the fixed channel's design
+    fails; a worker process that dies raises :class:`WorkerCrashed` with
+    the chunk's trial range.
     """
     cfg.validate()
     # A pool starts all its workers on the first submit; start no idle ones.
@@ -713,7 +732,7 @@ def run_ber_sweep(cfg: SweepConfig, workers: int | None = None) -> list[BerRecor
     if cfg.channel_mode == "fixed-channel":
         hs = fixed_channel_for(cfg)[np.newaxis]
         with _sweep_context(cfg, "on the fixed channel"):
-            fixed = _Design(hs) if cfg.precoder == "mmse" else _design(cfg, hs)
+            fixed = _design(cfg, hs)
 
     # Both paths reduce chunks as they arrive, in task order, so each
     # point's float sums add up in the same order for any worker count.

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpc_perm import cli, sim
+from dpc_perm import cli, ordering, sim
 from dpc_perm.exceptions import WorkerCrashed
 
 
@@ -190,6 +190,38 @@ def test_demo_ber_sweep_reproduces_demos_out_at_1_and_2_workers(tmp_path):
         assert "conventional and linear DPC error counts identical: True" in res.stdout
 
 
+# The per-trial 128-QAM sweeps of CI, one group a config, each run into its
+# own directory: a CSV name ignores the gain mode, so the two DPC pairs
+# cannot share one. THP feeds each chunk's one pilot batch back through
+# every trial's channel; the water-filled pair water-fills each chunk's
+# stack of singular values in one call; the diag-L pair takes its gains
+# from the full LQ (successive) and from the R-only QR (linear).
+PER_TRIAL_128QAM_SWEEPS = Path(__file__).with_name("per_trial_128qam_sweeps.json")
+
+
+@pytest.mark.parametrize("group", ["thp", "waterfill-dpc-pair", "diag-L-dpc-pair"])
+def test_per_trial_128qam_sweeps_are_worker_count_free(tmp_path, group):
+    sweeps = json.loads(PER_TRIAL_128QAM_SWEEPS.read_text())[group]
+    config = tmp_path / f"{group}.json"
+    config.write_text(json.dumps(sweeps))
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"{group}-{workers}"
+        res = run_cli("ber-sweep", "--config", str(config), "--out", str(out), "--workers", workers)
+        assert res.returncode == 0, res.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert len(names) == len(sweeps["sweeps"]) + 1  # and the manifest
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    if group.endswith("dpc-pair"):
+        # Theorem 1: the linear and the successive DPC decide every symbol
+        # alike, so snr_db, bits and errors agree at every point.
+        conventional, linear = (outs[0] / f"ber_{p}_128-qam.csv" for p in sim._DPC_FAMILY)
+        assert csv_columns(conventional, 3) == csv_columns(linear, 3)
+
+
 def test_order_search_table_and_verify(tmp_path):
     cfg = tmp_path / "os.json"
     cfg.write_text(json.dumps({"n_users": 4, "seed": 3, "constellation_order": 16}))
@@ -216,11 +248,36 @@ def test_order_search_report_bytes_are_pinned(tmp_path):
     assert digest == "9ac9e5b31813f5daef8703fcbd2d15b8f5874c68a402eeb466be6bb87fd0bdd5"
 
 
+def test_order_search_at_max_enum_users_agrees_with_naive_and_is_pinned(tmp_path):
+    # --verify exits 1 when the diagonal search and the naive oracle
+    # disagree. The sha256 pins the whole report: all 8! order rows,
+    # values, winners and counters. CI runs the same config with the same pin.
+    assert ordering.MAX_ENUM_USERS == 8
+    cfg = tmp_path / "order-search.json"
+    cfg.write_text(json.dumps({"n_users": 8, "seed": 3}))
+    out = tmp_path / "order-search"
+    res = run_cli("order-search", "--config", str(cfg), "--out", str(out), "--verify")
+    assert res.returncode == 0, res.stderr
+    data = (out / "order_search.json").read_bytes()
+    report = json.loads(data)
+    assert all(report[o]["agrees_with_naive"] is True for o in ("average-power", "papr"))
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "3d8174ca1fa1686c648acee981faa298cd2883c04de840c2a0072004ba405843"
+
+
 def test_complexity_csv_bytes_are_pinned(tmp_path):
     # The sha256 of the whole CSV at --n-max 7, seed 0: its model columns and
-    # measured factorization counts (the wall times go to stdout only).
-    assert cli.main(["complexity", "--n-max", "7", "--seed", "0", "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "complexity.csv").read_bytes()).hexdigest()
+    # measured factorization counts. Two CLI runs time the searches
+    # differently (the wall times go to stdout only), and their CSVs must
+    # still match. CI runs the same commands with the same pin.
+    csvs = []
+    for run in ("a", "b"):
+        out = tmp_path / f"complexity-{run}"
+        res = run_cli("complexity", "--n-max", "7", "--seed", "0", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        csvs.append((out / "complexity.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    digest = hashlib.sha256(csvs[0]).hexdigest()
     assert digest == "3f1011bfdc595e31977e85e0b624971c940a0ab84216698260fd0ad4475495c9"
 
 
@@ -349,11 +406,15 @@ def test_ber_sweep_power_budget_above_its_bound_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "snr_db, budget", [(-1600, None), (0, 1e110)], ids=["snr--1600", "budget-1e110"]
+    "snr_db, budget",
+    [(-1600, None), (0, 1e110), (-3080, None)],
+    ids=["snr--1600", "budget-1e110", "snr--3080"],
 )
 def test_ber_sweep_mmse_scale_overflow_exits_3(tmp_path, snr_db, budget):
     # The MMSE matrix shrinks as 1/noise_var, so its power scale would
     # overflow: a numeric failure with the sweep's context, not an inf power.
+    # At -3080 dB the noise variance is 1e308 and n times it is inf, so the
+    # weights are all zero.
     config = {"n_users": 4, "snr_grid_db": [snr_db], "trials_per_point": 4, "precoder": "mmse"}
     if budget is not None:
         config["power_budget"] = budget

@@ -464,6 +464,46 @@ def test_mmse_finite_for_singular_channel():
     assert np.all(np.isfinite(w))
 
 
+def gram_inverse_mmse(h, noise_var):
+    """Reference MMSE precoder ``h^H (h h^H + n * noise_var * I)^{-1}`` of a
+    channel or a stack, by one batched inverse of the regularized Gram matrix."""
+    n = h.shape[-1]
+    hh = h.conj().swapaxes(-2, -1)
+    return hh @ np.linalg.inv(h @ hh + (n * noise_var) * np.eye(n))
+
+
+MMSE_NOISE_VARS = 10.0 ** np.arange(-8, 5)  # 1e-8 ... 1e4
+
+
+def assert_mmse_near_reference(w, h, noise_var):
+    # Both forms solve the same regularized system stably, so each lies
+    # within a small multiple of n * eps * cond(h h^H + n * noise_var * I) of
+    # the exact matrix, relative to its norm. The worst of the cases below is
+    # about 2.4 of that unit; 16 leaves room for another BLAS.
+    n = h.shape[-1]
+    ref = gram_inverse_mmse(h, noise_var)
+    kappa = np.linalg.cond(h @ h.conj().T + n * noise_var * np.eye(n))
+    tol = 16 * n * np.finfo(float).eps * kappa
+    assert np.linalg.norm(w - ref) <= tol * np.linalg.norm(ref), (n, noise_var)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mmse_precode_matches_the_gram_inverse_reference(n):
+    hs = np.stack([random_channel(400 + 20 * n + t, n) for t in range(8)])
+    rank1 = np.outer(np.arange(1.0, n + 1), np.ones(n)).astype(complex)
+    for noise_var in MMSE_NOISE_VARS:
+        stacked = mmse_precode(hs, noise_var)
+        assert stacked.shape == hs.shape
+        for h, w in zip(hs, stacked):
+            assert_mmse_near_reference(w, h, noise_var)
+            assert_mmse_near_reference(mmse_precode(h, noise_var), h, noise_var)
+        # A rank-1 channel has n - 1 zero singular values; their weights
+        # sigma / (sigma**2 + n * noise_var) stay finite.
+        w = mmse_precode(rank1, noise_var)
+        assert np.all(np.isfinite(w))
+        assert_mmse_near_reference(w, rank1, noise_var)
+
+
 # ---------------------------------------------------------------------------
 # THP
 # ---------------------------------------------------------------------------

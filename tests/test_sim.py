@@ -410,6 +410,8 @@ def test_worker_count_does_not_change_results():
         # The fixed channel's design is made once and sent to every worker.
         small_cfg(trials_per_point=1100, precoder="bd", channel_mode="fixed-channel"),
         small_cfg(trials_per_point=1100, precoder="mmse", channel_mode="fixed-channel"),
+        # Each chunk's SVD serves every point: three chunks, two of them full.
+        small_cfg(trials_per_point=1100, precoder="mmse"),
         small_cfg(
             trials_per_point=1100,
             constellation_order=128,
@@ -578,9 +580,9 @@ def test_fixed_channel_thp_chunk_is_calibrated_once():
 def test_fixed_channel_sweep_equals_per_trial_sweep_of_that_channel(
     monkeypatch, precoder, gain_mode
 ):
-    # The fixed channel is designed once per sweep (mmse: per point in each
-    # chunk); a per-trial sweep whose every trial draws that same channel
-    # designs each copy, on the same bits and noise.
+    # The fixed channel is designed once per sweep (mmse: its SVD, and its
+    # inf point's inverse in each chunk); a per-trial sweep whose every trial
+    # draws that same channel designs each copy, on the same bits and noise.
     cfg = small_cfg(
         precoder=precoder,
         gain_mode=gain_mode,
@@ -612,13 +614,15 @@ DESIGN_POINTS, DESIGN_TRIALS = (0.0, 10.0), 1100  # 3 chunks a point: 512, 512, 
         ("dpc-linear", "diag-L", 1, 0),
         ("dpc-linear", "waterfill", 0, 1),
         ("thp", "diag-L", 1, 0),
+        ("mmse", "diag-L", 0, 1),
     ],
 )
 def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd, channel_mode):
     # The design reads only the channel: the fixed channel is factored once
     # for every point and chunk, a per-trial sweep once per trial for the
     # whole grid. The water-fill's SVD yields only the singular values;
-    # dpc-linear's matrix is an inverse, which no counter sees.
+    # dpc-linear's matrix is an inverse, which no counter sees. mmse's one
+    # SVD serves every point, which only rescales its singular values.
     cfg = small_cfg(
         precoder=precoder,
         gain_mode=gain_mode,
@@ -633,10 +637,9 @@ def test_a_fixed_channel_is_factored_once_per_sweep(precoder, gain_mode, lq, svd
 
 
 @pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
-@pytest.mark.parametrize("precoder", ["zf", "bd", "mmse"])
+@pytest.mark.parametrize("precoder", ["zf", "bd"])
 def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, channel_mode):
-    # A chunk's stack is inverted once for the whole grid. mmse's design
-    # reads the point's noise variance, so each chunk makes it per point.
+    # A chunk's stack is inverted once for the whole grid.
     name = f"{precoder}_precode"
     real = getattr(sim, name)
     stacks = []
@@ -653,13 +656,10 @@ def test_a_fixed_channel_is_inverted_once_per_sweep(monkeypatch, precoder, chann
         trials_per_point=DESIGN_TRIALS,
     )
     run_ber_sweep(cfg, workers=1)
-    chunks = [512, 512, 76]
-    if precoder == "mmse":
-        chunks = [m for m in chunks for _ in DESIGN_POINTS]
     if channel_mode == "per-trial-channel":
-        assert stacks == chunks
+        assert stacks == [512, 512, 76]
     else:
-        assert stacks == [1] * (len(chunks) if precoder == "mmse" else 1)
+        assert stacks == [1]
 
 
 @pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
@@ -958,9 +958,9 @@ FIXED = "on the fixed channel"
         pytest.param("bd", InfeasibleBlocking, FIXED, id="bd-InfeasibleBlocking"),
         pytest.param("dpc-linear", NumericallySingular, FIXED, id="dpc-linear-NumericallySingular"),
         pytest.param("thp", NumericallySingular, FIXED, id="thp-NumericallySingular"),
-        # mmse is designed per point in each chunk; the regularized inverse
-        # of the finite points exists, the plain inverse of the inf point
-        # does not.
+        # mmse's SVD of the fixed channel exists, and so do its finite
+        # points' weights; its inf point is zf's inverse, made per chunk,
+        # and that does not exist.
         pytest.param(
             "mmse",
             NumericallySingular,
@@ -971,8 +971,8 @@ FIXED = "on the fixed channel"
 )
 def test_singular_fixed_channel_aborts_sweep_with_context(monkeypatch, precoder, error, place):
     # The fixed channel is designed before any chunk, so no trial range is
-    # to blame: the failure names the fixed channel (mmse: its point and
-    # the chunk that designs it).
+    # to blame: the failure names the fixed channel (mmse: its inf point and
+    # the chunk that inverts it).
     monkeypatch.setattr(sim, "fixed_channel_for", lambda cfg: np.ones((4, 4), dtype=complex))
     cfg = small_cfg(
         precoder=precoder, channel_mode="fixed-channel", snr_grid_db=(0.0, 6.0, math.inf)
@@ -1046,16 +1046,16 @@ class BrokenPool(InlinePool):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_failure_names_snr_point_and_trial_range(monkeypatch, workers):
-    real = sim.mmse_precode
+    real = sim._mmse_transmit
 
-    def failing(h, noise_var):
+    def failing(cfg, design, s, rotated, nv):
         # Only the 88-trial second chunk at 10 dB (4 users, budget 4: noise
-        # variance 0.1) fails.
-        if h.shape[0] == 88 and noise_var <= 0.1:
+        # variance 0.1) fails, in the point's own MMSE transmit.
+        if len(s) == 88 and nv <= 0.1:
             raise NumericallySingular("injected failure")
-        return real(h, noise_var)
+        return real(cfg, design, s, rotated, nv)
 
-    monkeypatch.setattr(sim, "mmse_precode", failing)
+    monkeypatch.setattr(sim, "_mmse_transmit", failing)
     monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
     cfg = small_cfg(precoder="mmse", snr_grid_db=(0.0, 10.0), trials_per_point=600)
     pattern = r"sweep aborted \(mmse, seed 5\) at 10 dB, trials \[512, 600\): injected failure"
@@ -1286,7 +1286,7 @@ def test_chunk_error_count_matches_a_bit_level_recount(
     c = make_constellation(order)
     fixed = None
     if not per_trial:
-        fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis], noise_variance(cfg, snr_db))
+        fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis])
     decided = []
     decide = sim._decide
     monkeypatch.setattr(sim, "_decide", lambda y, c: decided.append(y) or decide(y, c))
@@ -1399,27 +1399,27 @@ SWEEP_PINNED_RECORDS = {
         (49000, 0, "0x1.3e8dce750c57fp+3", "0x1.c453d90f0569cp-4"),
     ],
     ("mmse", "diag-L", 4, "per-trial-channel"): [
-        (14000, 1264, "0x1.40a8b0d2e6ecdp+3", "0x1.652bb7b488000p-15"),
-        (14000, 197, "0x1.3da5abed586e0p+3", "0x1.baa197980cc00p-11"),
-        (14000, 18, "0x1.3cf38f5386264p+3", "0x1.093c5afeac280p-9"),
+        (14000, 1264, "0x1.40a8b0d2e6ecdp+3", "0x1.652bb7b48c000p-15"),
+        (14000, 197, "0x1.3da5abed586e0p+3", "0x1.baa1979807e00p-11"),
+        (14000, 18, "0x1.3cf38f5386265p+3", "0x1.093c5afeab880p-9"),
         (14000, 0, "0x1.3b7213bbac7adp+3", "0x1.6a09e667f3a48p-1"),
     ],
     ("mmse", "diag-L", 4, "fixed-channel"): [
-        (14000, 1180, "0x1.435ba27b72103p+3", "0x1.a52f3b87f1a00p-11"),
-        (14000, 64, "0x1.3e6100938eb0ap+3", "0x1.3a5a274380000p-14"),
-        (14000, 0, "0x1.325d46fd54a45p+3", "0x1.a155103848d10p-2"),
+        (14000, 1180, "0x1.435ba27b72103p+3", "0x1.a52f3b87f0800p-11"),
+        (14000, 64, "0x1.3e6100938eb0cp+3", "0x1.3a5a27437e000p-14"),
+        (14000, 0, "0x1.325d46fd54a4ep+3", "0x1.a155103848cdep-2"),
         (14000, 0, "0x1.2f3716ded540ap+3", "0x1.6a09e667f3bb4p-1"),
     ],
     ("mmse", "diag-L", 128, "per-trial-channel"): [
-        (49000, 19144, "0x1.4419157141448p+3", "0x1.839701a622000p-18"),
-        (49000, 14303, "0x1.403ca1de94ae9p+3", "0x1.638a21e372000p-18"),
-        (49000, 7352, "0x1.436ce6f21bd3ap+3", "0x1.7a050954ba000p-16"),
+        (49000, 19144, "0x1.4419157141448p+3", "0x1.839701a5ca000p-18"),
+        (49000, 14303, "0x1.403ca1de94ae9p+3", "0x1.638a21e3ae000p-18"),
+        (49000, 7352, "0x1.436ce6f21bd3bp+3", "0x1.7a050953bf000p-16"),
         (49000, 0, "0x1.449cec33a9b65p+3", "0x1.c453d90f0461bp-4"),
     ],
     ("mmse", "diag-L", 128, "fixed-channel"): [
-        (49000, 19362, "0x1.44267e70f0c0ap+3", "0x1.00be55cf34000p-18"),
-        (49000, 13568, "0x1.421396ebdd6b0p+3", "0x1.9bb407bf00000p-21"),
-        (49000, 3324, "0x1.3f557470eae8cp+3", "0x1.d25330cb60000p-19"),
+        (49000, 19362, "0x1.44267e70f0c09p+3", "0x1.00be55cf28000p-18"),
+        (49000, 13568, "0x1.421396ebdd6b2p+3", "0x1.9bb407d120000p-21"),
+        (49000, 3324, "0x1.3f557470eae94p+3", "0x1.d25330ca70000p-19"),
         (49000, 0, "0x1.3e8dce750c57fp+3", "0x1.c453d90f0569cp-4"),
     ],
     ("bd", "diag-L", 4, "per-trial-channel"): [
