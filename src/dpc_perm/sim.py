@@ -47,9 +47,9 @@ and depend only on ``(seed, t)``: not on the SNR point,
 ``trials_per_point``, the worker count, the precoder or the channel
 mode. Every point of the SNR grid reuses them (common random numbers):
 a chunk draws, designs and transmits once, and each point adds the one
-unit noise draw scaled by its ``sqrt(nv / 2)``; mmse transmits per point
-from the chunk's one SVD. So a curve's points are positively correlated
-estimates, not independent ones. A
+unit noise draw scaled by its ``sqrt(nv / 2)``; mmse's points rescale
+the chunk's one SVD and receive through its ``u`` alone. So a curve's
+points are positively correlated estimates, not independent ones. A
 fixed-channel sweep and a per-trial sweep see the same bits and noise,
 and THP's pilots shift nobody's draws; the pilot batch depends only on
 ``(seed, chunk)``. The bits and pilot labels are the values of numpy's
@@ -446,10 +446,11 @@ class _Design:
 
     ``factors`` is the LQ of ``hs`` (dpc-conventional, THP): ``l`` and the
     QR's reflectors for a chunk's stack, plus the formed ``q`` for the
-    fixed channel (:func:`_successive_factors`); for mmse, the SVD of ``hs``
-    for every point (:func:`_mmse_transmit`). ``w`` is the precoding matrices
-    (dpc-linear, zf, bd), ``alpha`` ``(k,)`` their power scale (zf, bd) and
-    ``gains`` ``(k, n)`` the effective gains (the DPC pair, zf and bd).
+    fixed channel (:func:`_successive_factors`); for mmse, the SVD of ``hs``,
+    whose ``u`` and ``sigma`` serve every point (:func:`_mmse_transmit`).
+    ``w`` is the precoding matrices (dpc-linear, zf, bd), ``alpha`` ``(k,)``
+    their power scale (zf, bd) and ``gains`` ``(k, n)`` the effective gains
+    (the DPC pair, zf and bd).
     """
 
     hs: np.ndarray
@@ -511,12 +512,12 @@ def _simulate_chunk(cfg: SweepConfig, t0: int, t1: int, fixed: _Design | None) -
     The draws, the design and, for every precoder but mmse, the transmit
     and ``H x`` are made once for all points; each point adds its scaled
     noise, equalizes, decides and counts. mmse's weights read the noise
-    variance, so it rotates the symbols by ``u^H`` once and transmits per
-    point (:func:`_mmse_transmit`). ``fixed`` is None with per-trial
-    channels, whose stack is designed here; on the fixed channel it is
-    that channel's design, made by :func:`run_ber_sweep`. A failure in a
-    point's own stage carries that point as ``snr_db`` (see
-    :func:`_chunk_context`).
+    variance, so it rotates the symbols by ``u^H`` once and each point
+    forms its ``H x`` and power from them (:func:`_mmse_transmit`).
+    ``fixed`` is None with per-trial channels, whose stack is designed
+    here; on the fixed channel it is that channel's design, made by
+    :func:`run_ber_sweep`. A failure in a point's own stage carries that
+    point as ``snr_db`` (see :func:`_chunk_context`).
     """
     c = make_constellation(cfg.constellation_order)
     hs, bits, noise, pilots = _chunk_draws(cfg, t0, t1, c, None if fixed is None else fixed.hs)
@@ -524,9 +525,10 @@ def _simulate_chunk(cfg: SweepConfig, t0: int, t1: int, fixed: _Design | None) -
     s = c.points[tx]
     design = _design(cfg, hs) if fixed is None else fixed
     shared = None if cfg.precoder == "mmse" else _transmit(cfg, design, s, pilots, c)
-    if shared is None:  # mmse: u^H s and |u|**2 once, for every point
+    if shared is None:  # mmse: u^H s, |u|**2 and |u^H s|**2 once, for every point
         u = design.factors.u
-        rotated = _apply(u.conj().transpose(0, 2, 1), s), np.abs(u) ** 2
+        uhs = _apply(u.conj().transpose(0, 2, 1), s)
+        rotated = uhs, np.abs(u) ** 2, np.abs(uhs) ** 2
 
     parts = []
     for snr_db in cfg.snr_grid_db:
@@ -563,19 +565,22 @@ def _mmse_transmit(
     cfg: SweepConfig, design: _Design, s: np.ndarray, rotated: tuple, nv: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One point's MMSE transmit, as :func:`_transmit`, from the chunk's SVD
-    ``h = u diag(sigma) v^H`` and ``rotated = (u^H s, |u|**2)``, in O(n^2) a
-    trial: ``x = v (alpha d * u^H s)`` with the weights ``d`` of
-    :func:`precoding.mmse_precode`, ``tr(w w^H) = sum(d**2)`` as ``u`` and
-    ``v`` are unitary, and gains ``|u|**2 @ (alpha sigma d)``. The
-    infinite-SNR point is zf's design, with its inverse and singularity rule.
+    ``h = u diag(sigma) v^H`` and ``rotated = (u^H s, |u|**2, |u^H s|**2)``,
+    in O(n^2) a trial. The transmit ``x = v (alpha d * u^H s)``, with the
+    weights ``d`` of :func:`precoding.mmse_precode`, is never formed:
+    ``H x = u (sad * u^H s)`` for ``sad = sigma alpha d``, the gains are
+    ``|u|**2 @ sad``, and as ``u`` and ``v`` are unitary,
+    ``tr(w w^H) = sum(d**2)`` and ``sum |x|**2 = sum (alpha d)**2 |u^H s|**2``.
+    The infinite-SNR point is zf's design, with its inverse and singularity
+    rule.
     """
     if nv == 0.0:
         return _transmit(cfg, _scaled_design(cfg, design.hs, zf_precode(design.hs)), s, None, None)
-    (uhs, u2), f = rotated, design.factors
+    (uhs, u2, uhs2), f = rotated, design.factors
     d = _mmse_weights(f.sigma, nv)
     ad = _scale_to_power(np.sum(d * d, axis=1), cfg.power_budget)[:, np.newaxis] * d
-    x = _apply(f.v, ad * uhs)
-    return _apply(u2, f.sigma * ad), _apply(design.hs, x), float(np.sum(np.abs(x) ** 2))
+    sad = f.sigma * ad
+    return _apply(u2, sad), _apply(f.u, sad * uhs), float(np.sum(ad * ad * uhs2))
 
 
 def _point_sums(

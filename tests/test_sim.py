@@ -791,6 +791,49 @@ def test_sweep_matches_a_scalar_reference_trial_by_trial(
         assert record.measured_tx_power == pytest.approx(power / trials, rel=1e-12)
 
 
+@pytest.mark.parametrize("channel_mode", sim.CHANNEL_MODES)
+def test_mmse_point_through_u_matches_the_explicit_transmit(monkeypatch, channel_mode):
+    # Each finite mmse point never forms x: H x = u (sigma alpha d * u^H s),
+    # and sum |x|**2 = sum (alpha d)**2 |u^H s|**2 since v is unitary. Check
+    # what a real chunk's points return against the explicit route through
+    # the public mmse_precode. The tolerance is relative: per gain, per
+    # trial's received vector, and for the power sum; both routes round at
+    # about eps times the channel's condition number.
+    cfg = SweepConfig(
+        n_users=10,
+        snr_grid_db=(0.0, 20.0, 60.0, 120.0),
+        trials_per_point=512,
+        constellation_order=16,
+        channel_mode=channel_mode,
+        precoder="mmse",
+        seed=7,
+    ).validate()
+    fixed = None
+    if channel_mode == "fixed-channel":
+        fixed = sim._design(cfg, fixed_channel_for(cfg)[np.newaxis])
+    points = []
+    real = sim._mmse_transmit
+
+    def recording(cfg, design, s, rotated, nv):
+        sent = real(cfg, design, s, rotated, nv)
+        points.append((design.hs, s, nv, sent))
+        return sent
+
+    monkeypatch.setattr(sim, "_mmse_transmit", recording)
+    sim._simulate_chunk(cfg, 0, cfg.trials_per_point, fixed)
+    assert [nv for _, _, nv, _ in points] == [noise_variance(cfg, v) for v in cfg.snr_grid_db]
+    for hs, s, nv, (g, y, power) in points:
+        w = mmse_precode(hs, nv)
+        alpha = power_scale(w, cfg.power_budget)[:, np.newaxis]
+        x = alpha * (w @ s[..., np.newaxis])[..., 0]
+        g_ref = alpha * np.real(np.einsum("mii->mi", hs @ w))
+        y_ref = (hs @ x[..., np.newaxis])[..., 0]
+        assert g.shape == g_ref.shape and y.shape == y_ref.shape == s.shape
+        assert np.max(np.abs(g - g_ref) / g_ref) <= 1e-12
+        assert np.max(np.linalg.norm(y - y_ref, axis=1) / np.linalg.norm(y_ref, axis=1)) <= 1e-12
+        assert power == pytest.approx(float(np.sum(np.abs(x) ** 2)), rel=1e-12)
+
+
 def test_dpc_conventional_encode_never_solves(monkeypatch):
     # The successive encode is feedback plus a q^H product; an LU solve on
     # any of its three callers is the matrix route it replaced.
@@ -1399,27 +1442,27 @@ SWEEP_PINNED_RECORDS = {
         (49000, 0, "0x1.3e8dce750c57fp+3", "0x1.c453d90f0569cp-4"),
     ],
     ("mmse", "diag-L", 4, "per-trial-channel"): [
-        (14000, 1264, "0x1.40a8b0d2e6ecdp+3", "0x1.652bb7b48c000p-15"),
-        (14000, 197, "0x1.3da5abed586e0p+3", "0x1.baa1979807e00p-11"),
+        (14000, 1264, "0x1.40a8b0d2e6ecdp+3", "0x1.652bb7b468000p-15"),
+        (14000, 197, "0x1.3da5abed586e0p+3", "0x1.baa1979808e00p-11"),
         (14000, 18, "0x1.3cf38f5386265p+3", "0x1.093c5afeab880p-9"),
         (14000, 0, "0x1.3b7213bbac7adp+3", "0x1.6a09e667f3a48p-1"),
     ],
     ("mmse", "diag-L", 4, "fixed-channel"): [
-        (14000, 1180, "0x1.435ba27b72103p+3", "0x1.a52f3b87f0800p-11"),
-        (14000, 64, "0x1.3e6100938eb0cp+3", "0x1.3a5a27437e000p-14"),
-        (14000, 0, "0x1.325d46fd54a4ep+3", "0x1.a155103848cdep-2"),
+        (14000, 1180, "0x1.435ba27b72102p+3", "0x1.a52f3b87f1200p-11"),
+        (14000, 64, "0x1.3e6100938eb0ap+3", "0x1.3a5a27436a000p-14"),
+        (14000, 0, "0x1.325d46fd54a48p+3", "0x1.a155103848d0ap-2"),
         (14000, 0, "0x1.2f3716ded540ap+3", "0x1.6a09e667f3bb4p-1"),
     ],
     ("mmse", "diag-L", 128, "per-trial-channel"): [
-        (49000, 19144, "0x1.4419157141448p+3", "0x1.839701a5ca000p-18"),
-        (49000, 14303, "0x1.403ca1de94ae9p+3", "0x1.638a21e3ae000p-18"),
-        (49000, 7352, "0x1.436ce6f21bd3bp+3", "0x1.7a050953bf000p-16"),
+        (49000, 19144, "0x1.4419157141448p+3", "0x1.839701a51a000p-18"),
+        (49000, 14303, "0x1.403ca1de94ae9p+3", "0x1.638a21e372000p-18"),
+        (49000, 7352, "0x1.436ce6f21bd3bp+3", "0x1.7a0509538f800p-16"),
         (49000, 0, "0x1.449cec33a9b65p+3", "0x1.c453d90f0461bp-4"),
     ],
     ("mmse", "diag-L", 128, "fixed-channel"): [
-        (49000, 19362, "0x1.44267e70f0c09p+3", "0x1.00be55cf28000p-18"),
-        (49000, 13568, "0x1.421396ebdd6b2p+3", "0x1.9bb407d120000p-21"),
-        (49000, 3324, "0x1.3f557470eae94p+3", "0x1.d25330ca70000p-19"),
+        (49000, 19362, "0x1.44267e70f0c09p+3", "0x1.00be55cec8000p-18"),
+        (49000, 13568, "0x1.421396ebdd6b0p+3", "0x1.9bb407d200000p-21"),
+        (49000, 3324, "0x1.3f557470eae8fp+3", "0x1.d25330cc54000p-19"),
         (49000, 0, "0x1.3e8dce750c57fp+3", "0x1.c453d90f0569cp-4"),
     ],
     ("bd", "diag-L", 4, "per-trial-channel"): [
