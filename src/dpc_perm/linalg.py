@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "LqFactors",
     "SvdFactors",
     "as_channel_stack",
+    "frobenius_norm",
     "lq_decompose",
     "lq_apply_qh",
     "lq_diagonal",
@@ -134,6 +135,12 @@ def as_channel_stack(h: np.ndarray) -> np.ndarray:
     return stack
 
 
+def frobenius_norm(x: np.ndarray) -> np.ndarray:
+    """``||x||_F`` of a complex matrix or of each of a stack: one einsum over its float64 view."""
+    r = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", r, r))
+
+
 def as_order(order: Sequence[int], n: int | None = None) -> np.ndarray:
     """Validate an order vector as a bijection of 0..n-1.
 
@@ -211,15 +218,22 @@ class SvdFactors:
 def _lq_magnitudes(hs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``|diag(r)|`` ``(m, n)``, the LQ diagonal of the stack ``hs`` from the
     geqrf output ``r`` of ``hsᴴ`` (its diagonal is ``R``'s), under
-    :func:`lq_diagonal`'s singularity rule; ticks one LQ per channel."""
+    :func:`lq_diagonal`'s rule on :func:`frobenius_norm`; ticks one LQ per channel."""
     _tick("lq", hs.shape[0])
     mag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    scale = np.linalg.norm(hs, axis=(1, 2))
-    if not np.all(mag > EPS_SING * scale[:, np.newaxis]):
+    if not np.all(mag > EPS_SING * frobenius_norm(hs)[:, np.newaxis]):
         raise NumericallySingular(
             f"LQ diagonal below {EPS_SING:g} * ||H||_F, channel is numerically singular"
         )
     return mag
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle of ``(n, n)``; cached read-only."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def lq_decompose(h: np.ndarray) -> LqFactors:
@@ -231,7 +245,7 @@ def lq_decompose(h: np.ndarray) -> LqFactors:
     from its ``R`` and ``q`` stays in its reflectors (see
     :class:`LqFactors`), so a successive encode costs no ``q`` stack. A
     caller that reads only ``.diag`` takes :func:`lq_diagonal`, which gives
-    the same array without forming ``l``.
+    the same array without forming ``l``; ``l``'s strict-upper mask is cached per ``n``.
 
     Raises
     ------
@@ -249,8 +263,7 @@ def lq_decompose(h: np.ndarray) -> LqFactors:
     n = hs.shape[1]
     l = np.conjugate(reflectors.transpose(0, 2, 1), order="C").transpose(0, 2, 1)
     l *= phase.conj()[:, np.newaxis, :]
-    upper = np.triu_indices(n, 1)
-    l[:, upper[0], upper[1]] = 0.0
+    l[:, _strict_upper(n)] = 0.0
     idx = np.arange(n)
     l[:, idx, idx] = mag
     if np.ndim(h) == 2:
@@ -266,8 +279,8 @@ def lq_apply_qh(factors: LqFactors, xt: np.ndarray) -> np.ndarray:
 
     One vector a channel (a stack, or one channel) takes the ``n``
     reflectors, last first, each one batched step over all channels, and
-    never forms ``q``. Several (the fixed channel's draws) take one GEMM
-    with ``q``, formed once for the factors, which beats ``n`` steps there.
+    never forms ``q``, and conjugates the reflectors once a call. Several (the fixed
+    channel's draws) take one GEMM with ``q``, formed once, which beats ``n`` steps there.
     """
     if xt.shape[2] > 1:
         return (factors.q.conj().transpose(0, 2, 1) @ xt).transpose(0, 2, 1)
@@ -277,9 +290,10 @@ def lq_apply_qh(factors: LqFactors, xt: np.ndarray) -> np.ndarray:
     # differently, while a stacked call must equal its per-channel calls.
     n = xt.shape[1]
     y = np.ascontiguousarray(np.einsum("kn,kn->nk", xt[:, :, 0], factors.phase.conj()))
+    v_conj = factors.reflectors.conj()
     for i in range(n - 1, -1, -1):
         v = factors.reflectors[:, i, i + 1 :].T  # tail of v_i, (n - 1 - i, k)
-        vh_y = y[i] + np.einsum("jk,jk->k", v.conj(), y[i + 1 :])
+        vh_y = y[i] + np.einsum("jk,jk->k", v_conj[:, i, i + 1 :].T, y[i + 1 :])
         w = np.einsum("k,k->k", factors.tau[:, i], vh_y)
         y[i] -= w
         y[i + 1 :] -= np.einsum("k,jk->jk", w, v)

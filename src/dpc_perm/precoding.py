@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateGain, InfeasibleBlocking, NumericallySingular
-from .linalg import EPS_SING, LqFactors, as_channel_stack, lq_apply_qh, lq_decompose, svd_decompose
+from .linalg import EPS_SING, LqFactors, as_channel_stack, frobenius_norm, lq_apply_qh
+from .linalg import lq_decompose, svd_decompose
 
 # 1/sigma**2 is finite and positive exactly for sigma in [1/_SIGMA_MAX, _SIGMA_MAX].
 _SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max))
@@ -226,15 +227,15 @@ def zf_precode(h: np.ndarray) -> np.ndarray:
     condition bound ``||H||_F * ||H^-1||_F`` reaches ``1 / EPS_SING``. The
     bound lies between the condition number ``sigma_max / sigma_min`` and
     ``n`` times it, so it rejects every channel the SVD check of
-    :func:`linalg.svd_inverse` rejects, and a few more, for two norms.
-    :func:`dpc_linear` shares this rule.
+    :func:`linalg.svd_inverse` rejects, and a few more, for two norms
+    (:func:`linalg.frobenius_norm`). :func:`dpc_linear` shares this rule.
     """
     hs = as_channel_stack(h)
     try:
         w = np.linalg.inv(hs)
     except np.linalg.LinAlgError as exc:
         raise NumericallySingular("channel is singular: no inverse") from exc
-    bound = np.linalg.norm(hs, axis=(1, 2)) * np.linalg.norm(w, axis=(1, 2))
+    bound = frobenius_norm(hs) * frobenius_norm(w)
     if not np.all(bound < 1.0 / EPS_SING):
         raise NumericallySingular(
             f"channel condition bound ||H||_F ||H^-1||_F reaches 1/{EPS_SING:g}"

@@ -120,8 +120,7 @@ def test_ber_sweep_seed_override(tmp_path, sweep_config):
 # seed 3), the byte-for-byte gate of the fixed-channel paths: the channel's
 # design, made once per sweep and sent to every worker, and THP's one pilot
 # batch per chunk. zf has the most samples outside the decision table's box
-# (its 0 dB point), so it gates the edge-list decisions. CI runs the same
-# config file with the same pins.
+# (its 0 dB point), so it gates the edge-list decisions.
 FIXED_CHANNEL_SWEEPS = Path(__file__).with_name("fixed_channel_sweeps.json")
 FIXED_CHANNEL_SHA256 = {
     "ber_thp_128-qam.csv": "21ca3118472a15c91bd8814ff31b751255cc6e08646c2206c65a4a2356212ff4",
@@ -148,9 +147,8 @@ def test_fixed_channel_sweeps_are_pinned_and_worker_count_free(tmp_path):
 
 
 # Demo 05's committed outputs: five per-trial QPSK sweeps at 1000 trials a
-# point and their manifest. CI regenerates them in the checkout and runs
-# git diff; this test runs a copy of the script, which writes next to
-# itself, so the checkout is left alone.
+# point and their manifest. This test runs a copy of the script, which
+# writes next to itself, so the checkout is left alone.
 DEMO_BER_SWEEP = Path(__file__).resolve().parents[1] / "demos" / "05_ber_sweep.py"
 DEMO_OUTPUTS = (
     "ber_dpc-conventional_qpsk.csv",
@@ -190,7 +188,7 @@ def test_demo_ber_sweep_reproduces_demos_out_at_1_and_2_workers(tmp_path):
         assert "conventional and linear DPC error counts identical: True" in res.stdout
 
 
-# The per-trial 128-QAM sweeps of CI, one group a config, each run into its
+# The per-trial 128-QAM sweeps, one group a config, each run into its
 # own directory: a CSV name ignores the gain mode, so the two DPC pairs
 # cannot share one. THP feeds each chunk's one pilot batch back through
 # every trial's channel; the water-filled pair water-fills each chunk's
@@ -251,7 +249,7 @@ def test_order_search_report_bytes_are_pinned(tmp_path):
 def test_order_search_at_max_enum_users_agrees_with_naive_and_is_pinned(tmp_path):
     # --verify exits 1 when the diagonal search and the naive oracle
     # disagree. The sha256 pins the whole report: all 8! order rows,
-    # values, winners and counters. CI runs the same config with the same pin.
+    # values, winners and counters.
     assert ordering.MAX_ENUM_USERS == 8
     cfg = tmp_path / "order-search.json"
     cfg.write_text(json.dumps({"n_users": 8, "seed": 3}))
@@ -269,7 +267,7 @@ def test_complexity_csv_bytes_are_pinned(tmp_path):
     # The sha256 of the whole CSV at --n-max 7, seed 0: its model columns and
     # measured factorization counts. Two CLI runs time the searches
     # differently (the wall times go to stdout only), and their CSVs must
-    # still match. CI runs the same commands with the same pin.
+    # still match.
     csvs = []
     for run in ("a", "b"):
         out = tmp_path / f"complexity-{run}"

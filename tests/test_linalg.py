@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpc_perm.channel import ChannelSpec, generate_channel
 from dpc_perm.exceptions import InvalidPermutation, NumericallySingular
@@ -15,6 +16,7 @@ from dpc_perm.linalg import (
     as_order,
     count_decompositions,
     diagonal_permute,
+    frobenius_norm,
     lq_apply_qh,
     lq_decompose,
     lq_diagonal,
@@ -163,6 +165,47 @@ def test_lq_diagonal_is_the_lq_diag_to_the_bit_property(hs):
         d = lq_diagonal(h)
         assert d.dtype == np.float64 and d.shape == h.shape[:-1]
         np.testing.assert_array_equal(d, lq_decompose(h).diag)
+
+
+@st.composite
+def _wide_range_stacks(draw):
+    """Complex stacks ``(m, n, n)``, n <= 6, whose real and imaginary parts
+    have magnitudes from 1e-150 to 1e150 and either sign."""
+    shape = (draw(st.integers(1, 4)), *(2 * [draw(st.integers(1, 6))]), 2)
+    parts = draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-150, 1e150)))
+    signs = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([-1.0, 1.0])))
+    return (parts * signs).view(np.complex128)[..., 0]
+
+
+def _relative_ulps(got, expected):
+    return np.max(np.abs(got - expected) / (np.finfo(np.float64).eps * expected))
+
+
+@given(hs=_wide_range_stacks())
+@settings(max_examples=200, deadline=None)
+def test_frobenius_norm_is_numpys_to_four_ulp_property(hs):
+    expected = np.linalg.norm(hs, axis=(1, 2))
+    assert _relative_ulps(frobenius_norm(hs), expected) <= 4
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_frobenius_norm_of_one_channel_is_numpys_to_four_ulp(n):
+    h = random_channel(n, n)
+    got = frobenius_norm(h)
+    assert got.shape == () and _relative_ulps(got, np.linalg.norm(h)) <= 4
+    assert got == frobenius_norm(h[np.newaxis])[0]
+
+
+@pytest.mark.parametrize("n", [8, 10, 16])
+def test_frobenius_norm_stays_within_the_summation_bound(n):
+    # The einsum sums the 2n² squares in sequence, so its rounding grows
+    # with n, most for equal entries: about 4.5 ulp from numpy's at n = 8.
+    # A recursive sum of N squares is within N·u of the exact one
+    # (u = eps / 2) and the square root halves that, so the norm is within
+    # (n² + 1)·u of the exact one; numpy's pairwise sum is far closer.
+    hs = np.full((2, n, n), 1.0000000000000002 + 1.9999999999999998j)
+    hs[1] *= 1e150
+    assert _relative_ulps(frobenius_norm(hs), np.linalg.norm(hs, axis=(1, 2))) <= (n * n + 1) / 2
 
 
 def _singular_and_invalid_channels():

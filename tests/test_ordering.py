@@ -1,5 +1,6 @@
 """Tests for the order-search engines and objectives."""
 
+import hashlib
 import math
 import warnings
 from itertools import permutations
@@ -17,6 +18,7 @@ from dpc_perm.linalg import (
     count_decompositions,
     diagonal_permute,
     lq_decompose,
+    lq_diagonal,
     svd_decompose,
     svd_inverse,
 )
@@ -421,6 +423,49 @@ def test_naive_and_diagonal_agree_at_the_enumeration_guard(objective):
     assert res_n.permutations_evaluated == res_d.permutations_evaluated == math.factorial(n)
     rel = np.linalg.norm(res_n.best_signal - res_d.best_signal) / np.linalg.norm(res_d.best_signal)
     assert rel <= 1e-8
+
+
+# The naive oracle's own arithmetic, pinned: n! LQ factorizations and
+# successive encodes, on inputs built as `order-search` builds them (a
+# seeded channel, 16-QAM symbols from a seeded bit draw, diag(L) gains).
+# Per case: (n, objective, best_value as float.hex, decompositions_performed,
+# permutations_evaluated, sha256 of best_signal's bytes).
+NAIVE_ORACLE_PINS = [
+    (5, "average-power", "0x1.ea78e473bc1e0p+0", 120, 120,
+     "a5eb8db7cf54de9034a0d9fc517ded5cbb64813f223260ff0ea3d4706b25becc"),
+    (5, "papr", "0x1.0a0464a9c8ad9p+1", 120, 120,
+     "9c7b7687bb9ce74338f83055fbd123cc83649d66cbed13b9da457a9170449af7"),
+    (5, "min-power", "0x1.001739fce616dp+3", 120, 120,
+     "af1426cb9465d068d99fa275dcd4457357a8845e3e30dd4e1a7448a458f7de2b"),
+    (6, "average-power", "0x1.635fd784ed3d0p-1", 720, 720,
+     "e277d6ef83e6713862ec0cd2f947dcdc0f484fb365b82be5f4755bcd61dd05cf"),
+    (6, "papr", "0x1.71e6c49d524c9p+0", 720, 720,
+     "3229e46de6999c94b21a2645244127283140aa238b635adae0e932143ce31781"),
+    (6, "min-power", "0x1.12decd920f047p+3", 720, 720,
+     "5d8c55db9b73f18cce1ee76b58bb3d21bbe27d0c16c735a98becd31c4364b4eb"),
+    (7, "average-power", "0x1.34515058d8ce0p+5", 5040, 5040,
+     "5473ea4c259c5250ebdeaae898c81aa947ebe6f2984ea1db9a873eb3b197dae2"),
+    (7, "papr", "0x1.ebf755e974b11p+0", 5040, 5040,
+     "6b7982c530fd2e682f03c72614b1d80fec5a215ae1b18a6a4a7deb4b39e43365"),
+    (7, "min-power", "0x1.94d14a67ab8b4p+3", 5040, 5040,
+     "4a5a85940e6e716042c565d49b6b309b51297ef20037ea6c4c908f3b6d1d4f9c"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, objective, best_value, decompositions, orders, signal_sha256",
+    NAIVE_ORACLE_PINS,
+    ids=[f"n{pin[0]}-{pin[1]}" for pin in NAIVE_ORACLE_PINS],
+)
+def test_naive_oracle_is_pinned(n, objective, best_value, decompositions, orders, signal_sha256):
+    h = random_channel(70 + n, n)
+    c = make_constellation(16)
+    bits = np.random.default_rng(170 + n).integers(0, 2, size=n * c.bits_per_symbol, dtype=np.uint8)
+    s = qam_modulate(bits, c)
+    res = naive_order_search(h, s, lq_diagonal(h), objective)
+    assert hashlib.sha256(res.best_signal.tobytes()).hexdigest() == signal_sha256
+    assert res.best_value.hex() == best_value
+    assert (res.decompositions_performed, res.permutations_evaluated) == (decompositions, orders)
 
 
 def test_per_order_signals_match_through_public_api():

@@ -1,8 +1,7 @@
 """Gates on the repository itself: the source guards and demos 01-04.
 
-The CI workflow runs the same checks as steps of their own ("Superseded
-random-draw schemes ...", "Only linalg.py calls np.linalg.qr", "The sweep
-draws its bits ...", "Demos 01-04 run" and "Demos 01-04 write nothing").
+They are the only home of these checks; the CI workflow runs them in its
+tier-1 step.
 """
 
 import hashlib
@@ -16,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 DEMOS = ROOT / "demos"
 
-# (pattern, the source files it must not match), one per CI guard.
+# (pattern, the source files it must not match), one per guard.
 SOURCE_GUARDS = (
     # Superseded random-draw schemes are described only in README, their
     # history's one home.
@@ -47,28 +46,38 @@ def test_source_guards_find_nothing():
     assert re.search(SOURCE_GUARDS[1][0], (SRC / "dpc_perm" / "linalg.py").read_text())
 
 
-def demos_listing():
-    """Every file under demos/, ignored ones included, with its sha256."""
-    return {
-        path.relative_to(DEMOS).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in DEMOS.rglob("*")
-        if path.is_file()
-    }
+# Directories of git and of the interpreter's and the test tools' caches,
+# which .gitignore lists and a demo run may fill.
+UNLISTED_DIRS = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
+
+
+def checkout_listing():
+    """Every file of the checkout, ignored ones included, with its sha256,
+    outside ``UNLISTED_DIRS``."""
+    listing = {}
+    for top, dirs, files in os.walk(ROOT):
+        dirs[:] = [name for name in dirs if name not in UNLISTED_DIRS]
+        for name in files:
+            path = Path(top, name)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            listing[path.relative_to(ROOT).as_posix()] = digest
+    return listing
 
 
 def test_demos_01_to_04_run_and_write_nothing():
     # Lemma 1, Corollary 1 and the complexity claims through the public
-    # helpers, run in the checkout as CI runs them, with CI's warning filter.
+    # helpers, run in the checkout with CI's warning filter. They write
+    # nothing anywhere in the checkout, not only under demos/.
     env = dict(os.environ)
     env.pop("DPC_PERM_WORKERS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     demos = sorted(DEMOS.glob("0[1-4]_*.py"))
     assert [path.name[:2] for path in demos] == ["01", "02", "03", "04"]
-    before = demos_listing()
+    before = checkout_listing()
     for demo in demos:
         res = subprocess.run(
             [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
         )
         assert res.returncode == 0, (demo.name, res.stderr)
-    assert demos_listing() == before
+    assert checkout_listing() == before
