@@ -62,10 +62,17 @@ Zeger, IEEE TIT 2002):
   ``d = |y - p|``, the label from ``argmin(d**2)`` in label order and the
   margin from the two smallest ``d`` (0 when both are inf: every point
   ties). Short lists (a cell's at most 5 candidates, QPSK's 4 points)
-  lie candidate-major, ``(K, N)``: the label comes from argmin over the
-  candidate axis, and the two smallest from the running
-  ``m2 = min(m2, max(m1, d_j))``, ``m1 = min(m1, d_j)``. Long lists (the
-  8-24 edge points, the full 16-128) partition each row. ``min`` and
+  lie candidate-major, ``(K, N)``. Their two smallest ``m1 <= m2`` come
+  from the running ``m2 = min(m2, max(m1, d_j))``, ``m1 = min(m1, d_j)``.
+  Squaring is monotone on ``d >= 0``, so ``min(d**2)`` is ``m1 * m1``,
+  and the rows with ``d**2 == m1 * m1`` are exactly those that tie for
+  the smallest square; argmin takes the first of them. So the label is
+  the lowest set bit of that tie mask, packed into a K-bit code by one
+  ``einsum`` and read from a 32-entry table, with no argmin along the
+  strided candidate axis. Squares that overflow to inf tie, as in
+  argmin, and an all-NaN column ties nowhere and gets row 0, as argmin
+  gives it. Long lists (the 8-24 edge points, the full 16-128) take
+  argmin and partition each row. ``min`` and
   ``max`` are exact, so both give a sort's values. The minimizers of the
   computed distances are always in the searched set, so labels and
   margins equal the full search's bit for bit.
@@ -121,6 +128,15 @@ _EDGE_MIN_SAMPLES = 32
 # most 5) are reduced candidate-major by _short_list; on the longer edge
 # lists and full sets, running loops measured slower than partition.
 _SHORT_LIST = 5
+assert _SHORT_LIST <= 8, "_short_list packs a list's tie mask into a uint8"
+
+# _short_list's tie-mask code (bit k: row k ties for the smallest d**2) and
+# the lowest set bit of every code; an all-NaN column ties nowhere (code 0)
+# and, as in argmin, gets row 0.
+_ROW_BITS = np.left_shift(1, np.arange(_SHORT_LIST, dtype=np.uint8))
+_LOWEST_BIT = np.array(
+    [(c & -c).bit_length() - 1 if c else 0 for c in range(1 << _SHORT_LIST)], dtype=np.intp
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,34 +332,41 @@ def _edge_lists(points: np.ndarray) -> np.ndarray:
 def _short_list(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index of the smallest ``d**2`` (the first on ties) and the two
     smallest values of each column of the candidate-major distances ``d``
-    ``(K, N)``, ``2 <= K <= _SHORT_LIST``; each column NaN-free or all NaN."""
-    nearest = np.argmin(d**2, axis=0)
+    ``(K, N)``, ``2 <= K <= _SHORT_LIST``; each column NaN-free or all NaN.
+
+    The index equals ``np.argmin(d**2, axis=0)``, dtype included, but is
+    read from the tie mask ``d**2 == min(d)**2`` (module docstring)."""
     # min and max are exact, so these are the values a sort gives.
+    k = len(d)
     first, second = np.minimum(d[0], d[1]), np.maximum(d[0], d[1])
     for row in d[2:]:
         np.minimum(second, np.maximum(first, row), out=second)
         np.minimum(first, row, out=first)
-    return nearest, first, second
+    # Squaring is monotone on d >= 0, so min(d**2) is first * first: the
+    # rows where d**2 equals it are argmin's ties, and argmin takes the
+    # first of them, the lowest bit of the tie mask's code.
+    tied = np.multiply(d, d) == np.multiply(first, first)
+    code = np.einsum("k,kn->n", _ROW_BITS[:k], tied.view(np.uint8))
+    return _LOWEST_BIT.take(code), first, second
 
 
 def _nearest_two(y: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest of ``points`` (per sample ``(N, K)``, or one set
-    ``(K,)``) and the decision margin, for each sample of ``y`` ``(N,)``."""
-    # Past about 1.3e154 every point's squared distance rounds to the same
-    # value (inf), and the tie rule then picks the smallest label, as the
-    # full search does; so the overflow is harmless and not reported.
-    with np.errstate(over="ignore"):
-        if points.ndim == 1 and points.size <= _SHORT_LIST:
-            nearest, first, second = _short_list(np.abs(y - points[:, np.newaxis]))
-        else:
-            d = np.abs(y[:, np.newaxis] - points)
-            nearest = np.argmin(d**2, axis=1)
-            d.partition(1, axis=1)
-            first, second = d[:, 0], d[:, 1]
+    ``(K,)``) and the decision margin, for each sample of ``y`` ``(N,)``;
+    called under :func:`_decide`'s errstate."""
+    if points.ndim == 1 and points.size <= _SHORT_LIST:
+        nearest, first, second = _short_list(np.abs(y - points[:, np.newaxis]))
+    else:
+        d = np.abs(y[:, np.newaxis] - points)
+        nearest = np.argmin(d**2, axis=1)
+        d.partition(1, axis=1)
+        first, second = d[:, 0], d[:, 1]
     # Past about 1e308 every distance itself is inf: every point ties, so
-    # the margin is 0 (inf - inf is never computed).
-    gap = np.subtract(second, first, out=np.zeros(y.size), where=first != np.inf)
-    return nearest, gap / 2.0
+    # the margin is 0, not inf - inf.
+    gap = second - first
+    np.copyto(gap, 0.0, where=first == np.inf)
+    gap /= 2.0
+    return nearest, gap
 
 
 def _table_pass(
@@ -351,10 +374,12 @@ def _table_pass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and margins of samples inside the table, at cell coordinates ``(u, v)``."""
     cell = u.astype(np.intp) * table.shape[1] + v.astype(np.intp)
-    # np.take gathers the candidates about twice as fast as indexing does.
-    nearest, first, second = _short_list(np.abs(y - np.take(table.points, cell, axis=1)))
+    # take gathers the candidates about twice as fast as indexing does;
+    # |p - y| is |y - p| exactly, so y is subtracted in place.
+    p = table.points.take(cell, axis=1)
+    nearest, first, second = _short_list(np.abs(np.subtract(p, y, out=p)))
     # A flat take gathers the labels about twice as fast as 2-D indexing.
-    return np.take(table.labels, cell * table.labels.shape[1] + nearest), (second - first) / 2.0
+    return table.labels.take(cell * table.labels.shape[1] + nearest), (second - first) / 2.0
 
 
 def _edge_pass(
@@ -366,10 +391,17 @@ def _edge_pass(
     n_re, n_im = table.shape
     # Right, left, top, bottom: a corner sample takes the right or left list.
     side = np.where(u >= n_re, 0, np.where(u < 0, 1, np.where(v >= n_im, 2, 3)))
-    nearest, margins = _nearest_two(y, np.take(table.edge_points, side, axis=0))
+    nearest, margins = _nearest_two(y, table.edge_points.take(side, axis=0))
     return table.edge_labels[side, nearest], margins
 
 
+# A huge sample's cell coordinate is inf (outside the table). Past about
+# 1.3e154 every point's squared distance rounds to the same value (inf), and
+# the tie rule then picks the smallest label, as the full search does. Past
+# about 1e308 every distance is inf, and _nearest_two sets the margin's
+# inf - inf to 0. So neither is reported; as a decorator, the errstate costs
+# less per call than a with block.
+@np.errstate(over="ignore", invalid="ignore")
 def _decide(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """Labels and decision margins of the samples ``y``, complex128 ``(N,)``
     (see :func:`hard_decisions`); the sweep compares these labels with the
@@ -385,9 +417,8 @@ def _decide(y: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     if table is None:
         return _nearest_two(y, c.points)
     rel = y - table.origin
-    with np.errstate(over="ignore"):  # a huge sample's coordinate is inf: outside
-        u = rel.real / table.width
-        v = rel.imag / table.width
+    u = rel.real / table.width
+    v = rel.imag / table.width
     n_re, n_im = table.shape
     # False for NaN, so non-finite samples are never inside or within reach.
     inside = (u >= 0) & (u < n_re) & (v >= 0) & (v < n_im)

@@ -430,6 +430,43 @@ def test_short_list_reduction_matches_argmin_and_a_sort(d, nan_rows):
     assert second.tobytes() == np.ascontiguousarray(two[:, 1]).tobytes()
 
 
+def _tie_columns(k: int) -> np.ndarray:
+    """Distances ``(k, M)``: for every non-empty set of rows, a column where
+    those rows tie for the smallest square, as equal values and as distinct
+    values whose squares underflow to 0, the others larger; then a column
+    whose squares all overflow to inf, an all-inf and an all-NaN column."""
+    columns = []
+    for tie in range(1, 1 << k):
+        tied = (tie >> np.arange(k)) & 1 == 1
+        for low in ([0.5], [1e-170, 3e-170]):
+            column = np.resize([2.0, 1.0], k)
+            column[tied] = np.resize(low, tied.sum())
+            columns.append(column)
+    columns += [np.resize([1e200, 3e200], k), np.full(k, np.inf), np.full(k, np.nan)]
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2560])
+def test_short_list_matches_argmin_and_a_sort_on_every_tie_pattern(k, n):
+    # The tie mask's lowest set bit is argmin's first tied row, byte for
+    # byte, alone (n = 1) and among a call's other samples (n = 2560).
+    columns = _tie_columns(k)
+    assert columns.shape[1] == 2 * (2**k - 1) + 3
+    if n == 1:
+        calls = [np.ascontiguousarray(columns[:, [j]]) for j in range(columns.shape[1])]
+    else:
+        calls = [np.ascontiguousarray(columns[:, np.arange(n) % columns.shape[1]])]
+    for d in calls:
+        with np.errstate(over="ignore"):
+            nearest, first, second = modem._short_list(d)
+            want = np.argmin(d**2, axis=0)
+        two = np.sort(d, axis=0)[:2]
+        assert nearest.dtype == want.dtype and nearest.tobytes() == want.tobytes()
+        assert first.tobytes() == two[0].tobytes()
+        assert second.tobytes() == two[1].tobytes()
+
+
 def test_qpsk_decisions_match_on_the_axes_at_every_magnitude():
     # On an axis two QPSK points tie, at the origin all four; past 1.3e154
     # every squared distance overflows, past 1e308 every distance.

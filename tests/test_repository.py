@@ -1,4 +1,5 @@
-"""Gates on the repository itself: the source guards and demos 01-04.
+"""Gates on the repository itself: the source guards, the numpy floor and
+demos 01-04.
 
 They are the only home of these checks; the CI workflow runs them in its
 tier-1 step.
@@ -10,6 +11,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -44,6 +47,31 @@ def test_source_guards_find_nothing():
     assert hits == []
     # The one QR call site the second guard exempts is still there.
     assert re.search(SOURCE_GUARDS[1][0], (SRC / "dpc_perm" / "linalg.py").read_text())
+
+
+# numpy functions added after 1.24 and the release that added each; every
+# other numpy API src/ uses is in 1.24. pyproject.toml's floor is the newest
+# of these that src/ calls: an older numpy would install the package and
+# then fail at the first such call with AttributeError.
+NUMPY_ADDED = {
+    "bitwise_count": (2, 0),
+    "vecdot": (2, 0),
+    "astype": (2, 1),
+    "unstack": (2, 1),
+    "matvec": (2, 2),
+    "vecmat": (2, 2),
+}
+
+
+def test_numpy_floor_is_the_release_with_every_function_src_calls():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', pyproject)
+    floor = tuple(int(part) for part in floor.split("."))
+    source = "\n".join(path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py")))
+    called = [name for name in NUMPY_ADDED if re.search(rf"\bnp\.{name}\(", source)]
+    assert "bitwise_count" in called  # sim._point_sums counts bit errors with it
+    assert floor == max(NUMPY_ADDED[name] for name in called)
+    assert tuple(int(part) for part in np.__version__.split(".")[:2]) >= floor
 
 
 # Directories of git and of the interpreter's and the test tools' caches,

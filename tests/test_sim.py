@@ -570,6 +570,35 @@ def test_fixed_channel_thp_chunk_is_calibrated_once():
     np.testing.assert_allclose(x, alpha[0] * unscaled, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("channel_mode", ["per-trial-channel", "fixed-channel"])
+def test_thp_scale_puts_each_channels_mean_pilot_power_on_the_budget(monkeypatch, channel_mode):
+    # The exact identity behind THP's calibration: scaled by its alpha, each
+    # channel's fed-back pilots have mean power power_budget. The pooled
+    # measured_tx_power (test_baseline_transmit_power_tracks_budget) is only
+    # a noisy estimate of it.
+    cfg = small_cfg(
+        precoder="thp", channel_mode=channel_mode, constellation_order=16, power_budget=2.5
+    )
+    c = make_constellation(cfg.constellation_order)
+    hs, bits, _, labels = chunk_draws(cfg, 0, 300)
+    s = qam_modulate(bits.ravel(), c).reshape(300, cfg.n_users)
+    factors = lq_decompose(hs)
+    buffers, feedback = [], sim.successive_feedback
+
+    def spy(l, xt, base):
+        buffers.append(xt)
+        return feedback(l, xt, base)
+
+    monkeypatch.setattr(sim, "successive_feedback", spy)
+    _, g = sim._thp_transmit(cfg, factors, s, labels, c)
+    (xt,) = buffers
+    alpha = g[:, 0] / factors.diag[:, 0]
+    pilots = alpha[:, np.newaxis, np.newaxis] * xt[:, :, -sim._THP_PILOTS :]
+    power = np.mean(np.sum(np.abs(pilots) ** 2, axis=1), axis=1)
+    assert power.shape == (len(hs),)  # 300 channels, or the one fixed channel
+    np.testing.assert_allclose(power, cfg.power_budget, rtol=1e-12, atol=0)
+
+
 # THP too: each channel of a chunk feeds back the chunk's one pilot batch,
 # so per-trial copies of the fixed channel get the fixed channel's alpha.
 @pytest.mark.parametrize(
